@@ -2,7 +2,9 @@
 
 Subcommands: train (baseline), prune (single mask), finetune, ablate
 (rate x variant grid), alpha-sweep, report (re-emit from artifacts).
-Exit codes: 0 success, 2 config error, 3 I/O error, 4 numeric divergence.
+Exit codes: 0 success, 1 chain pruning saturated (SaturationError: no chain
+adds a connection before the budget fills), 2 config error, 3 I/O error,
+4 numeric divergence.
 """
 
 from __future__ import annotations

@@ -9,6 +9,8 @@ consistent by construction.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,26 +59,13 @@ class ChainTrace:
 def standard_mp(net: LayeredNetwork, rate: float) -> MaskTensor:
     """Keep the max_kept connections with the largest absolute weights.
 
-    Ties break toward the lexicographically smallest (layer, row, col).
+    Ties break toward the lexicographically smallest (layer, row, col),
+    which is the flat concatenation order the stable sort preserves.
     """
     b = budget(net, rate)
-    mags, layers, rows, cols = [], [], [], []
-    for l, w in enumerate(net.weights):
-        r, c = np.divmod(np.arange(w.size), w.shape[1])
-        mags.append(np.abs(w).ravel())
-        layers.append(np.full(w.size, l))
-        rows.append(r)
-        cols.append(c)
-    mags = np.concatenate(mags)
-    layers = np.concatenate(layers)
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    order = np.lexsort((cols, rows, layers, -mags))
-    keep = order[: b.max_kept]
-    masks = [np.zeros(w.shape, dtype=bool) for w in net.weights]
-    for idx in keep:
-        masks[layers[idx]][rows[idx], cols[idx]] = True
-    return MaskTensor(tuple(masks))
+    flat = np.concatenate([np.abs(w).ravel() for w in net.weights])
+    order = np.argsort(-flat, kind="stable")
+    return _masks_from_flat(net, order[: b.max_kept])
 
 
 def stochastic_mp(net: LayeredNetwork, rate: float, seed: int) -> MaskTensor:
@@ -95,8 +84,13 @@ def stochastic_mp(net: LayeredNetwork, rate: float, seed: int) -> MaskTensor:
     with np.errstate(divide="ignore"):
         keys = np.log(flat) + rng.gumbel(size=flat.size)
     order = np.argsort(-keys, kind="stable")
-    chosen = np.zeros(flat.size, dtype=bool)
-    chosen[order[: b.max_kept]] = True
+    return _masks_from_flat(net, order[: b.max_kept])
+
+
+def _masks_from_flat(net: LayeredNetwork, keep: np.ndarray) -> MaskTensor:
+    """Per-layer masks from indices into the concatenated raveled weights."""
+    chosen = np.zeros(sum(w.size for w in net.weights), dtype=bool)
+    chosen[keep] = True
     masks, offset = [], 0
     for w in net.weights:
         masks.append(chosen[offset : offset + w.size].reshape(w.shape))
@@ -115,16 +109,33 @@ def select_start(net: LayeredNetwork, spec: PruneSpec, sweep_index: int,
     return sweep_index % d0
 
 
-def _argmax_step(row_scores: np.ndarray, row_mask: np.ndarray) -> int:
-    # Prefer connections not selected yet so the budget keeps filling once a
-    # start neuron's best chain repeats; within the pool the first (lowest
-    # index) maximum wins.
-    fresh = np.flatnonzero(~row_mask)
-    cand = fresh if fresh.size else np.arange(row_mask.size)
-    return int(cand[np.argmax(row_scores[cand])])
+def _argmax_chooser(scores: np.ndarray) -> Callable[[int], int]:
+    """Next-neuron choice by argmax of a layer's scores, fresh columns first.
+
+    Preferring connections not selected yet keeps the budget filling once a
+    start neuron's best chain repeats. Each row's order by (-score, col) is
+    computed once. A row's mask bits are set only by the chains passing
+    through it, and each pass sets the column chosen here, so the set bits
+    of a row are exactly the first `fresh[row]` entries of its order. The
+    next entry is then the highest-scoring unselected column, lowest index
+    among ties; once the row is full its overall best column repeats.
+    """
+    n = scores.shape[1]
+    order = memoryview(np.argsort(-scores, axis=1, kind="stable").reshape(-1))
+    fresh = [0] * scores.shape[0]
+
+    def choose(row: int) -> int:
+        p = fresh[row]
+        if p == n:
+            return order[row * n]
+        fresh[row] = p + 1
+        return order[row * n + p]
+
+    return choose
 
 
-def _sample_step(row_scores: np.ndarray, rng: np.random.Generator) -> int:
+def _choice_cdf(row_scores: np.ndarray) -> memoryview:
+    """The CDF Generator.choice builds from a row's softmax probabilities."""
     mx = row_scores.max()
     if mx == -np.inf:
         # every forward neighbor has zero magnitude; fall back to uniform
@@ -132,7 +143,28 @@ def _sample_step(row_scores: np.ndarray, rng: np.random.Generator) -> int:
     else:
         weights = np.exp(row_scores - mx)
         probs = weights / weights.sum()
-    return int(rng.choice(row_scores.size, p=probs))
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return memoryview(cdf)
+
+
+def _sample_chooser(scores: np.ndarray, rng: np.random.Generator) -> Callable[[int], int]:
+    """Next-neuron choice sampled proportionally to exp(score).
+
+    Draws the same numbers and returns the same index as
+    `rng.choice(n, p=probs)`, which inverts its CDF with one `rng.random()`
+    and a right-sided search; the CDF of a row is built on its first visit
+    and kept, since scores do not change during selection. O(log n) per step.
+    """
+    cdfs: list[memoryview | None] = [None] * scores.shape[0]
+
+    def choose(row: int) -> int:
+        cdf = cdfs[row]
+        if cdf is None:
+            cdf = cdfs[row] = _choice_cdf(scores[row])
+        return bisect_right(cdf, rng.random())
+
+    return choose
 
 
 def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, list[ChainTrace]]:
@@ -143,6 +175,12 @@ def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, list[
     (deterministic) or by sampling proportionally to it (stochastic). The
     budget counter advances only on newly set mask bits and is checked
     before each chain, so the final chain may overshoot by at most L - 1.
+
+    A step costs O(1) amortised when deterministic (a presorted row order
+    and a pointer to its first unselected column) and O(log width) when
+    stochastic (a search in the row's cached CDF). The stochastic random
+    stream is exactly the one of `rng.integers(d0)` per chain start and
+    `rng.choice(width, p=softmax(row))` per step.
     """
     if not spec.tc:
         raise DomainError("chain pruning requires spec.tc == True")
@@ -156,6 +194,14 @@ def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, list[
     scores = [log_score_matrix(net, layer, table) for layer in range(1, depth + 1)]
     masks = [np.zeros(w.shape, dtype=bool) for w in net.weights]
     rng = np.random.default_rng(spec.seed)
+    if spec.stochastic:
+        choosers = [_sample_chooser(s, rng) for s in scores]
+    else:
+        choosers = [_argmax_chooser(s) for s in scores]
+    levels = [
+        (layer, m.shape[1], memoryview(m.reshape(-1)), choose)
+        for layer, m, choose in zip(range(1, depth + 1), masks, choosers)
+    ]
     # Deterministic selection repeats verbatim after one full round-robin
     # sweep with no new bits; stochastic selection gets a generous allowance
     # before it is declared stuck.
@@ -168,15 +214,11 @@ def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, list[
         cur = select_start(net, spec, sweep, rng)
         steps = []
         new_bits = 0
-        for layer in range(1, depth + 1):
-            row_scores = scores[layer - 1][cur]
-            row_mask = masks[layer - 1][cur]
-            if spec.stochastic:
-                nxt = _sample_step(row_scores, rng)
-            else:
-                nxt = _argmax_step(row_scores, row_mask)
-            if not row_mask[nxt]:
-                row_mask[nxt] = True
+        for layer, width, bits, choose in levels:
+            nxt = choose(cur)
+            at = cur * width + nxt
+            if not bits[at]:
+                bits[at] = True
                 kept += 1
                 new_bits += 1
             steps.append((layer, cur, nxt))

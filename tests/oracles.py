@@ -200,3 +200,56 @@ def greedy_chain_oracle(net: LayeredNetwork, max_kept: int, scoring: str = "loca
         if idle >= net.dims[0]:
             raise RuntimeError(f"oracle saturated at {kept}")
     return masks
+
+
+# ---------------------------------------------------------------------------
+# Literal transcription of the stochastic chain-selection loop
+
+
+class OracleSaturation(RuntimeError):
+    def __init__(self, kept: int):
+        super().__init__(f"oracle saturated at {kept}")
+        self.kept = kept
+
+
+def stochastic_chain_oracle(scores: list[np.ndarray], max_kept: int,
+                            seed: int) -> tuple[list[np.ndarray], list]:
+    """Stochastic chain selection one `rng.choice` per step.
+
+    `scores[l]` holds the log edge scores of layer l + 1. Each chain starts
+    at `rng.integers(d0)`; each step samples the next neuron with
+    probabilities proportional to exp(score), uniform when the whole row
+    scores -inf. Returns the masks and (steps, newly_added) per chain, or
+    raises OracleSaturation after max(32 * d0, 1000) chains in a row add
+    nothing.
+    """
+    rng = np.random.default_rng(seed)
+    d0 = scores[0].shape[0]
+    masks = [np.zeros(s.shape, dtype=bool) for s in scores]
+    chains = []
+    kept = 0
+    idle = 0
+    while kept < max_kept:
+        cur = int(rng.integers(d0))
+        steps = []
+        new_bits = 0
+        for layer, s in enumerate(scores, start=1):
+            row = s[cur]
+            mx = row.max()
+            if mx == -np.inf:
+                probs = np.full(row.size, 1.0 / row.size)
+            else:
+                weights = np.exp(row - mx)
+                probs = weights / weights.sum()
+            nxt = int(rng.choice(row.size, p=probs))
+            if not masks[layer - 1][cur, nxt]:
+                masks[layer - 1][cur, nxt] = True
+                kept += 1
+                new_bits += 1
+            steps.append((layer, cur, nxt))
+            cur = nxt
+        chains.append((tuple(steps), new_bits))
+        idle = idle + 1 if new_bits == 0 else 0
+        if idle >= max(32 * d0, 1000):
+            raise OracleSaturation(kept)
+    return masks, chains

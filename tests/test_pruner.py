@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_network
-from oracles import greedy_chain_oracle
+from oracles import OracleSaturation, greedy_chain_oracle, stochastic_chain_oracle
 from tcprune.errors import BudgetError, DegenerateDistributionError, DomainError, SaturationError
 from tcprune.network import LayeredNetwork, budget, total_connections
 from tcprune.pruner import (
@@ -17,6 +17,7 @@ from tcprune.pruner import (
     tc_mp,
     tc_mp_trace,
 )
+from tcprune.surrogate import build_table, log_score_matrix
 from tcprune.topology import consistency_report
 
 
@@ -230,6 +231,71 @@ class TestTcMp:
             return
         mask = tc_mp(net, PruneSpec(rate=rate, tc=True, scoring=scoring))
         for got, exp in zip(mask.masks, want):
+            assert np.array_equal(got, exp)
+
+    @given(seed=st.integers(0, 100_000))
+    @settings(max_examples=40, deadline=None)
+    def test_pointer_argmax_matches_oracle_with_ties(self, seed):
+        # integer weights give many ties and exact zeros; widths up to 24
+        # fill rows, so the full-row fallback runs
+        rng = np.random.default_rng(seed)
+        depth = int(rng.integers(2, 4))
+        dims = tuple(int(d) for d in rng.integers(2, 25, size=depth + 1))
+        dims = (min(dims[0], 6),) + dims[1:-1] + (min(dims[-1], 4),)
+        weights = tuple(
+            rng.integers(-3, 4, size=(a, b)).astype(float) for a, b in zip(dims, dims[1:])
+        )
+        net = LayeredNetwork(weights, ("identity",) * depth)
+        total = total_connections(net)
+        for frac in (0.05, 0.3, 0.7, 1.0):
+            kept_target = max(net.depth, int(frac * total))
+            spec = PruneSpec(rate=rate_for_kept(total, kept_target), tc=True)
+            try:
+                want = greedy_chain_oracle(net, kept_target)
+            except RuntimeError:
+                with pytest.raises(SaturationError):
+                    tc_mp(net, spec)
+                continue
+            mask = tc_mp(net, spec)
+            for got, exp in zip(mask.masks, want):
+                assert np.array_equal(got, exp)
+
+    @given(seed=st.integers(0, 100_000))
+    @settings(max_examples=40, deadline=None)
+    def test_stochastic_matches_literal_choice_oracle(self, seed):
+        # pins the random stream: same draws, same picks, same chains
+        rng = np.random.default_rng(seed)
+        depth = int(rng.integers(1, 4))
+        dims = tuple(int(d) for d in rng.integers(1, 7, size=depth + 1))
+        weights = []
+        for a, b in zip(dims, dims[1:]):
+            w = rng.standard_normal((a, b))
+            if rng.random() < 0.4:
+                w[rng.integers(a)] = 0.0  # a row of zeros samples uniformly
+            if rng.random() < 0.2:
+                w[:, rng.integers(b)] = 0.0
+            weights.append(w)
+        net = LayeredNetwork(tuple(weights), ("identity",) * depth)
+        total = total_connections(net)
+        scoring = "global" if rng.integers(0, 2) else "local"
+        alpha = float(rng.choice([1.0, 0.5, 0.1, 0.02]))
+        # keeping everything saturates whenever some connection has weight 0
+        kept_target = total if rng.random() < 0.3 else int(rng.integers(net.depth, total + 1))
+        spec = PruneSpec(rate=rate_for_kept(total, kept_target), tc=True, stochastic=True,
+                         scoring=scoring, alpha=alpha, seed=seed)
+        table = build_table(net, alpha) if scoring == "global" else None
+        scores = [log_score_matrix(net, layer, table) for layer in range(1, depth + 1)]
+        max_kept = budget(net, spec.rate).max_kept
+        try:
+            want_masks, want_chains = stochastic_chain_oracle(scores, max_kept, seed)
+        except OracleSaturation as exc:
+            with pytest.raises(SaturationError) as got:
+                tc_mp_trace(net, spec)
+            assert got.value.kept == exc.kept
+            return
+        mask, traces = tc_mp_trace(net, spec)
+        assert [(t.steps, t.newly_added) for t in traces] == want_chains
+        for got, exp in zip(mask.masks, want_masks):
             assert np.array_equal(got, exp)
 
     def test_budget_smaller_than_depth_rejected(self, rng):
