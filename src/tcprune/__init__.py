@@ -15,8 +15,6 @@ from .pruner import PruneSpec, prune, standard_mp, stochastic_mp, tc_mp
 from .surrogate import SurrogateTable, build_table, edge_score, local_score
 from .topology import (
     ConsistencyReport,
-    access_pattern,
-    coaccess_pattern,
     connection_flags,
     consistency_report,
     trim_to_consistent,
@@ -41,8 +39,6 @@ __all__ = [
     "edge_score",
     "local_score",
     "ConsistencyReport",
-    "access_pattern",
-    "coaccess_pattern",
     "connection_flags",
     "consistency_report",
     "trim_to_consistent",

@@ -165,33 +165,24 @@ def _print_rows(rows) -> None:
         )
 
 
-def cmd_ablate(args) -> int:
-    cfg = _experiment_config(args)
-    rows = run_ablation(cfg)
+def _emit_rows(rows, args) -> int:
     if args.table_out:
         emit(rows, args.format, args.table_out)
         print(f"results written to {args.table_out}")
     _print_rows(rows)
     return 0
+
+
+def cmd_ablate(args) -> int:
+    return _emit_rows(run_ablation(_experiment_config(args)), args)
 
 
 def cmd_alpha_sweep(args) -> int:
-    cfg = _experiment_config(args)
-    rows = run_alpha_sweep(cfg)
-    if args.table_out:
-        emit(rows, args.format, args.table_out)
-        print(f"results written to {args.table_out}")
-    _print_rows(rows)
-    return 0
+    return _emit_rows(run_alpha_sweep(_experiment_config(args)), args)
 
 
 def cmd_report(args) -> int:
-    rows = report_from_artifacts(args.artifacts)
-    if args.table_out:
-        emit(rows, args.format, args.table_out)
-        print(f"results written to {args.table_out}")
-    _print_rows(rows)
-    return 0
+    return _emit_rows(report_from_artifacts(args.artifacts), args)
 
 
 def _add_data_flags(p) -> None:

@@ -1,17 +1,14 @@
-"""Dense real-matrix and boolean-matrix kernels used by every other module.
+"""Dense real-matrix and boolean-matrix helpers used by every other module.
 
 Real matrices are 2-D float64 numpy arrays, boolean matrices are 2-D bool
 numpy arrays. All functions are pure and never mutate their arguments.
-
-Reachability products deliberately run in the boolean semiring: only the
-nonzero pattern matters, and integer path counts overflow on deep masks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateRowError, DomainError, ShapeError
+from .errors import DegenerateRowError, ShapeError
 
 
 def as_dense(values) -> np.ndarray:
@@ -30,49 +27,12 @@ def as_bools(values) -> np.ndarray:
     return arr.astype(bool)
 
 
-def identity_pattern(n: int) -> np.ndarray:
-    return np.eye(n, dtype=bool)
-
-
-def _ensure_finite(arr: np.ndarray, op: str) -> np.ndarray:
-    if not np.isfinite(arr).all():
-        raise DomainError(f"{op} produced non-finite values")
-    return arr
-
-
-def matmul(a, b) -> np.ndarray:
-    a, b = as_dense(a), as_dense(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    return _ensure_finite(a @ b, "matmul")
-
-
 def hadamard(a, mask) -> np.ndarray:
     """Entrywise product with a boolean mask; masked entries are exactly 0."""
     a, mask = as_dense(a), as_bools(mask)
     if a.shape != mask.shape:
         raise ShapeError(f"shape mismatch {a.shape} vs {mask.shape}")
     return np.where(mask, a, 0.0)
-
-
-def entrywise_pow(a, p: float) -> np.ndarray:
-    """Raise every entry of a nonnegative matrix to the power p > 0."""
-    a = as_dense(a)
-    if p <= 0:
-        raise DomainError(f"exponent must be positive, got {p}")
-    if (a < 0).any():
-        raise DomainError("entrywise_pow requires nonnegative entries")
-    return _ensure_finite(a**p, "entrywise_pow")
-
-
-def bool_matmul(a, b) -> np.ndarray:
-    """Boolean-semiring product: out[i,k] = OR_j (a[i,j] AND b[j,k])."""
-    a, b = as_bools(a), as_bools(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}")
-    # int64 counts are exact here (bounded by the shared dimension) and the
-    # result is re-booleanized, so chained products never overflow.
-    return (a.astype(np.int64) @ b.astype(np.int64)) > 0
 
 
 def row_normalize(a) -> np.ndarray:

@@ -176,30 +176,43 @@ def _write_matrices(path, mats: Sequence[np.ndarray], fmt) -> None:
                 fh.write(" ".join(fmt(v) for v in row) + "\n")
 
 
+def _counts(fields: list[str], key: str, n: int, path) -> list[int]:
+    """The n positive integers of a "key v1 .. vn" line."""
+    if len(fields) != n + 1 or fields[0] != key or not all(
+        f.isdigit() and int(f) > 0 for f in fields[1:]
+    ):
+        raise DomainError(f"{path}: bad {key} line {' '.join(fields)!r}")
+    return [int(f) for f in fields[1:]]
+
+
 def _read_matrices(path, conv) -> list[np.ndarray]:
+    """Parse the format above; blank lines are skipped.
+
+    An empty file, a bad header or dims line, a missing row, a row with the
+    wrong number of values, a value `conv` rejects and any line after the
+    last matrix all raise DomainError.
+    """
     with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split("\n")
-    lines = [ln for ln in tokens if ln.strip()]
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "layers":
-        raise DomainError(f"bad header line {lines[0]!r}")
-    n_layers = int(head[1])
+        lines = [fields for fields in (ln.split() for ln in fh) if fields]
+    if not lines:
+        raise DomainError(f"{path}: empty file")
+    (n_layers,) = _counts(lines[0], "layers", 1, path)
     mats = []
     pos = 1
-    for _ in range(n_layers):
-        dims = lines[pos].split()
-        if len(dims) != 3 or dims[0] != "dims":
-            raise DomainError(f"bad dims line {lines[pos]!r}")
-        r, c = int(dims[1]), int(dims[2])
-        pos += 1
-        rows = []
-        for i in range(r):
-            vals = lines[pos + i].split()
-            if len(vals) != c:
-                raise DomainError(f"expected {c} values, got {len(vals)}")
-            rows.append([conv(v) for v in vals])
-        pos += r
-        mats.append(np.asarray(rows))
+    for layer in range(1, n_layers + 1):
+        if pos == len(lines):
+            raise DomainError(f"{path}: file ends before layer {layer} of {n_layers}")
+        r, c = _counts(lines[pos], "dims", 2, path)
+        rows = lines[pos + 1 : pos + 1 + r]
+        if len(rows) != r or any(len(row) != c for row in rows):
+            raise DomainError(f"{path}: layer {layer} is not {r} rows of {c} values")
+        try:
+            mats.append(np.asarray([[conv(v) for v in row] for row in rows]))
+        except ValueError as exc:
+            raise DomainError(f"{path}: layer {layer}: {exc}") from exc
+        pos += 1 + r
+    if pos != len(lines):
+        raise DomainError(f"{path}: {len(lines) - pos} trailing lines after layer {n_layers}")
     return mats
 
 
@@ -220,4 +233,7 @@ def save_mask(mask: MaskTensor, path) -> None:
 
 
 def load_mask(path) -> MaskTensor:
-    return MaskTensor(tuple(m.astype(bool) for m in _read_matrices(path, int)))
+    mats = _read_matrices(path, int)
+    if not all(((m == 0) | (m == 1)).all() for m in mats):
+        raise DomainError(f"{path}: mask values must be 0 or 1")
+    return MaskTensor(tuple(m.astype(bool) for m in mats))

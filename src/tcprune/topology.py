@@ -5,6 +5,9 @@ reaches neuron i through kept connections of layers 1..l-1, and
 co-accessible when neuron j reaches some output neuron through kept
 connections of layers l+1..L. A mask is topologically consistent when every
 kept connection is both, i.e. lies on a complete input-to-output path.
+
+Both are properties of neurons: `_neuron_flags` computes them in one forward
+and one backward sweep, and a connection takes the flags of its end neurons.
 """
 
 from __future__ import annotations
@@ -14,50 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import bool_matmul, identity_pattern
 from .network import MaskTensor
-
-
-def _check_layer(mask: MaskTensor, layer: int) -> None:
-    if not 1 <= layer <= mask.depth:
-        raise IndexError(f"layer {layer} out of range 1..{mask.depth}")
-
-
-def access_pattern(mask: MaskTensor, layer: int) -> np.ndarray:
-    """Nonzero pattern of the product of mask layers 1..layer-1.
-
-    Row p / column i is 1 iff input neuron p reaches neuron i of the layer's
-    input side. The empty product (layer 1) is the identity pattern.
-    """
-    _check_layer(mask, layer)
-    pattern = identity_pattern(mask.dims[0])
-    for m in mask.masks[: layer - 1]:
-        pattern = bool_matmul(pattern, m)
-    return pattern
-
-
-def coaccess_pattern(mask: MaskTensor, layer: int) -> np.ndarray:
-    """Nonzero pattern of the product of mask layers layer+1..L.
-
-    Row j / column q is 1 iff neuron j of the layer's output side reaches
-    output neuron q. The empty product (layer L) is the identity pattern.
-    """
-    _check_layer(mask, layer)
-    pattern = identity_pattern(mask.dims[layer])
-    for m in mask.masks[layer:]:
-        pattern = bool_matmul(pattern, m)
-    return pattern
-
-
-def connection_flags(mask: MaskTensor, layer: int, i: int, j: int) -> tuple[bool, bool]:
-    """(accessible, coaccessible) for the connection (layer, i -> j)."""
-    _check_layer(mask, layer)
-    rows, cols = mask.masks[layer - 1].shape
-    if not (0 <= i < rows and 0 <= j < cols):
-        raise IndexError(f"connection ({i}, {j}) out of range for shape {(rows, cols)}")
-    accessible = bool(access_pattern(mask, layer)[:, i].any())
-    coaccessible = bool(coaccess_pattern(mask, layer)[j, :].any())
-    return accessible, coaccessible
 
 
 def _neuron_flags(mask: MaskTensor) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -65,81 +25,88 @@ def _neuron_flags(mask: MaskTensor) -> tuple[list[np.ndarray], list[np.ndarray]]
 
     reached[d][i] == some input neuron reaches neuron i at depth d;
     reaches_out[d][i] == neuron i at depth d reaches some output neuron.
-    Equivalent to column/row tests on the full pattern products.
     """
-    dims = mask.dims
-    reached = [np.ones(dims[0], dtype=bool)]
+    reached = [np.ones(mask.dims[0], dtype=bool)]
     for m in mask.masks:
-        reached.append(m[reached[-1], :].any(axis=0) if reached[-1].any()
-                       else np.zeros(m.shape[1], dtype=bool))
-    reaches_out = [np.ones(dims[-1], dtype=bool)]
+        reached.append(m[reached[-1], :].any(axis=0))
+    reaches_out = [np.ones(mask.dims[-1], dtype=bool)]
     for m in reversed(mask.masks):
-        nxt = reaches_out[0]
-        reaches_out.insert(0, m[:, nxt].any(axis=1) if nxt.any()
-                           else np.zeros(m.shape[0], dtype=bool))
+        reaches_out.insert(0, m[:, reaches_out[0]].any(axis=1))
     return reached, reaches_out
+
+
+def _on_complete_paths(mask: MaskTensor, reached, reaches_out) -> list[np.ndarray]:
+    """Per layer, the kept connections that are accessible and co-accessible."""
+    return [m & reached[l][:, None] & reaches_out[l + 1][None, :]
+            for l, m in enumerate(mask.masks)]
+
+
+def connection_flags(mask: MaskTensor, layer: int, i: int, j: int) -> tuple[bool, bool]:
+    """(accessible, coaccessible) for the connection (layer, i -> j)."""
+    if not 1 <= layer <= mask.depth:
+        raise IndexError(f"layer {layer} out of range 1..{mask.depth}")
+    rows, cols = mask.masks[layer - 1].shape
+    if not (0 <= i < rows and 0 <= j < cols):
+        raise IndexError(f"connection ({i}, {j}) out of range for shape {(rows, cols)}")
+    reached, reaches_out = _neuron_flags(mask)
+    return bool(reached[layer - 1][i]), bool(reaches_out[layer][j])
 
 
 @dataclass(frozen=True)
 class ConsistencyReport:
-    """Per-connection flags plus aggregate counts over kept connections."""
+    """Per-neuron reachability plus aggregate counts over kept connections.
 
-    per_layer_accessible: tuple[np.ndarray, ...]
-    per_layer_coaccessible: tuple[np.ndarray, ...]
+    `reached` and `reaches_out` hold one vector per depth 0..L (see
+    `_neuron_flags`). The per-connection flags of layer l + 1 are read-only
+    broadcast views of them: `per_layer_accessible[l][i, j]` is
+    `reached[l][i]` and `per_layer_coaccessible[l][i, j]` is
+    `reaches_out[l + 1][j]`.
+    """
+
+    reached: tuple[np.ndarray, ...]
+    reaches_out: tuple[np.ndarray, ...]
     kept_count: int
     consistent_count: int
     ac_percentage: float | None
 
+    @property
+    def per_layer_accessible(self) -> tuple[np.ndarray, ...]:
+        return tuple(np.broadcast_to(a[:, None], (a.size, b.size))
+                     for a, b in zip(self.reached, self.reaches_out[1:]))
+
+    @property
+    def per_layer_coaccessible(self) -> tuple[np.ndarray, ...]:
+        return tuple(np.broadcast_to(b[None, :], (a.size, b.size))
+                     for a, b in zip(self.reached, self.reaches_out[1:]))
+
 
 def consistency_report(mask: MaskTensor) -> ConsistencyReport:
-    """Flag every connection and aggregate over mask-1 positions.
+    """Flag every neuron and aggregate over mask-1 positions.
 
     ac_percentage is None when the mask keeps nothing (undefined rather
     than 0 or 100).
     """
     reached, reaches_out = _neuron_flags(mask)
-    accessible = []
-    coaccessible = []
-    kept = 0
-    consistent = 0
-    for l, m in enumerate(mask.masks):
-        acc = np.broadcast_to(reached[l][:, None], m.shape).copy()
-        coa = np.broadcast_to(reaches_out[l + 1][None, :], m.shape).copy()
-        accessible.append(acc)
-        coaccessible.append(coa)
-        kept += int(m.sum())
-        consistent += int((m & acc & coa).sum())
+    kept = mask.kept_count
+    consistent = sum(int(k.sum()) for k in _on_complete_paths(mask, reached, reaches_out))
     pct = 100.0 * consistent / kept if kept > 0 else None
-    return ConsistencyReport(tuple(accessible), tuple(coaccessible), kept, consistent, pct)
+    return ConsistencyReport(tuple(reached), tuple(reaches_out), kept, consistent, pct)
 
 
 def report_to_json(report: ConsistencyReport) -> str:
-    return json.dumps(
-        {
-            "kept": report.kept_count,
-            "consistent": report.consistent_count,
-            "ac_percent": report.ac_percentage,
-        }
-    )
+    return json.dumps({"kept": report.kept_count, "consistent": report.consistent_count,
+                       "ac_percent": report.ac_percentage})
 
 
 def trim_to_consistent(mask: MaskTensor) -> MaskTensor:
-    """Drop kept connections that are not on a complete path, to fixpoint.
+    """Drop every kept connection that is not on a complete path, in one pass.
 
-    Removing a dangling connection can orphan others upstream or downstream,
-    so flags are recomputed after every sweep until nothing changes. The
-    result is topologically consistent or empty, and is a subset of the
-    input mask.
+    The flags come from the input mask, and one pass already reaches the
+    fixpoint. A kept connection whose tail is reached from the input and
+    whose head reaches the output lies on a complete path of the input
+    mask; every connection of that path passes the same test, so all of
+    them survive and the result is consistent. A removed connection lies
+    on no complete path, so the fixpoint would remove it too. The result
+    is topologically consistent or empty, and is a subset of the input mask.
     """
-    masks = [m.copy() for m in mask.masks]
-    while True:
-        current = MaskTensor(tuple(masks))
-        report = consistency_report(current)
-        changed = False
-        for l, m in enumerate(masks):
-            keep = m & report.per_layer_accessible[l] & report.per_layer_coaccessible[l]
-            if not np.array_equal(keep, m):
-                masks[l] = keep
-                changed = True
-        if not changed:
-            return current
+    return MaskTensor(tuple(_on_complete_paths(mask, *_neuron_flags(mask))))

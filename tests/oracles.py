@@ -12,22 +12,6 @@ import numpy as np
 from tcprune.network import ACTIVATIONS, LayeredNetwork, MaskTensor
 
 
-def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0.0
-            for k in range(a.shape[1]):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
-def int_threshold_bool_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    counts = a.astype(np.int64) @ b.astype(np.int64)
-    return counts > 0
-
-
 def loop_forward(net: LayeredNetwork, x: np.ndarray) -> np.ndarray:
     """Per-neuron loop evaluator of the layered forward pass."""
     phi = np.asarray(x, dtype=np.float64)

@@ -64,6 +64,13 @@ class TestPrune:
         assert run_cli("prune", "--network", str(net_path), "--rate", "0.5", "--out", str(out)) == 0
         assert load_mask(out).kept_count == 10
 
+    def test_truncated_network_file_is_config_error(self, tmp_path):
+        net_path = tmp_path / "net.txt"
+        net_path.write_text("layers 2\ndims 1 1\n0.5\n")
+        code = run_cli("prune", "--network", str(net_path), "--rate", "0.5",
+                       "--out", str(tmp_path / "m.txt"))
+        assert code == 2
+
     def test_bad_rate_is_config_error(self, trained_model, tmp_path):
         code = run_cli(
             "prune", "--model", str(trained_model), "--rate", "1.5",

@@ -4,44 +4,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from oracles import int_threshold_bool_matmul, naive_matmul
-from tcprune.errors import DegenerateRowError, DomainError, ShapeError
-from tcprune.linalg import (
-    bool_matmul,
-    entrywise_pow,
-    hadamard,
-    identity_pattern,
-    matmul,
-    row_normalize,
-)
-
-
-class TestMatmul:
-    def test_identity(self, rng):
-        b = rng.standard_normal((2, 2))
-        assert np.array_equal(matmul(np.eye(2), b), b)
-
-    def test_hand_example(self):
-        out = matmul([[1, 2], [3, 4]], [[0], [1]])
-        assert np.array_equal(out, [[2], [4]])
-
-    def test_against_triple_loop(self, rng):
-        a, b = rng.standard_normal((5, 7)), rng.standard_normal((7, 3))
-        assert np.abs(matmul(a, b) - naive_matmul(a, b)).max() <= 1e-12
-
-    def test_shape_mismatch_names_both_shapes(self):
-        with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 3\)"):
-            matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_associativity(self, rng):
-        for _ in range(20):
-            a = rng.standard_normal((4, 5))
-            b = rng.standard_normal((5, 6))
-            c = rng.standard_normal((6, 3))
-            left = matmul(matmul(a, b), c)
-            right = matmul(a, matmul(b, c))
-            denom = max(np.abs(left).max(), 1.0)
-            assert np.abs(left - right).max() / denom <= 1e-9
+from tcprune.errors import DegenerateRowError, ShapeError
+from tcprune.linalg import hadamard, row_normalize
 
 
 class TestHadamard:
@@ -66,66 +30,6 @@ class TestHadamard:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             hadamard(np.ones((2, 2)), np.ones((2, 3)))
-
-
-class TestEntrywisePow:
-    def test_power_one_and_half(self):
-        assert np.array_equal(entrywise_pow([[4.0, 9.0]], 1.0), [[4.0, 9.0]])
-        assert np.array_equal(entrywise_pow([[4.0, 9.0]], 0.5), [[2.0, 3.0]])
-
-    def test_large_power(self):
-        assert np.array_equal(entrywise_pow([[2.0, 3.0]], 10.0), [[1024.0, 59049.0]])
-
-    def test_negative_entry_rejected(self):
-        with pytest.raises(DomainError):
-            entrywise_pow([[1.0, -1.0]], 2.0)
-
-    def test_nonpositive_exponent_rejected(self):
-        with pytest.raises(DomainError):
-            entrywise_pow([[1.0]], 0.0)
-
-    @given(
-        a=arrays(np.float64, (3, 3), elements=st.floats(0.1, 10.0)),
-        p=st.floats(0.2, 5.0),
-    )
-    def test_round_trip(self, a, p):
-        back = entrywise_pow(entrywise_pow(a, p), 1.0 / p)
-        assert np.abs(back - a).max() / np.abs(a).max() <= 1e-9
-
-
-class TestBoolMatmul:
-    def test_identity_pattern(self, rng):
-        b = rng.random((3, 4)) < 0.5
-        assert np.array_equal(bool_matmul(identity_pattern(3), b), b)
-
-    def test_hand_example(self):
-        out = bool_matmul([[1, 0], [0, 0]], [[0, 0], [1, 1]])
-        assert not out.any()
-
-    def test_random_against_integer_oracle(self, rng):
-        for _ in range(50):
-            a = rng.random((6, 6)) < 0.4
-            b = rng.random((6, 6)) < 0.4
-            assert np.array_equal(bool_matmul(a, b), int_threshold_bool_matmul(a, b))
-
-    def test_exhaustive_3x3(self):
-        pats = np.array(
-            [[(code >> bit) & 1 for bit in range(9)] for code in range(512)], dtype=bool
-        ).reshape(512, 3, 3)
-        # exhaustive 512 x 512: pure-logical oracle vs thresholded int product
-        bt = pats.transpose(0, 2, 1)
-        logical = (pats[:, None, :, None, :] & bt[None, :, None, :, :]).any(axis=4)
-        ints = pats.astype(np.int64)
-        threshold = np.einsum("aik,bkj->abij", ints, ints) > 0
-        assert np.array_equal(logical, threshold)
-        # and the public function on a deterministic slice of the pairs
-        for code in range(0, 512 * 512, 157):
-            a, b = pats[code // 512], pats[code % 512]
-            assert np.array_equal(bool_matmul(a, b), logical[code // 512, code % 512])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            bool_matmul(np.ones((2, 3), bool), np.ones((2, 3), bool))
 
 
 class TestRowNormalize:

@@ -179,8 +179,35 @@ class TestSerialization:
         for a, b in zip(back.masks, mask.masks):
             assert np.array_equal(a, b)
 
-    def test_bad_header(self, tmp_path):
+    @pytest.mark.parametrize(
+        "loader, text",
+        [
+            (load_network, "nonsense 3\n"),
+            (load_network, ""),
+            (load_network, "\n  \n"),
+            (load_network, "layers 0\n"),
+            (load_network, "layers -1\n"),
+            (load_network, "layers two\n"),
+            (load_network, "layers 2\ndims 1 1\n0.5\n"),
+            (load_network, "layers 1\ndims 1\n0.5\n"),
+            (load_network, "layers 1\ndims 2 2\n1 2\n"),
+            (load_network, "layers 1\ndims 1 2\n1 2 3\n"),
+            (load_network, "layers 1\ndims 1 1\nx\n"),
+            (load_network, "layers 1\ndims 1 1\n1\n2\n"),
+            (load_mask, "layers 1\ndims 1 2\n1 7\n"),
+            (load_mask, "layers 1\ndims 1 2\n1 -1\n"),
+            (load_mask, "layers 1\ndims 1 2\n1 0.5\n"),
+            (load_mask, "layers 1\ndims 1 1\n1\ndims 1 1\n"),
+        ],
+        ids=[
+            "header", "empty", "blank", "zero-layers", "negative-layers",
+            "non-integer-layers", "truncated", "short-dims", "missing-row",
+            "long-row", "non-number", "trailing-row", "mask-7", "mask-negative",
+            "mask-fraction", "trailing-dims",
+        ],
+    )
+    def test_bad_header(self, tmp_path, loader, text):
         path = tmp_path / "bad.txt"
-        path.write_text("nonsense 3\n")
+        path.write_text(text)
         with pytest.raises(DomainError):
-            load_network(path)
+            loader(path)
