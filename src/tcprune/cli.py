@@ -1,7 +1,10 @@
 """Command-line driver.
 
 Subcommands: train (baseline), prune (single mask), finetune, ablate
-(rate x variant grid), alpha-sweep, report (re-emit from artifacts).
+(rate x variant grid; `--config` runs any grid a JSON config states, such as
+the ones under configs/), alpha-sweep (stochastic chains with global scoring
+at every `--rates` x `--alphas` cell), report (re-emit from artifacts).
+Both grid subcommands run through `harness.run_ablation`.
 Exit codes: 0 success, 1 chain pruning saturated (SaturationError: no chain
 adds a connection before the budget fills), 2 config error, 3 I/O error,
 4 numeric divergence.
@@ -38,11 +41,11 @@ from .harness import (
     ExperimentConfig,
     ModelSpec,
     SyntheticSpec,
+    Variant,
     config_from_json,
     emit,
     report_from_artifacts,
     run_ablation,
-    run_alpha_sweep,
 )
 from .network import load_mask, load_network, save_mask
 from .pruner import PruneSpec, prune
@@ -129,23 +132,27 @@ def cmd_finetune(args) -> int:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    if args.config:
+    if args.command == "alpha-sweep":
+        variants = tuple(
+            Variant(tc=True, stochastic=True, scoring="global", alpha=float(a))
+            for a in args.alphas.split(",")
+        )
+    elif args.config:
         with open(args.config, "r", encoding="ascii") as fh:
             cfg = config_from_json(fh.read())
         if args.out:
             cfg = dataclasses.replace(cfg, output=args.out)
         return cfg
-    synthetic = _parse_kv(args.synthetic or "", SyntheticSpec)
-    variants = tuple(
-        dataclasses.replace(v, scoring=args.scoring, alpha=args.alpha) if v.tc else v
-        for v in DEFAULT_VARIANTS
-    )
+    else:
+        variants = tuple(
+            dataclasses.replace(v, scoring=args.scoring, alpha=args.alpha) if v.tc else v
+            for v in DEFAULT_VARIANTS
+        )
     return ExperimentConfig(
         rates=tuple(float(r) for r in args.rates.split(",")),
         variants=variants,
-        alphas=tuple(float(a) for a in args.alphas.split(",")) if args.alphas else (1.0,),
         seeds=tuple(int(s) for s in args.seeds.split(",")),
-        synthetic=synthetic,
+        synthetic=_parse_kv(args.synthetic or "", SyntheticSpec),
         dataset_path=args.dataset,
         model=ModelSpec(args.heads, args.filters, args.chunks, args.head_scale),
         epochs=args.epochs,
@@ -177,10 +184,6 @@ def cmd_ablate(args) -> int:
     return _emit_rows(run_ablation(_experiment_config(args)), args)
 
 
-def cmd_alpha_sweep(args) -> int:
-    return _emit_rows(run_alpha_sweep(_experiment_config(args)), args)
-
-
 def cmd_report(args) -> int:
     return _emit_rows(report_from_artifacts(args.artifacts), args)
 
@@ -195,6 +198,19 @@ def _add_model_flags(p) -> None:
     p.add_argument("--filters", type=int, default=16)
     p.add_argument("--chunks", type=int, default=5)
     p.add_argument("--head-scale", type=float, default=1.0)
+
+
+def _add_grid_flags(p) -> None:
+    _add_data_flags(p)
+    _add_model_flags(p)
+    p.add_argument("--rates", default="0.5,0.9,0.99")
+    p.add_argument("--seeds", default="0")
+    p.add_argument("--epochs", type=int, default=300)
+    p.add_argument("--finetune-epochs", type=int, default=None)
+    p.add_argument("--out", help="artifact directory (masks, runs.json, results)")
+    p.add_argument("--table-out", help="write the aggregated table to this path")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.set_defaults(func=cmd_ablate)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,22 +247,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_finetune)
 
-    for name, func in (("ablate", cmd_ablate), ("alpha-sweep", cmd_alpha_sweep)):
-        p = sub.add_parser(name, help=f"run the {name} grid")
-        p.add_argument("--config", help="experiment config JSON (overrides other flags)")
-        _add_data_flags(p)
-        _add_model_flags(p)
-        p.add_argument("--rates", default="0.5,0.9,0.99")
-        p.add_argument("--alphas", default="1")
-        p.add_argument("--seeds", default="0")
-        p.add_argument("--scoring", choices=("local", "global"), default="local")
-        p.add_argument("--alpha", type=float, default=1.0)
-        p.add_argument("--epochs", type=int, default=300)
-        p.add_argument("--finetune-epochs", type=int, default=None)
-        p.add_argument("--out", help="artifact directory (masks, runs.json, results)")
-        p.add_argument("--table-out", help="write the aggregated table to this path")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.set_defaults(func=func)
+    p = sub.add_parser("ablate", help="run the rate x variant grid")
+    p.add_argument("--config", help="experiment config JSON (overrides other flags)")
+    _add_grid_flags(p)
+    p.add_argument("--scoring", choices=("local", "global"), default="local")
+    p.add_argument("--alpha", type=float, default=1.0)
+
+    p = sub.add_parser("alpha-sweep", help="run chains + sampling, global scoring, per rate x alpha")
+    _add_grid_flags(p)
+    p.add_argument("--alphas", default="1", help="comma-separated power-mean exponents")
 
     p = sub.add_parser("report", help="re-emit tables from persisted artifacts")
     p.add_argument("--artifacts", required=True)

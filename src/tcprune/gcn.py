@@ -107,15 +107,6 @@ class ParamMasks:
     conv: np.ndarray
     head: np.ndarray
 
-    @staticmethod
-    def all_ones(shape: GcnShape) -> "ParamMasks":
-        k, n, s, c, q = (shape.heads, shape.nodes, shape.signal_dim, shape.filters, shape.num_classes)
-        return ParamMasks(
-            np.ones((k, n, n), dtype=bool),
-            np.ones((k, s, c), dtype=bool),
-            np.ones((n * c, q), dtype=bool),
-        )
-
 
 def apply_param_masks(model: GcnModel, masks: ParamMasks) -> GcnModel:
     return GcnModel(

@@ -1,10 +1,13 @@
 """Experiment driver: train a baseline, prune under a grid of settings,
 fine-tune the survivors, and emit result tables as CSV or JSON.
 
-One baseline is trained per seed and shared by every (rate, variant) cell at
-that seed, so differences between cells come from pruning alone. Runs whose
-mask trims to nothing are reported with accuracy unavailable instead of
-crashing, and pruner saturation is captured as a row status.
+`run_ablation` runs every experiment: the config's `variants` state which
+cells run, so an alpha sweep or a chains-vs-plain trend is just another
+variant list. One baseline is trained per seed and shared by every
+(rate, variant) cell at that seed, so differences between cells come from
+pruning alone. Runs whose mask trims to nothing are reported with accuracy
+unavailable instead of crashing, and pruner saturation is captured as a row
+status.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ import numpy as np
 
 from .data import load_dataset, synth_dataset
 from .errors import BudgetError, DomainError, SaturationError
-from .gcn import GcnShape, TrainConfig, as_layered, evaluate, init_model, train
-from .network import full_mask, load_mask, save_mask
+from .gcn import GcnModel, GcnShape, TrainConfig, as_layered, evaluate, init_model, train
+from .network import LayeredNetwork, full_mask, load_mask, save_mask
 from .pruner import PruneSpec, prune
 from .topology import consistency_report, trim_to_consistent
 
@@ -71,7 +74,6 @@ DEFAULT_VARIANTS = (
 class ExperimentConfig:
     rates: tuple[float, ...]
     variants: tuple[Variant, ...] = DEFAULT_VARIANTS
-    alphas: tuple[float, ...] = (1.0,)
     seeds: tuple[int, ...] = (0,)
     synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
     dataset_path: str | None = None
@@ -160,7 +162,20 @@ def _mask_name(rate, variant: Variant, seed) -> str:
     )
 
 
-def _run_grid(cfg: ExperimentConfig, rates, variants) -> list[RunRecord]:
+@dataclass(frozen=True)
+class _Baseline:
+    """One seed's trained model and what every cell at that seed shares."""
+
+    seed: int
+    model: GcnModel
+    accuracy: float
+    view: LayeredNetwork
+    finetune: TrainConfig
+    train_set: list
+    test_set: list
+
+
+def _run_grid(cfg: ExperimentConfig) -> list[RunRecord]:
     train_set, test_set = _load_split(cfg)
     shape = _shape_for(cfg, train_set)
     base_cfg = TrainConfig(
@@ -176,73 +191,71 @@ def _run_grid(cfg: ExperimentConfig, rates, variants) -> list[RunRecord]:
         mask_dir = os.path.join(cfg.output, "masks")
         os.makedirs(mask_dir, exist_ok=True)
     for seed in cfg.seeds:
-        baseline, _ = train(
+        model, _ = train(
             init_model(shape, seed, cfg.model.head_scale),
             train_set,
             dataclasses.replace(base_cfg, seed=seed),
         )
-        baseline_acc = evaluate(baseline, test_set)
-        view, _ = as_layered(baseline)
-        for rate in rates:
-            for variant in variants:
-                t0 = time.perf_counter()
-                status = "ok"
-                mask = None
-                kept = ac = acc = None
-                if rate == 0:
-                    # nothing is pruned; the baseline stands as-is
-                    mask = full_mask(view)
-                    rep = consistency_report(mask)
-                    kept, ac, acc = rep.kept_count, rep.ac_percentage, baseline_acc
-                else:
-                    spec = PruneSpec(
-                        rate=rate,
-                        tc=variant.tc,
-                        stochastic=variant.stochastic,
-                        scoring=variant.scoring,
-                        alpha=variant.alpha,
-                        seed=seed,
-                    )
-                    try:
-                        mask = prune(view, spec)
-                    except (SaturationError, BudgetError) as exc:
-                        status = "saturated" if isinstance(exc, SaturationError) else "budget"
-                    if mask is not None:
-                        rep = consistency_report(mask)
-                        kept, ac = rep.kept_count, rep.ac_percentage
-                        if trim_to_consistent(mask).kept_count == 0:
-                            status = "disconnected"
-                        else:
-                            tuned, _ = train(
-                                baseline,
-                                train_set,
-                                dataclasses.replace(
-                                    base_cfg, epochs=cfg.finetune_budget, seed=seed
-                                ),
-                                mask,
-                            )
-                            acc = evaluate(tuned, test_set, mask)
-                mask_file = None
-                if mask is not None and mask_dir is not None:
-                    mask_file = _mask_name(rate, variant, seed)
-                    save_mask(mask, os.path.join(mask_dir, mask_file))
-                records.append(
-                    RunRecord(
-                        rate=rate,
-                        tc=variant.tc,
-                        stochastic=variant.stochastic,
-                        scoring=variant.scoring,
-                        alpha=variant.alpha if variant.scoring == "global" else None,
-                        seed=seed,
-                        kept=kept,
-                        ac_percent=ac,
-                        accuracy=acc,
-                        wall_s=time.perf_counter() - t0,
-                        status=status,
-                        mask_file=mask_file,
-                    )
-                )
+        accuracy = evaluate(model, test_set)
+        view, _ = as_layered(model)
+        finetune = dataclasses.replace(base_cfg, epochs=cfg.finetune_budget, seed=seed)
+        base = _Baseline(seed, model, accuracy, view, finetune, train_set, test_set)
+        for rate in cfg.rates:
+            for variant in cfg.variants:
+                records.append(_run_cell(base, rate, variant, mask_dir))
     return records
+
+
+def _run_cell(base: _Baseline, rate: float, variant: Variant, mask_dir: str | None) -> RunRecord:
+    """Prune the baseline, fine-tune and evaluate the survivors, save the mask."""
+    t0 = time.perf_counter()
+    status, mask, acc = _prune_and_tune(base, rate, variant)
+    kept = ac = mask_file = None
+    if mask is not None:
+        rep = consistency_report(mask)
+        kept, ac = rep.kept_count, rep.ac_percentage
+        if mask_dir is not None:
+            mask_file = _mask_name(rate, variant, base.seed)
+            save_mask(mask, os.path.join(mask_dir, mask_file))
+    return RunRecord(
+        rate=rate,
+        tc=variant.tc,
+        stochastic=variant.stochastic,
+        scoring=variant.scoring,
+        alpha=variant.alpha if variant.scoring == "global" else None,
+        seed=base.seed,
+        kept=kept,
+        ac_percent=ac,
+        accuracy=acc,
+        wall_s=time.perf_counter() - t0,
+        status=status,
+        mask_file=mask_file,
+    )
+
+
+def _prune_and_tune(base: _Baseline, rate: float, variant: Variant):
+    """(status, mask, accuracy) of one cell; mask is None when pruning failed."""
+    if rate == 0:
+        # nothing is pruned; the baseline stands as-is
+        return "ok", full_mask(base.view), base.accuracy
+    spec = PruneSpec(
+        rate=rate,
+        tc=variant.tc,
+        stochastic=variant.stochastic,
+        scoring=variant.scoring,
+        alpha=variant.alpha,
+        seed=base.seed,
+    )
+    try:
+        mask = prune(base.view, spec)
+    except SaturationError:
+        return "saturated", None, None
+    except BudgetError:
+        return "budget", None, None
+    if trim_to_consistent(mask).kept_count == 0:
+        return "disconnected", mask, None
+    tuned, _ = train(base.model, base.train_set, base.finetune, mask)
+    return "ok", mask, evaluate(tuned, base.test_set, mask)
 
 
 def aggregate(records: list[RunRecord]) -> list[ResultRow]:
@@ -281,19 +294,7 @@ def aggregate(records: list[RunRecord]) -> list[ResultRow]:
 
 def run_ablation(cfg: ExperimentConfig) -> list[ResultRow]:
     """Full (rate x variant x seed) grid, aggregated over seeds."""
-    records = _run_grid(cfg, cfg.rates, cfg.variants)
-    rows = aggregate(records)
-    if cfg.output:
-        _persist(cfg, records, rows)
-    return rows
-
-
-def run_alpha_sweep(cfg: ExperimentConfig) -> list[ResultRow]:
-    """Sweep the power-mean knob with chains + sampling at a fixed rate."""
-    if not cfg.alphas:
-        raise DomainError("alpha sweep needs at least one alpha")
-    variants = tuple(Variant(tc=True, stochastic=True, scoring="global", alpha=a) for a in cfg.alphas)
-    records = _run_grid(cfg, (cfg.rates[0],), variants)
+    records = _run_grid(cfg)
     rows = aggregate(records)
     if cfg.output:
         _persist(cfg, records, rows)
@@ -322,22 +323,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _row_fields(row: ResultRow) -> list:
-    return [
-        row.rate,
-        row.tc,
-        row.stochastic,
-        row.scoring,
-        row.alpha,
-        row.kept_params,
-        row.ac_percentage,
-        row.accuracy_mean,
-        row.accuracy_std,
-        row.seed_count,
-        row.wall_time_seconds,
-    ]
-
-
 def emit(rows: list[ResultRow], fmt: str, path) -> None:
     """Write rows as CSV (fixed header) or JSON (same field names)."""
     if not rows:
@@ -345,21 +330,16 @@ def emit(rows: list[ResultRow], fmt: str, path) -> None:
     if fmt == "csv":
         lines = [CSV_HEADER]
         for row in rows:
-            lines.append(",".join(_fmt(v) for v in _row_fields(row)))
+            lines.append(",".join(_fmt(v) for v in dataclasses.astuple(row)))
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
         names = CSV_HEADER.split(",")
-        payload = [dict(zip(names, _json_fields(row))) for row in rows]
+        payload = [dict(zip(names, dataclasses.astuple(row))) for row in rows]
         text = json.dumps(payload, indent=1) + "\n"
     else:
         raise DomainError(f"unknown output format {fmt!r}")
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text)
-
-
-def _json_fields(row: ResultRow) -> list:
-    fields = _row_fields(row)
-    return [bool(v) if isinstance(v, bool) else v for v in fields]
 
 
 def parse_csv(text: str) -> list[ResultRow]:
@@ -423,15 +403,30 @@ def config_to_json(cfg: ExperimentConfig) -> str:
     return json.dumps(dataclasses.asdict(cfg), indent=1)
 
 
+def _build(cls, value, where: str):
+    """`cls(**value)` for a JSON object `value` with every key `cls` needs and no other."""
+    if not isinstance(value, dict):
+        raise DomainError(f"{where} must be a JSON object, got {type(value).__name__}")
+    try:
+        return cls(**value)
+    except TypeError as exc:  # an unknown or a missing key
+        raise DomainError(f"{where}: {exc}") from exc
+
+
 def config_from_json(text: str) -> ExperimentConfig:
+    """Parse a config; a non-object, an unknown or missing key at any level,
+    or a `rates`/`seeds`/`variants` that is not a list raise DomainError."""
     data = json.loads(text)
-    if "synthetic" in data and data["synthetic"] is not None:
-        data["synthetic"] = SyntheticSpec(**data["synthetic"])
-    if "model" in data and data["model"] is not None:
-        data["model"] = ModelSpec(**data["model"])
-    if "variants" in data:
-        data["variants"] = tuple(Variant(**v) for v in data["variants"])
-    for key in ("rates", "alphas", "seeds"):
-        if key in data and data[key] is not None:
+    if not isinstance(data, dict):
+        raise DomainError(f"config must be a JSON object, got {type(data).__name__}")
+    for key, cls in (("synthetic", SyntheticSpec), ("model", ModelSpec)):
+        if key in data:
+            data[key] = _build(cls, data[key], key)
+    for key in ("rates", "seeds", "variants"):
+        if key in data:
+            if not isinstance(data[key], list):
+                raise DomainError(f"{key} must be a JSON list, got {type(data[key]).__name__}")
             data[key] = tuple(data[key])
-    return ExperimentConfig(**data)
+    if "variants" in data:
+        data["variants"] = tuple(_build(Variant, v, "variant") for v in data["variants"])
+    return _build(ExperimentConfig, data, "config")

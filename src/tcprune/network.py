@@ -104,10 +104,6 @@ def full_mask(net: LayeredNetwork) -> MaskTensor:
     return MaskTensor(tuple(np.ones(w.shape, dtype=bool) for w in net.weights))
 
 
-def empty_mask(net: LayeredNetwork) -> MaskTensor:
-    return MaskTensor(tuple(np.zeros(w.shape, dtype=bool) for w in net.weights))
-
-
 def check_shapes(net: LayeredNetwork, mask: MaskTensor) -> None:
     if net.dims != mask.dims:
         raise ShapeError(f"mask dims {mask.dims} do not match network dims {net.dims}")
@@ -188,12 +184,15 @@ def _counts(fields: list[str], key: str, n: int, path) -> list[int]:
 def _read_matrices(path, conv) -> list[np.ndarray]:
     """Parse the format above; blank lines are skipped.
 
-    An empty file, a bad header or dims line, a missing row, a row with the
-    wrong number of values, a value `conv` rejects and any line after the
-    last matrix all raise DomainError.
+    An empty file, a non-ASCII byte, a bad header or dims line, a missing
+    row, a row with the wrong number of values, a value `conv` rejects and
+    any line after the last matrix all raise DomainError.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [fields for fields in (ln.split() for ln in fh) if fields]
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = [fields for fields in (ln.split() for ln in fh) if fields]
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: {exc}") from exc
     if not lines:
         raise DomainError(f"{path}: empty file")
     (n_layers,) = _counts(lines[0], "layers", 1, path)

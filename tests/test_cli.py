@@ -13,6 +13,18 @@ SYNTH = (
     "noise=0.2,phase_jitter=0,scale_jitter=0,seed=5"
 )
 MODEL_FLAGS = ["--heads", "2", "--filters", "2", "--chunks", "1"]
+# The same tiny grid as a config file.
+CONFIG = {
+    "rates": [0.9],
+    "seeds": [0],
+    "synthetic": {
+        "classes": 2, "per_class_train": 4, "per_class_test": 4, "joints": 3, "frames": 6,
+        "noise": 0.2, "phase_jitter": 0.0, "scale_jitter": 0.0, "seed": 5,
+    },
+    "model": {"heads": 2, "filters": 2, "chunks": 1},
+    "epochs": 3,
+    "finetune_epochs": 1,
+}
 
 
 def run_cli(*argv) -> int:
@@ -134,6 +146,39 @@ class TestAblate:
                 b.rate, b.tc, b.stochastic, b.kept_params, b.ac_percentage
             )
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [1, 2],
+            5,
+            {},
+            {**CONFIG, "bogus": 1},
+            {**CONFIG, "alphas": [1.0]},
+            {**CONFIG, "synthetic": {**CONFIG["synthetic"], "bogus": 1}},
+            {**CONFIG, "synthetic": [1]},
+            {**CONFIG, "model": {**CONFIG["model"], "bogus": 1}},
+            {**CONFIG, "variants": [{"tc": True, "stochastic": False, "bogus": 1}]},
+            {**CONFIG, "variants": [[True, False]]},
+            {**CONFIG, "rates": 0.9},
+            {**CONFIG, "seeds": 0},
+            {**CONFIG, "variants": {"tc": True, "stochastic": False}},
+        ],
+        ids=[
+            "list", "number", "no-rates", "unknown-key", "alphas", "unknown-synthetic-key",
+            "synthetic-list", "unknown-model-key", "unknown-variant-key", "variant-list",
+            "rates-number", "seeds-number", "variants-object",
+        ],
+    )
+    def test_malformed_config_is_config_error(self, tmp_path, data):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(data))
+        assert run_cli("ablate", "--config", str(cfg_path)) == 2
+
+    def test_alphas_flag_is_rejected(self):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("ablate", "--alphas", "1")
+        assert exc.value.code == 2
+
     def test_config_file_drives_run(self, tmp_path):
         from tcprune.harness import ExperimentConfig, ModelSpec, SyntheticSpec
 
@@ -182,3 +227,24 @@ class TestAlphaSweepCommand:
         assert code == 0
         rows = parse_csv(table.read_text())
         assert sorted(r.alpha for r in rows) == [0.1, 0.5, 1.0]
+
+    def test_sweeps_every_rate(self, tmp_path):
+        table = tmp_path / "sweep.csv"
+        code = run_cli(
+            "alpha-sweep", "--synthetic", SYNTH, *MODEL_FLAGS,
+            "--rates", "0.5,0.9", "--alphas", "1,0.5", "--seeds", "0",
+            "--epochs", "3", "--finetune-epochs", "1", "--table-out", str(table),
+        )
+        assert code == 0
+        rows = parse_csv(table.read_text())
+        assert sorted((r.rate, r.alpha) for r in rows) == [
+            (0.5, 0.5), (0.5, 1.0), (0.9, 0.5), (0.9, 1.0)
+        ]
+
+    @pytest.mark.parametrize(
+        "flag", [["--scoring", "global"], ["--config", "c.json"]], ids=["scoring", "config"]
+    )
+    def test_unread_flags_are_rejected(self, flag):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("alpha-sweep", *flag)
+        assert exc.value.code == 2

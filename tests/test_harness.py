@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from tcprune.harness import (
     parse_csv,
     report_from_artifacts,
     run_ablation,
-    run_alpha_sweep,
 )
 
 TINY_SYNTH = SyntheticSpec(
@@ -36,6 +36,7 @@ TINY_SYNTH = SyntheticSpec(
     seed=5,
 )
 TINY_MODEL = ModelSpec(heads=2, filters=2, chunks=1)
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -54,7 +55,7 @@ def tiny_config(**overrides) -> ExperimentConfig:
 class TestRunAblation:
     def test_grid_counts(self):
         cfg = tiny_config()
-        records = _run_grid(cfg, cfg.rates, cfg.variants)
+        records = _run_grid(cfg)
         assert len(records) == 2 * 4 * 3
         rows = aggregate(records)
         assert len(rows) == 8
@@ -103,17 +104,22 @@ class TestRunAblation:
         assert len(set(hashes[1:])) <= 1
 
 
+def sweep_variants(alphas):
+    return tuple(Variant(tc=True, stochastic=True, scoring="global", alpha=a) for a in alphas)
+
+
 class TestAlphaSweep:
     def test_one_row_per_alpha(self):
-        cfg = tiny_config(rates=(0.9,), seeds=(0,), alphas=(1.0, 0.5, 0.25, 0.1, 0.05, 0.02, 0.01))
-        rows = run_alpha_sweep(cfg)
+        alphas = (1.0, 0.5, 0.25, 0.1, 0.05, 0.02, 0.01)
+        cfg = tiny_config(rates=(0.9,), seeds=(0,), variants=sweep_variants(alphas))
+        rows = run_ablation(cfg)
         assert len(rows) == 7
         assert all(row.tc and row.stochastic and row.scoring == "global" for row in rows)
-        assert sorted(row.alpha for row in rows) == sorted(cfg.alphas)
+        assert sorted(row.alpha for row in rows) == sorted(alphas)
 
     def test_single_alpha_reduces_to_tc_row(self):
-        cfg = tiny_config(rates=(0.9,), seeds=(0,), alphas=(1.0,))
-        (row,) = run_alpha_sweep(cfg)
+        cfg = tiny_config(rates=(0.9,), seeds=(0,), variants=sweep_variants((1.0,)))
+        (row,) = run_ablation(cfg)
         assert row.rate == 0.9
         assert row.ac_percentage == 100.0
 
@@ -146,8 +152,11 @@ class TestStatusHandling:
             assert row.ac_percentage == 0.0
 
     def test_alpha_sweep_requires_alphas(self):
+        from tcprune.cli import main
+
+        assert main(["alpha-sweep", "--rates", "0.9", "--alphas", ""]) == 2
         with pytest.raises(DomainError):
-            run_alpha_sweep(tiny_config(rates=(0.9,), seeds=(0,), alphas=()))
+            tiny_config(variants=sweep_variants(()))
 
 
 class TestEmit:
@@ -232,6 +241,16 @@ class TestConfig:
     def test_requires_nonempty_grid(self):
         with pytest.raises(DomainError):
             ExperimentConfig(rates=())
+
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
+    def test_shipped_config_round_trips(self, path):
+        cfg = config_from_json(path.read_text(encoding="ascii"))
+        assert config_from_json(config_to_json(cfg)) == cfg
+
+    def test_alpha_sweep_config_holds_inverse_alphas(self):
+        cfg = config_from_json((CONFIG_DIR / "alpha_sweep.json").read_text(encoding="ascii"))
+        inverse = (1, 1.5, 2.5, 7, 10, 20, 50)
+        assert cfg.variants == sweep_variants(tuple(1.0 / x for x in inverse))
 
     def test_default_variants_cover_the_ablation_axes(self):
         combos = {(v.tc, v.stochastic) for v in DEFAULT_VARIANTS}

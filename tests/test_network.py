@@ -198,16 +198,17 @@ class TestSerialization:
             (load_mask, "layers 1\ndims 1 2\n1 -1\n"),
             (load_mask, "layers 1\ndims 1 2\n1 0.5\n"),
             (load_mask, "layers 1\ndims 1 1\n1\ndims 1 1\n"),
+            (load_network, "layers 1\ndims 1 1\n\xff\n"),
         ],
         ids=[
             "header", "empty", "blank", "zero-layers", "negative-layers",
             "non-integer-layers", "truncated", "short-dims", "missing-row",
             "long-row", "non-number", "trailing-row", "mask-7", "mask-negative",
-            "mask-fraction", "trailing-dims",
+            "mask-fraction", "trailing-dims", "non-ascii",
         ],
     )
     def test_bad_header(self, tmp_path, loader, text):
         path = tmp_path / "bad.txt"
-        path.write_text(text)
+        path.write_bytes(text.encode("latin-1"))
         with pytest.raises(DomainError):
             loader(path)
