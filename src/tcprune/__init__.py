@@ -12,7 +12,7 @@ from .network import (
     total_connections,
 )
 from .pruner import PruneSpec, prune, standard_mp, stochastic_mp, tc_mp
-from .surrogate import SurrogateTable, build_table, edge_score, local_score
+from .surrogate import SurrogateTable, build_table
 from .topology import (
     ConsistencyReport,
     connection_flags,
@@ -36,8 +36,6 @@ __all__ = [
     "tc_mp",
     "SurrogateTable",
     "build_table",
-    "edge_score",
-    "local_score",
     "ConsistencyReport",
     "connection_flags",
     "consistency_report",

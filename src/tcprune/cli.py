@@ -97,8 +97,7 @@ def cmd_train(args) -> int:
 
 def _load_prunable(args):
     if args.model:
-        view, _ = as_layered(load_model(args.model))
-        return view
+        return as_layered(load_model(args.model))
     return load_network(args.network)
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EmptyTrajectoryError, ShapeError
+from .network import _read_fields
 
 
 @dataclass(frozen=True)
@@ -139,9 +140,13 @@ def save_adjacency(adjacency: np.ndarray, path) -> None:
 
 
 def load_adjacency(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        rows = [[int(v) for v in ln.split()] for ln in fh if ln.strip()]
-    return np.asarray(rows, dtype=bool)
+    """A non-empty square of 0/1 values; anything else raises DomainError."""
+    rows = _read_fields(path)
+    if not rows or any(len(row) != len(rows) for row in rows):
+        raise DomainError(f"{path}: adjacency is not a non-empty square matrix")
+    if any(v not in ("0", "1") for row in rows for v in row):
+        raise DomainError(f"{path}: adjacency values must be 0 or 1")
+    return np.asarray(rows) == "1"
 
 
 def save_sequence(seq: SkeletonSequence, path) -> None:
@@ -155,23 +160,34 @@ def save_sequence(seq: SkeletonSequence, path) -> None:
 
 
 def load_sequence(path, adjacency: np.ndarray) -> SkeletonSequence:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln for ln in fh.read().split("\n") if ln.strip()]
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "label":
-        raise DomainError(f"bad label line {lines[0]!r}")
-    label = int(head[1])
-    meta = lines[1].split()
-    if len(meta) != 4 or meta[0] != "joints" or meta[2] != "frames":
-        raise DomainError(f"bad meta line {lines[1]!r}")
+    """Read one sequence file. A bad label or meta line, a number of frame
+    rows other than joints * frames, a row without 3 numbers and trailing
+    lines raise DomainError."""
+    lines = _read_fields(path)
+    head = lines[0] if lines else []
+    if len(head) != 2 or head[0] != "label" or not head[1].isdigit():
+        raise DomainError(f"{path}: bad label line {' '.join(head)!r}")
+    meta = lines[1] if len(lines) > 1 else []
+    if (
+        len(meta) != 4
+        or (meta[0], meta[2]) != ("joints", "frames")
+        or not all(v.isdigit() and int(v) > 0 for v in (meta[1], meta[3]))
+    ):
+        raise DomainError(f"{path}: bad meta line {' '.join(meta)!r}")
     n_joints, n_frames = int(meta[1]), int(meta[3])
-    joints = np.zeros((n_joints, n_frames, 3))
-    pos = 2
-    for frame in range(n_frames):
-        for j in range(n_joints):
-            joints[j, frame] = [float(v) for v in lines[pos].split()]
-            pos += 1
-    return SkeletonSequence(label, joints, adjacency)
+    rows = lines[2:]
+    if len(rows) != n_joints * n_frames:
+        raise DomainError(
+            f"{path}: {len(rows)} frame rows, expected {n_joints} joints x {n_frames} frames"
+        )
+    if any(len(row) != 3 for row in rows):
+        raise DomainError(f"{path}: every frame row must hold 3 values")
+    try:
+        values = np.asarray([[float(v) for v in row] for row in rows])
+    except ValueError as exc:
+        raise DomainError(f"{path}: {exc}") from exc
+    joints = values.reshape(n_frames, n_joints, 3).transpose(1, 0, 2).copy()
+    return SkeletonSequence(int(head[1]), joints, adjacency)
 
 
 def save_dataset(sequences: list[SkeletonSequence], dirpath) -> None:

@@ -18,6 +18,9 @@ connection from aggregate (k, m) to feature (m, c), which is a genuine
 signal route of the model (aggregate (k, m) carries channel m, which filter
 column c reads). Every model parameter owns exactly one view connection;
 the remaining view slots are structural zeros that carry no parameter.
+view_mask_to_param_masks reads a view mask back through the same layout,
+giving one keep-bit array per parameter group; train and evaluate take the
+view mask itself.
 """
 
 from __future__ import annotations
@@ -93,28 +96,6 @@ def init_model(shape: GcnShape, seed: int, head_scale: float = 1.0) -> GcnModel:
     conv = rng.standard_normal((k, s, c)) / np.sqrt(s)
     head = head_scale * rng.standard_normal((n * c, q)) / np.sqrt(n * c)
     return GcnModel(shape, attention, conv, head)
-
-
-def copy_model(model: GcnModel) -> GcnModel:
-    return GcnModel(model.shape, model.attention.copy(), model.conv.copy(), model.head.copy())
-
-
-@dataclass(frozen=True)
-class ParamMasks:
-    """Keep/drop bits per parameter group, aligned with GcnModel arrays."""
-
-    attention: np.ndarray
-    conv: np.ndarray
-    head: np.ndarray
-
-
-def apply_param_masks(model: GcnModel, masks: ParamMasks) -> GcnModel:
-    return GcnModel(
-        model.shape,
-        np.where(masks.attention, model.attention, 0.0),
-        np.where(masks.conv, model.conv, 0.0),
-        np.where(masks.head, model.head, 0.0),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -206,28 +187,33 @@ def dataset_arrays(dataset: list[SkeletonSequence], chunks: int):
     return signals, labels
 
 
+def _masked(model: GcnModel, mask: MaskTensor | None):
+    """Keep bits and masked copies of (attention, conv, head); all kept without a mask."""
+    params = (model.attention, model.conv, model.head)
+    if mask is None:
+        bits = tuple(np.ones(p.shape, dtype=bool) for p in params)
+    else:
+        bits = view_mask_to_param_masks(mask, model.shape)
+    return bits, [np.where(b, p, 0.0) for p, b in zip(params, bits)]
+
+
 def train(
     model: GcnModel,
     dataset: list[SkeletonSequence],
     cfg: TrainConfig,
-    mask: MaskTensor | ParamMasks | None = None,
+    mask: MaskTensor | None = None,
 ) -> tuple[GcnModel, list[float]]:
     """Momentum SGD on cross-entropy; returns (trained copy, per-epoch loss).
 
-    With a mask, the masked parameters are zeroed up front and their
-    gradients and velocities are zeroed every step, so they stay exactly 0.
+    Every parameter group carries keep bits (all True without a view mask).
+    Dropped parameters start at +0.0 and their gradients are zeroed every
+    step, so their velocities and values stay exactly +0.0.
     The learning rate adapts per epoch: when |loss(t-1) - loss(t)| grew
     compared to the previous epoch the rate is multiplied by lr_decay,
     otherwise divided; it is clamped to [1e-8, 1].
     """
     signals, labels = dataset_arrays(dataset, model.shape.chunks)
-    if isinstance(mask, MaskTensor):
-        mask = view_mask_to_param_masks(mask, model.shape)
-    params = [model.attention.copy(), model.conv.copy(), model.head.copy()]
-    bits = None
-    if mask is not None:
-        bits = [mask.attention, mask.conv, mask.head]
-        params = [np.where(b, p, 0.0) for p, b in zip(params, bits)]
+    bits, params = _masked(model, mask)
     velocity = [np.zeros_like(p) for p in params]
     rng = np.random.default_rng(cfg.seed)
     lr = cfg.initial_lr
@@ -240,16 +226,10 @@ def train(
             idx = order[lo : lo + cfg.batch_size]
             loss, grads = loss_and_grads(current, signals[idx], labels[idx])
             epoch_loss += loss * len(idx)
-            for p, v, g, b in zip(params, velocity, grads, bits or [None] * 3):
-                if b is not None:
-                    g = np.where(b, g, 0.0)
+            for p, v, g, b in zip(params, velocity, grads, bits):
                 v *= cfg.momentum
-                v -= lr * g
-                if b is not None:
-                    v[~b] = 0.0
+                v -= lr * np.where(b, g, 0.0)
                 p += v
-                if b is not None:
-                    p[~b] = 0.0
             current = GcnModel(model.shape, *params)
         epoch_loss /= len(labels)
         if not np.isfinite(epoch_loss):
@@ -266,14 +246,15 @@ def train(
 def evaluate(
     model: GcnModel,
     dataset: list[SkeletonSequence],
-    mask: MaskTensor | ParamMasks | None = None,
+    mask: MaskTensor | None = None,
 ) -> float:
-    """Balanced accuracy: per-class accuracy averaged over the classes present."""
+    """Balanced accuracy: per-class accuracy averaged over the classes present.
+
+    With a view mask, the parameters it drops are zeroed first.
+    """
     signals, labels = dataset_arrays(dataset, model.shape.chunks)
-    if isinstance(mask, MaskTensor):
-        mask = view_mask_to_param_masks(mask, model.shape)
-    if mask is not None:
-        model = apply_param_masks(model, mask)
+    _, params = _masked(model, mask)
+    model = GcnModel(model.shape, *params)
     probs, _ = forward_batch(model, signals)
     preds = probs.argmax(axis=1)
     per_class = [np.mean(preds[labels == cls] == cls) for cls in np.unique(labels)]
@@ -284,120 +265,96 @@ def evaluate(
 # Layered pruning view
 
 
-@dataclass(frozen=True)
-class GcnIndexMap:
-    """Bidirectional map between view connections and model parameters."""
-
-    shape: GcnShape
-
-    @property
-    def parameter_count(self) -> int:
-        return self.shape.parameter_count
-
-    def view_dims(self) -> tuple[int, int, int, int]:
-        n, c, q = self.shape.nodes, self.shape.filters, self.shape.num_classes
-        return (n, self.shape.heads * n, n * c, q)
-
-    def param_at(self, layer: int, row: int, col: int):
-        """Parameter behind a view connection, or None for a structural zero."""
-        n, c = self.shape.nodes, self.shape.filters
-        if layer == 1:
-            k, i = divmod(col, n)
-            return ("attention", k, i, row)
-        if layer == 2:
-            k, m = divmod(row, n)
-            i, cc = divmod(col, c)
-            return ("conv", k, m, cc) if i == m else None
-        if layer == 3:
-            return ("head", row, col)
-        raise IndexError(f"layer {layer} out of range 1..3")
-
-    def view_position(self, kind: str, *idx) -> tuple[int, int, int]:
-        n, c = self.shape.nodes, self.shape.filters
-        if kind == "attention":
-            k, i, j = idx
-            return (1, j, k * n + i)
-        if kind == "conv":
-            k, m, cc = idx
-            return (2, k * n + m, m * c + cc)
-        if kind == "head":
-            rc, q = idx
-            return (3, rc, q)
-        raise DomainError(f"unknown parameter kind {kind!r}")
-
-
-def as_layered(model: GcnModel) -> tuple[LayeredNetwork, GcnIndexMap]:
-    """Expose the three parameter groups as a dense 3-layer network.
-
-    Layer 1 connects input node j to aggregate (k, i) with weight
-    attention[k][i, j]; layer 2 connects aggregate (k, m) to feature (m, c)
-    with weight conv[k][m, c] (structural zeros elsewhere); layer 3 is the
-    head. Masks over the view translate back to per-parameter masks via
-    view_mask_to_param_masks.
-    """
-    k, n, s, c = (model.shape.heads, model.shape.nodes, model.shape.signal_dim, model.shape.filters)
+def _view_dims(shape: GcnShape) -> tuple[int, int, int, int]:
+    k, n, s, c, q = (shape.heads, shape.nodes, shape.signal_dim, shape.filters, shape.num_classes)
     if s != n:
         raise DomainError(
             f"layered view requires signal_dim == nodes, got {s} != {n}; "
             f"pick chunks so 3 * chunks == nodes"
         )
-    w1 = model.attention.transpose(2, 0, 1).reshape(n, k * n).copy()
-    w2 = np.zeros((k * n, n * c))
-    for kk in range(k):
-        for m in range(n):
-            w2[kk * n + m, m * c : (m + 1) * c] = model.conv[kk, m]
-    w3 = model.head.copy()
-    view = LayeredNetwork((w1, w2, w3), ("relu", "relu", "softmax"))
-    return view, GcnIndexMap(model.shape)
+    return (n, k * n, n * c, q)
 
 
-def view_mask_to_param_masks(mask: MaskTensor, shape: GcnShape) -> ParamMasks:
-    """Collapse a view mask to parameter bits; structural-zero bits are ignored."""
-    k, n, c, q = (shape.heads, shape.nodes, shape.filters, shape.num_classes)
-    if shape.signal_dim != n:
-        raise DomainError("layered view requires signal_dim == nodes")
-    expected = (n, k * n, n * c, q)
-    if mask.dims != expected:
-        raise ShapeError(f"mask dims {mask.dims} do not match view dims {expected}")
+def _conv_slots(shape: GcnShape):
+    """Index of the conv entries in a layer-2 array reshaped to (k, n, n, c)."""
+    diag = np.arange(shape.nodes)
+    return np.s_[:, diag, diag, :]
+
+
+def as_layered(model: GcnModel) -> LayeredNetwork:
+    """The three parameter groups as a dense 3-layer network.
+
+    Layer 1 connects input node j to aggregate (k, i) with weight
+    attention[k][i, j]; layer 2 connects aggregate (k, m) to feature (m, c)
+    with weight conv[k][m, c] (structural zeros elsewhere); layer 3 is the
+    head. view_mask_to_param_masks reads a mask over this view back through
+    the same layout.
+    """
+    shape = model.shape
+    n, kn, nc, _ = _view_dims(shape)
+    k, c = shape.heads, shape.filters
+    w1 = model.attention.transpose(2, 0, 1).reshape(n, kn).copy()
+    w2 = np.zeros((kn, nc))
+    w2.reshape(k, n, n, c)[_conv_slots(shape)] = model.conv
+    return LayeredNetwork((w1, w2, model.head.copy()), ("relu", "relu", "softmax"))
+
+
+def view_mask_to_param_masks(
+    mask: MaskTensor, shape: GcnShape
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(attention, conv, head) keep bits of a view mask, shaped like the
+    parameters; the bits of structural-zero slots are ignored."""
+    dims = _view_dims(shape)
+    if mask.dims != dims:
+        raise ShapeError(f"mask dims {mask.dims} do not match view dims {dims}")
+    k, n, c = shape.heads, shape.nodes, shape.filters
     m1, m2, m3 = mask.masks
     attention = m1.reshape(n, k, n).transpose(1, 2, 0).copy()
-    diag = np.arange(n)
-    conv = m2.reshape(k, n, n, c)[:, diag, diag, :].copy()
-    return ParamMasks(attention, conv, m3.copy())
+    conv = m2.reshape(k, n, n, c)[_conv_slots(shape)]
+    return attention, conv, m3.copy()
 
 
 # ---------------------------------------------------------------------------
 # Model persistence (JSON)
 
 
+_SHAPE_KEYS = ("heads", "nodes", "signal_dim", "filters", "num_classes")
+_ARRAY_KEYS = ("attention", "conv", "head")
+
+
 def save_model(model: GcnModel, path) -> None:
-    payload = {
-        "heads": model.shape.heads,
-        "nodes": model.shape.nodes,
-        "signal_dim": model.shape.signal_dim,
-        "filters": model.shape.filters,
-        "num_classes": model.shape.num_classes,
-        "attention": model.attention.tolist(),
-        "conv": model.conv.tolist(),
-        "head": model.head.tolist(),
-    }
+    payload = {key: getattr(model.shape, key) for key in _SHAPE_KEYS}
+    payload.update((key, getattr(model, key).tolist()) for key in _ARRAY_KEYS)
     with open(path, "w", encoding="ascii") as fh:
         json.dump(payload, fh)
 
 
 def load_model(path) -> GcnModel:
-    with open(path, "r", encoding="ascii") as fh:
-        payload = json.load(fh)
-    shape = GcnShape(
-        payload["heads"],
-        payload["nodes"],
-        payload["signal_dim"],
-        payload["filters"],
-        payload["num_classes"],
-    )
-    return GcnModel(
-        shape,
-        np.asarray(payload["attention"]),
-        np.asarray(payload["conv"]),
-        np.asarray(payload["head"]),
-    )
+    """Read a model back. A top level that is not an object, a missing or
+    unknown key, a shape field that is not a positive integer and an array
+    that is not numeric raise DomainError; a wrong array shape, ShapeError."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            payload = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DomainError(f"{path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise DomainError(f"{path}: model must be a JSON object, got {type(payload).__name__}")
+    missing = sorted(set(_SHAPE_KEYS + _ARRAY_KEYS) - set(payload))
+    unknown = sorted(set(payload) - set(_SHAPE_KEYS + _ARRAY_KEYS))
+    if missing or unknown:
+        raise DomainError(f"{path}: missing keys {missing}, unknown keys {unknown}")
+    for key in _SHAPE_KEYS:
+        value = payload[key]
+        if type(value) is not int or value < 1:
+            raise DomainError(f"{path}: {key} must be a positive integer, got {value!r}")
+    arrays = []
+    for key in _ARRAY_KEYS:
+        try:
+            arr = np.asarray(payload[key])
+        except ValueError as exc:  # ragged nesting
+            raise DomainError(f"{path}: {key}: {exc}") from exc
+        if arr.dtype.kind not in "iuf":
+            raise DomainError(f"{path}: {key} must hold numbers only")
+        arrays.append(arr)
+    return GcnModel(GcnShape(*(payload[key] for key in _SHAPE_KEYS)), *arrays)

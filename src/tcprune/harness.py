@@ -16,6 +16,7 @@ import dataclasses
 import json
 import os
 import time
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -197,7 +198,7 @@ def _run_grid(cfg: ExperimentConfig) -> list[RunRecord]:
             dataclasses.replace(base_cfg, seed=seed),
         )
         accuracy = evaluate(model, test_set)
-        view, _ = as_layered(model)
+        view = as_layered(model)
         finetune = dataclasses.replace(base_cfg, epochs=cfg.finetune_budget, seed=seed)
         base = _Baseline(seed, model, accuracy, view, finetune, train_set, test_set)
         for rate in cfg.rates:
@@ -403,10 +404,29 @@ def config_to_json(cfg: ExperimentConfig) -> str:
     return json.dumps(dataclasses.asdict(cfg), indent=1)
 
 
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has the type a dataclass field declares."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        return isinstance(value, (list, tuple)) and all(_fits(v, args[0]) for v in value)
+    if args:  # X | None
+        return any(_fits(value, a) for a in args)
+    if hint is float:
+        return type(value) in (int, float)
+    return type(value) is hint
+
+
 def _build(cls, value, where: str):
-    """`cls(**value)` for a JSON object `value` with every key `cls` needs and no other."""
+    """`cls(**value)` for a JSON object `value` with every key `cls` needs and
+    no other, each value of the type its field declares."""
     if not isinstance(value, dict):
         raise DomainError(f"{where} must be a JSON object, got {type(value).__name__}")
+    hints = typing.get_type_hints(cls)
+    for key, item in value.items():
+        hint = hints.get(key)
+        if hint is not None and not _fits(item, hint):
+            name = hint.__name__ if isinstance(hint, type) else hint
+            raise DomainError(f"{where}: {key} must be {name}, got {item!r}")
     try:
         return cls(**value)
     except TypeError as exc:  # an unknown or a missing key
@@ -415,7 +435,9 @@ def _build(cls, value, where: str):
 
 def config_from_json(text: str) -> ExperimentConfig:
     """Parse a config; a non-object, an unknown or missing key at any level,
-    or a `rates`/`seeds`/`variants` that is not a list raise DomainError."""
+    a `rates`/`seeds`/`variants` that is not a list, or a value of another
+    type than its field declares (an int for a float is fine) raise
+    DomainError."""
     data = json.loads(text)
     if not isinstance(data, dict):
         raise DomainError(f"config must be a JSON object, got {type(data).__name__}")

@@ -181,6 +181,15 @@ def _counts(fields: list[str], key: str, n: int, path) -> list[int]:
     return [int(f) for f in fields[1:]]
 
 
+def _read_fields(path) -> list[list[str]]:
+    """The whitespace-split fields of every non-blank line of an ASCII file."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return [fields for fields in (ln.split() for ln in fh) if fields]
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: {exc}") from exc
+
+
 def _read_matrices(path, conv) -> list[np.ndarray]:
     """Parse the format above; blank lines are skipped.
 
@@ -188,11 +197,7 @@ def _read_matrices(path, conv) -> list[np.ndarray]:
     row, a row with the wrong number of values, a value `conv` rejects and
     any line after the last matrix all raise DomainError.
     """
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = [fields for fields in (ln.split() for ln in fh) if fields]
-    except UnicodeDecodeError as exc:
-        raise DomainError(f"{path}: {exc}") from exc
+    lines = _read_fields(path)
     if not lines:
         raise DomainError(f"{path}: empty file")
     (n_layers,) = _counts(lines[0], "layers", 1, path)

@@ -17,6 +17,7 @@ never changes within-layer argmax decisions, and neither does the log map.
 
 The edge score of connection (l, i -> j) is |W[l](i, j)| * max_k D[l](j, k);
 for the last layer the identity base makes this plain |W[L](i, j)|.
+log_score_matrix gives the log of every edge score of one layer at once.
 """
 
 from __future__ import annotations
@@ -87,33 +88,17 @@ def build_table(net: LayeredNetwork, alpha: float) -> SurrogateTable:
     return SurrogateTable(alpha, tuple(logs), net.dims)
 
 
-def local_score(net: LayeredNetwork, layer: int, i: int, j: int) -> float:
-    """Plain local criterion: the absolute weight of the connection."""
-    w = net.weights[layer - 1]
-    return float(abs(w[i, j]))
-
-
-def edge_score(table: SurrogateTable, net: LayeredNetwork, layer: int, i: int, j: int) -> float:
-    """|W[layer](i, j)| scaled by the best downstream aggregate from j."""
-    table._check_layer(layer)
-    w = net.weights[layer - 1]
-    rows, cols = w.shape
-    if not (0 <= i < rows and 0 <= j < cols):
-        raise IndexError(f"connection ({i}, {j}) out of range for shape {(rows, cols)}")
-    log_w = _log_abs(w[i : i + 1, j : j + 1])[0, 0]
-    best = table.log_downstream[layer - 1][j].max()
-    return float(np.exp(log_w + best))
-
-
 def log_score_matrix(
     net: LayeredNetwork, layer: int, table: SurrogateTable | None = None
 ) -> np.ndarray:
-    """Log scores of every connection of one layer.
+    """Log scores of every connection of one layer (1..depth).
 
     Local scoring (table is None) reduces to log |W[layer]|. Global scoring
     adds the best downstream log-aggregate of each target neuron. Scores are
     only ever compared within a layer, so the log map is argmax-safe.
     """
+    if not 1 <= layer <= net.depth:
+        raise IndexError(f"layer {layer} out of range 1..{net.depth}")
     scores = _log_abs(net.weights[layer - 1])
     if table is not None:
         table._check_layer(layer)

@@ -237,3 +237,22 @@ def stochastic_chain_oracle(scores: list[np.ndarray], max_kept: int,
         if idle >= max(32 * d0, 1000):
             raise OracleSaturation(kept)
     return masks, chains
+
+
+# ---------------------------------------------------------------------------
+# Per-entry map from GCN view connections to model parameters
+
+
+def param_at(shape, layer: int, row: int, col: int):
+    """Parameter behind a view connection of `as_layered`, or None for a structural zero."""
+    n, c = shape.nodes, shape.filters
+    if layer == 1:
+        k, i = divmod(col, n)
+        return ("attention", k, i, row)
+    if layer == 2:
+        k, m = divmod(row, n)
+        i, cc = divmod(col, c)
+        return ("conv", k, m, cc) if i == m else None
+    if layer == 3:
+        return ("head", row, col)
+    raise IndexError(f"layer {layer} out of range 1..3")

@@ -286,7 +286,7 @@ def test_10_trend_reproduction():
             train_set,
             dc.replace(base_cfg, seed=seed),
         )
-        view, _ = as_layered(baseline)
+        view = as_layered(baseline)
         for rate in (0.99, 0.999):
             for name, tc in (("std", False), ("tc", True)):
                 mask = (

@@ -49,6 +49,17 @@ class TestTrain:
         assert model.shape.num_classes == 2
 
 
+class TestTrainDataset:
+    def test_truncated_sequence_file_is_config_error(self, tmp_path):
+        data = tmp_path / "D"
+        data.mkdir()
+        (data / "adjacency.txt").write_text("1\n")
+        (data / "seq_00000.txt").write_text("label 0\njoints 1 frames 3\n1 2 3\n")
+        code = run_cli("train", "--dataset", str(data), "--heads", "1", "--filters", "1",
+                       "--chunks", "1", "--epochs", "1", "--out", str(tmp_path / "m.json"))
+        assert code == 2
+
+
 class TestPrune:
     def test_model_pruning_writes_mask(self, trained_model, tmp_path, capsys):
         mask_path = tmp_path / "mask.txt"
@@ -81,6 +92,14 @@ class TestPrune:
         net_path.write_text("layers 2\ndims 1 1\n0.5\n")
         code = run_cli("prune", "--network", str(net_path), "--rate", "0.5",
                        "--out", str(tmp_path / "m.txt"))
+        assert code == 2
+
+    @pytest.mark.parametrize("payload", [{"heads": 1}, [1, 2]], ids=["only-heads", "list"])
+    def test_malformed_model_file_is_config_error(self, tmp_path, payload):
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps(payload))
+        code = run_cli("prune", "--model", str(model), "--rate", "0.5",
+                       "--out", str(tmp_path / "mask.txt"))
         assert code == 2
 
     def test_bad_rate_is_config_error(self, trained_model, tmp_path):
@@ -162,11 +181,18 @@ class TestAblate:
             {**CONFIG, "rates": 0.9},
             {**CONFIG, "seeds": 0},
             {**CONFIG, "variants": {"tc": True, "stochastic": False}},
+            {"rates": [0.9], "epochs": "3"},
+            {"rates": ["0.9"]},
+            {**CONFIG, "seeds": [0.5]},
+            {**CONFIG, "model": {**CONFIG["model"], "heads": 2.0}},
+            {**CONFIG, "variants": [{"tc": 1, "stochastic": False}]},
+            {**CONFIG, "output": 7},
         ],
         ids=[
             "list", "number", "no-rates", "unknown-key", "alphas", "unknown-synthetic-key",
             "synthetic-list", "unknown-model-key", "unknown-variant-key", "variant-list",
-            "rates-number", "seeds-number", "variants-object",
+            "rates-number", "seeds-number", "variants-object", "epochs-string",
+            "rate-string", "seed-float", "model-heads-float", "variant-tc-int", "output-number",
         ],
     )
     def test_malformed_config_is_config_error(self, tmp_path, data):

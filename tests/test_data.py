@@ -5,6 +5,7 @@ from tcprune.data import (
     SkeletonSequence,
     chunk_sizes,
     hand_adjacency,
+    load_adjacency,
     load_dataset,
     load_sequence,
     save_dataset,
@@ -135,3 +136,50 @@ class TestFileFormats:
             assert sa.label == sb.label
             assert np.array_equal(sa.joints, sb.joints)
             assert np.array_equal(sa.adjacency, sb.adjacency)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("", id="empty"),
+            pytest.param("label 0\n", id="no-meta"),
+            pytest.param("label 0\njoints 2 frames 1\n1 2 3\n", id="truncated"),
+            pytest.param("label 0\njoints 1 frames 3\n1 2 3\n", id="declares-3-frames-holds-1"),
+            pytest.param("label 0\njoints 1 frames 1\n1 2 3\n4 5 6\n", id="trailing-line"),
+            pytest.param("label 0\njoints 1 frames 1\n1 2\n", id="row-of-2"),
+            pytest.param("label 0\njoints 1 frames 1\n1 2 3 4\n", id="row-of-4"),
+            pytest.param("label 0\njoints 1 frames 1\n1 x 3\n", id="not-a-number"),
+            pytest.param("label x\njoints 1 frames 1\n1 2 3\n", id="label-not-int"),
+            pytest.param("label -1\njoints 1 frames 1\n1 2 3\n", id="negative-label"),
+            pytest.param("class 0\njoints 1 frames 1\n1 2 3\n", id="label-keyword"),
+            pytest.param("label 0 1\njoints 1 frames 1\n1 2 3\n", id="label-fields"),
+            pytest.param("label 0\njoints 1 frames 0\n", id="zero-frames"),
+            pytest.param("label 0\njoints 1 frames x\n1 2 3\n", id="frames-not-int"),
+            pytest.param("label 0\nnodes 1 frames 1\n1 2 3\n", id="meta-keyword"),
+            pytest.param("label 0\njoints 1\n1 2 3\n", id="meta-fields"),
+            pytest.param("label 0\njoints 1 frames 1\n1 2 \xff\n", id="non-ascii"),
+        ],
+    )
+    def test_malformed_sequence_file(self, tmp_path, text):
+        path = tmp_path / "seq.txt"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(DomainError):
+            load_sequence(path, np.eye(1, dtype=bool))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("", id="empty"),
+            pytest.param("1 0\n", id="one-row-of-two"),
+            pytest.param("1 0\n0 1\n1 1\n", id="three-rows-of-two"),
+            pytest.param("1 0\n0\n", id="short-row"),
+            pytest.param("1 2\n2 1\n", id="value-2"),
+            pytest.param("1 -1\n-1 1\n", id="value-minus-1"),
+            pytest.param("1 x\nx 1\n", id="not-a-number"),
+            pytest.param("1 0.5\n0.5 1\n", id="fraction"),
+        ],
+    )
+    def test_malformed_adjacency_file(self, tmp_path, text):
+        path = tmp_path / "adj.txt"
+        path.write_text(text)
+        with pytest.raises(DomainError):
+            load_adjacency(path)

@@ -1,16 +1,19 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from oracles import param_at
 from tcprune.data import synth_dataset
 from tcprune.errors import DivergenceError, DomainError, ShapeError
 from tcprune.gcn import (
     GcnModel,
     GcnShape,
-    ParamMasks,
     TrainConfig,
-    apply_param_masks,
     as_layered,
-    copy_model,
     evaluate,
     forward_batch,
     gcn_forward,
@@ -25,12 +28,24 @@ from tcprune.network import MaskTensor, full_mask
 from tcprune.pruner import PruneSpec, tc_mp
 
 TINY = GcnShape(heads=2, nodes=3, signal_dim=3, filters=2, num_classes=2)
+FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 
 def tiny_batch(rng, count=8):
     signals = rng.standard_normal((count, TINY.signal_dim, TINY.nodes))
     labels = rng.integers(0, TINY.num_classes, count)
     return signals, labels
+
+
+def masked_model(model, mask):
+    """The model with the parameters a view mask drops set to zero."""
+    bits = view_mask_to_param_masks(mask, model.shape)
+    arrays = (model.attention, model.conv, model.head)
+    return GcnModel(model.shape, *(np.where(b, p, 0.0) for p, b in zip(arrays, bits)))
+
+
+def random_view_mask(model, rng, keep=0.5):
+    return MaskTensor(tuple(rng.random(w.shape) < keep for w in as_layered(model).weights))
 
 
 def numeric_gradient(model, arr, signals, labels, step=1e-5):
@@ -128,21 +143,31 @@ class TestTraining:
         trained, losses = train(init_model(shape, 0), dataset, TrainConfig(epochs=60, seed=0))
         assert losses[-1] < losses[0]
 
-    def test_masked_parameters_stay_exactly_zero(self, rng):
+    def test_masked_parameters_stay_exactly_zero(self):
         dataset = synth_dataset(2, 6, 3, 6, seed=2)
         shape = GcnShape(heads=2, nodes=3, signal_dim=3, filters=2, num_classes=2)
         model = init_model(shape, seed=1)
-        masks = ParamMasks(
-            rng.random((2, 3, 3)) < 0.5,
-            rng.random((2, 3, 2)) < 0.5,
-            rng.random((6, 2)) < 0.5,
-        )
-        trained, _ = train(model, dataset, TrainConfig(epochs=100, seed=0), masks)
-        assert (trained.attention[~masks.attention] == 0.0).all()
-        assert (trained.conv[~masks.conv] == 0.0).all()
-        assert (trained.head[~masks.head] == 0.0).all()
+        mask = random_view_mask(model, np.random.default_rng(0))
+        trained, _ = train(model, dataset, TrainConfig(epochs=100, seed=0), mask)
+        bits = view_mask_to_param_masks(mask, shape)
+        for arr, keep in zip((trained.attention, trained.conv, trained.head), bits):
+            assert (~keep).any() and keep.any()
+            assert (arr[~keep] == 0.0).all()
+            assert not np.signbit(arr[~keep]).any()  # +0.0, never -0.0
         # surviving weights actually moved
-        assert not np.allclose(trained.head[masks.head], model.head[masks.head])
+        assert not np.allclose(trained.head[bits[2]], model.head[bits[2]])
+
+    def test_all_ones_mask_trains_like_no_mask(self):
+        # the masked and the unmasked run share one update rule
+        dataset = synth_dataset(2, 6, 3, 6, seed=8)
+        model = init_model(TINY, seed=4)
+        cfg = TrainConfig(epochs=40, batch_size=5, seed=3)
+        plain, plain_losses = train(model, dataset, cfg)
+        masked, masked_losses = train(model, dataset, cfg, full_mask(as_layered(model)))
+        assert masked_losses == plain_losses
+        assert np.array_equal(masked.attention, plain.attention)
+        assert np.array_equal(masked.conv, plain.conv)
+        assert np.array_equal(masked.head, plain.head)
 
     def test_input_model_never_mutated(self):
         dataset = synth_dataset(2, 4, 3, 6, seed=3)
@@ -204,63 +229,54 @@ class TestLayeredView:
 
     def test_view_dims_and_parameter_count(self):
         model = init_model(TINY, seed=0)
-        view, index_map = as_layered(model)
+        view = as_layered(model)
         k, n, s, c, q = 2, 3, 3, 2, 2
         assert view.dims == (n, k * n, n * c, q)
-        assert index_map.parameter_count == k * n * n + k * s * c + n * c * q
-        assert index_map.view_dims() == view.dims
+        assert TINY.parameter_count == k * n * n + k * s * c + n * c * q
 
     def test_every_parameter_has_exactly_one_view_slot(self):
         model = init_model(TINY, seed=1)
-        view, index_map = as_layered(model)
+        view = as_layered(model)
         seen = {}
         for layer, w in enumerate(view.weights, start=1):
             for r in range(w.shape[0]):
                 for col in range(w.shape[1]):
-                    param = index_map.param_at(layer, r, col)
+                    param = param_at(model.shape, layer, r, col)
                     if param is None:
                         assert w[r, col] == 0.0  # structural zero
                         continue
                     assert param not in seen
                     seen[param] = w[r, col]
-        assert len(seen) == index_map.parameter_count
+        assert len(seen) == model.shape.parameter_count
         for (kind, *idx), value in seen.items():
             arrays = {"attention": model.attention, "conv": model.conv, "head": model.head}
             assert arrays[kind][tuple(idx)] == value
 
-    def test_position_map_round_trip(self):
-        model = init_model(TINY, seed=2)
-        _, index_map = as_layered(model)
-        for kind, idx in (
-            ("attention", (1, 2, 0)),
-            ("conv", (0, 1, 1)),
-            ("head", (4, 1)),
-        ):
-            layer, r, c = index_map.view_position(kind, *idx)
-            assert index_map.param_at(layer, r, c) == (kind, *idx)
-
     def test_all_ones_mask_keeps_forward_unchanged(self, rng):
         model = init_model(TINY, seed=3)
-        view, _ = as_layered(model)
-        params = view_mask_to_param_masks(full_mask(view), model.shape)
-        masked = apply_param_masks(model, params)
+        mask = full_mask(as_layered(model))
+        assert all(bits.all() for bits in view_mask_to_param_masks(mask, model.shape))
         u = rng.standard_normal((3, 3))
-        assert np.array_equal(gcn_forward(model, u), gcn_forward(masked, u))
+        assert np.array_equal(gcn_forward(model, u), gcn_forward(masked_model(model, mask), u))
 
     def test_mask_round_trip_through_params(self, rng):
         model = init_model(TINY, seed=4)
-        view, index_map = as_layered(model)
-        mask = MaskTensor(tuple(rng.random(w.shape) < 0.5 for w in view.weights))
-        params = view_mask_to_param_masks(mask, model.shape)
+        mask = random_view_mask(model, rng)
+        bits = view_mask_to_param_masks(mask, model.shape)
+        params = dict(zip(("attention", "conv", "head"), bits))
         for layer, m in enumerate(mask.masks, start=1):
             for r in range(m.shape[0]):
                 for col in range(m.shape[1]):
-                    param = index_map.param_at(layer, r, col)
+                    param = param_at(model.shape, layer, r, col)
                     if param is None:
                         continue
                     kind, *idx = param
-                    arrays = {"attention": params.attention, "conv": params.conv, "head": params.head}
-                    assert arrays[kind][tuple(idx)] == m[r, col]
+                    assert params[kind][tuple(idx)] == m[r, col]
+
+    def test_mask_dims_must_match_view(self):
+        wrong = MaskTensor(tuple(np.ones((2, 2), dtype=bool) for _ in range(3)))
+        with pytest.raises(ShapeError):
+            view_mask_to_param_masks(wrong, TINY)
 
     def test_chain_mask_keeps_real_signal_alive(self, rng):
         # a consistent chain through the view maps to parameters that form a
@@ -273,11 +289,9 @@ class TestLayeredView:
             np.abs(rng.standard_normal((2, 3, 2))) + 0.1,
             np.abs(rng.standard_normal((6, 2))) + 0.1,
         )
-        view, _ = as_layered(model)
-        mask = tc_mp(view, PruneSpec(rate=0.9, tc=True, seed=0))
-        masked = apply_param_masks(model, view_mask_to_param_masks(mask, shape))
+        mask = tc_mp(as_layered(model), PruneSpec(rate=0.9, tc=True, seed=0))
         signals = np.stack([np.abs(rng.standard_normal((3, 3))) + 0.5 for _ in range(6)])
-        probs, _ = forward_batch(masked, signals)
+        probs, _ = forward_batch(masked_model(model, mask), signals)
         assert np.abs(probs - 0.5).max() > 1e-6  # output depends on the input
 
 
@@ -292,8 +306,59 @@ class TestPersistence:
         assert np.array_equal(back.conv, model.conv)
         assert np.array_equal(back.head, model.head)
 
-    def test_copy_is_independent(self):
-        model = init_model(TINY, seed=6)
-        dup = copy_model(model)
-        dup.attention[0, 0, 0] += 1.0
-        assert model.attention[0, 0, 0] != dup.attention[0, 0, 0]
+    @given(
+        dims=st.tuples(*(st.integers(1, 3) for _ in range(5))),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_property(self, tmp_path_factory, dims, data):
+        shape = GcnShape(*dims)
+        k, n, s, c, q = dims
+        arrays = [
+            data.draw(hnp.arrays(np.float64, group, elements=FINITE))
+            for group in ((k, n, n), (k, s, c), (n * c, q))
+        ]
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        save_model(GcnModel(shape, *arrays), path)
+        back = load_model(path)
+        assert back.shape == shape
+        for got, want in zip((back.attention, back.conv, back.head), arrays):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda p: [1, 2], id="list"),
+            pytest.param(lambda p: 3, id="number"),
+            pytest.param(lambda p: {"heads": 1}, id="only-heads"),
+            pytest.param(lambda p: {k: v for k, v in p.items() if k != "conv"}, id="no-conv"),
+            pytest.param(lambda p: {k: v for k, v in p.items() if k != "nodes"}, id="no-nodes"),
+            pytest.param(lambda p: {**p, "extra": 1}, id="unknown-key"),
+            pytest.param(lambda p: {**p, "heads": 0}, id="zero-heads"),
+            pytest.param(lambda p: {**p, "filters": -2}, id="negative-filters"),
+            pytest.param(lambda p: {**p, "nodes": 3.0}, id="float-nodes"),
+            pytest.param(lambda p: {**p, "nodes": "3"}, id="string-nodes"),
+            pytest.param(lambda p: {**p, "num_classes": True}, id="bool-classes"),
+            pytest.param(lambda p: {**p, "signal_dim": None}, id="null-signal-dim"),
+            pytest.param(lambda p: {**p, "head": "x"}, id="string-head"),
+            pytest.param(lambda p: {**p, "conv": [[1.0], [1.0, 2.0]]}, id="ragged-conv"),
+            pytest.param(lambda p: {**p, "attention": [[[None]]]}, id="null-attention"),
+        ],
+    )
+    def test_malformed_model_file(self, tmp_path, edit):
+        path = tmp_path / "model.json"
+        save_model(init_model(TINY, seed=6), path)
+        payload = json.loads(path.read_text())
+        path.write_text(json.dumps(edit(payload)))
+        with pytest.raises(DomainError):
+            load_model(path)
+
+    def test_wrong_array_shape_is_shape_error(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(init_model(TINY, seed=7), path)
+        payload = json.loads(path.read_text())
+        payload["head"] = payload["head"][1:]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ShapeError):
+            load_model(path)

@@ -179,6 +179,25 @@ class TestSerialization:
         for a, b in zip(back.masks, mask.masks):
             assert np.array_equal(a, b)
 
+    @given(
+        dims=st.lists(st.integers(1, 5), min_size=2, max_size=5),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_mask_round_trip_property(self, tmp_path_factory, dims, data):
+        masks = tuple(
+            np.asarray(data.draw(st.lists(st.booleans(), min_size=r * c, max_size=r * c)))
+            .reshape(r, c)
+            for r, c in zip(dims, dims[1:])
+        )
+        path = tmp_path_factory.mktemp("mask") / "mask.txt"
+        save_mask(MaskTensor(masks), path)
+        back = load_mask(path)
+        assert back.dims == tuple(dims)
+        for a, b in zip(back.masks, masks):
+            assert a.dtype == bool
+            assert np.array_equal(a, b)
+
     @pytest.mark.parametrize(
         "loader, text",
         [

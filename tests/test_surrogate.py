@@ -8,7 +8,7 @@ from oracles import brute_edge_score, path_norm_table
 from tcprune.errors import DomainError
 from tcprune.linalg import row_normalize
 from tcprune.network import LayeredNetwork
-from tcprune.surrogate import build_table, edge_score, local_score, log_score_matrix
+from tcprune.surrogate import build_table, log_score_matrix
 
 
 def abs_chain_product(net, layer):
@@ -117,13 +117,18 @@ class TestBuildTable:
         assert np.isfinite(s).all()
 
 
+def score(net, layer, i, j, table=None) -> float:
+    """One connection's score, read off the layer's log score matrix."""
+    return float(np.exp(log_score_matrix(net, layer, table))[i, j])
+
+
 class TestEdgeScore:
     def test_last_layer_is_plain_magnitude(self, rng):
         net = random_network(rng, (3, 4, 2))
         table = build_table(net, 1.0)
         for i in range(4):
             for j in range(2):
-                assert edge_score(table, net, 2, i, j) == pytest.approx(
+                assert score(net, 2, i, j, table) == pytest.approx(
                     abs(net.weights[1][i, j]), rel=1e-12
                 )
 
@@ -131,14 +136,14 @@ class TestEdgeScore:
         weights = (np.array([[2.0]]), np.array([[-3.0]]), np.array([[0.5]]))
         net = LayeredNetwork(weights, ("identity",) * 3)
         table = build_table(net, 1.0)
-        assert edge_score(table, net, 1, 0, 0) == pytest.approx(2.0 * 3.0 * 0.5)
+        assert score(net, 1, 0, 0, table) == pytest.approx(2.0 * 3.0 * 0.5)
 
     def test_argmax_matches_brute_force(self, rng):
         for _ in range(10):
             net = random_network(rng, (3, 3, 3, 2))
             table = build_table(net, 1.0)
             for i in range(3):
-                got = [edge_score(table, net, 1, i, j) for j in range(3)]
+                got = [score(net, 1, i, j, table) for j in range(3)]
                 want = [brute_edge_score(net, 1.0, 1, i, j) for j in range(3)]
                 assert np.argmax(got) == np.argmax(want)
                 assert np.allclose(got, want, rtol=1e-9)
@@ -149,30 +154,33 @@ class TestEdgeScore:
         net = LayeredNetwork((w1, w2), ("identity", "identity"))
         table = build_table(net, 1.0)
         # sum over k beats: 5 * max(3,1) = 15 vs 1 * max(4,1) = 4
-        assert edge_score(table, net, 1, 0, 0) == pytest.approx(15.0)
-        assert edge_score(table, net, 1, 0, 1) == pytest.approx(4.0)
+        assert score(net, 1, 0, 0, table) == pytest.approx(15.0)
+        assert score(net, 1, 0, 1, table) == pytest.approx(4.0)
 
     def test_flip_example_with_weak_downstream(self):
         w1 = np.array([[5.0, 1.0], [2.0, 1.0]])
         w2 = np.array([[0.1, 0.1], [4.0, 1.0]])
         net = LayeredNetwork((w1, w2), ("identity", "identity"))
         table = build_table(net, 1.0)
-        assert edge_score(table, net, 1, 0, 1) > edge_score(table, net, 1, 0, 0)
+        assert score(net, 1, 0, 1, table) > score(net, 1, 0, 0, table)
 
     def test_index_errors(self, rng):
         net = random_network(rng, (2, 2))
         table = build_table(net, 1.0)
         with pytest.raises(IndexError):
-            edge_score(table, net, 1, 2, 0)
-        with pytest.raises(IndexError):
-            edge_score(table, net, 3, 0, 0)
+            score(net, 1, 2, 0, table)
+        for layer in (0, 2, 3, -1):
+            with pytest.raises(IndexError):
+                log_score_matrix(net, layer, table)
+            with pytest.raises(IndexError):
+                log_score_matrix(net, layer)
 
 
 class TestLocalScore:
     def test_absolute_value(self, rng):
         net = LayeredNetwork((np.array([[-3.0, 0.0]]),), ("identity",))
-        assert local_score(net, 1, 0, 0) == 3.0
-        assert local_score(net, 1, 0, 1) == 0.0
+        assert score(net, 1, 0, 0) == pytest.approx(3.0, rel=1e-15)
+        assert score(net, 1, 0, 1) == 0.0
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
@@ -180,5 +188,5 @@ class TestLocalScore:
         rng = np.random.default_rng(seed)
         net = random_network(rng, (3, 5))
         for i in range(3):
-            scores = [local_score(net, 1, i, j) for j in range(5)]
+            scores = [score(net, 1, i, j) for j in range(5)]
             assert np.array_equal(np.argsort(scores), np.argsort(np.abs(net.weights[0][i])))
