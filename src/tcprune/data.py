@@ -62,13 +62,10 @@ def temporal_chunking(seq: SkeletonSequence, chunks: int) -> np.ndarray:
     frames = seq.num_frames
     if frames < chunks:
         raise DomainError(f"need at least {chunks} frames to form {chunks} chunks, got {frames}")
-    sizes = chunk_sizes(frames, chunks)
-    bounds = np.cumsum([0] + sizes)
-    cols = []
-    for j in range(seq.num_joints):
-        parts = [seq.joints[j, bounds[c] : bounds[c + 1]].mean(axis=0) for c in range(chunks)]
-        cols.append(np.concatenate(parts))
-    return np.stack(cols, axis=1)
+    bounds = np.cumsum([0] + chunk_sizes(frames, chunks))
+    # (chunks, J, 3) -> rows ordered chunk-major, then coordinate
+    means = np.stack([seq.joints[:, lo:hi].mean(axis=1) for lo, hi in zip(bounds, bounds[1:])])
+    return means.transpose(0, 2, 1).reshape(3 * chunks, seq.num_joints)
 
 
 def hand_adjacency(joints: int) -> np.ndarray:

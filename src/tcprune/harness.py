@@ -90,12 +90,21 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.rates or not self.variants or not self.seeds:
             raise DomainError("need at least one rate, one variant, and one seed")
+        # every cell's spec is checked before anything trains
+        for rate in self.rates:
+            for variant in self.variants:
+                _spec(rate, variant, self.seeds[0])
 
     @property
     def finetune_budget(self) -> int:
         if self.finetune_epochs is not None:
             return self.finetune_epochs
         return max(1, self.epochs // 4)
+
+
+def _spec(rate: float, variant: Variant, seed: int) -> PruneSpec:
+    """One grid cell's spec; PruneSpec rejects a bad rate, scoring or alpha."""
+    return PruneSpec(rate, variant.tc, variant.stochastic, variant.scoring, variant.alpha, seed)
 
 
 @dataclass(frozen=True)
@@ -239,16 +248,8 @@ def _prune_and_tune(base: _Baseline, rate: float, variant: Variant):
     if rate == 0:
         # nothing is pruned; the baseline stands as-is
         return "ok", full_mask(base.view), base.accuracy
-    spec = PruneSpec(
-        rate=rate,
-        tc=variant.tc,
-        stochastic=variant.stochastic,
-        scoring=variant.scoring,
-        alpha=variant.alpha,
-        seed=base.seed,
-    )
     try:
-        mask = prune(base.view, spec)
+        mask = prune(base.view, _spec(rate, variant, base.seed))
     except SaturationError:
         return "saturated", None, None
     except BudgetError:
@@ -376,9 +377,11 @@ def report_from_artifacts(artifact_dir: str) -> list[ResultRow]:
     """
     with open(os.path.join(artifact_dir, "runs.json"), "r", encoding="ascii") as fh:
         raw = json.load(fh)
+    if not isinstance(raw, list):
+        raise DomainError(f"runs.json must be a JSON list, got {type(raw).__name__}")
     records = []
     for item in raw:
-        rec = RunRecord(**item)
+        rec = _build(RunRecord, item, "runs.json entry")
         if rec.mask_file is not None:
             mask = load_mask(os.path.join(artifact_dir, "masks", rec.mask_file))
             rep = consistency_report(mask)

@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,32 +41,39 @@ class PruneSpec:
             raise DomainError(f"global scoring needs 1/alpha >= 1, got alpha={self.alpha}")
 
 
-@dataclass(frozen=True)
-class ChainTrace:
-    """One complete chain added by tc_mp: (layer, from, to) per step."""
+class ChainTrace(NamedTuple):
+    """One complete chain added by tc_mp: (layer, from, to) per step.
+
+    Step t has layer t + 1 and starts where step t - 1 ended.
+    """
 
     steps: tuple[tuple[int, int, int], ...]
     newly_added: int
 
-    def __post_init__(self):
-        for t, (layer, _, _) in enumerate(self.steps):
-            if layer != t + 1:
-                raise DomainError(f"step {t} has layer {layer}, expected {t + 1}")
-        for (_, _, to), (_, frm, _) in zip(self.steps, self.steps[1:]):
-            if to != frm:
-                raise DomainError("chain steps do not connect")
+
+def _magnitudes(net: LayeredNetwork) -> np.ndarray:
+    """|w| of every connection, layers concatenated in raveled order."""
+    return np.concatenate([np.abs(w).ravel() for w in net.weights])
 
 
-def standard_mp(net: LayeredNetwork, rate: float) -> MaskTensor:
-    """Keep the max_kept connections with the largest absolute weights.
+def _top_k(net: LayeredNetwork, keys: np.ndarray, max_kept: int) -> MaskTensor:
+    """Keep the max_kept connections with the largest flat keys.
 
     Ties break toward the lexicographically smallest (layer, row, col),
     which is the flat concatenation order the stable sort preserves.
     """
-    b = budget(net, rate)
-    flat = np.concatenate([np.abs(w).ravel() for w in net.weights])
-    order = np.argsort(-flat, kind="stable")
-    return _masks_from_flat(net, order[: b.max_kept])
+    chosen = np.zeros(keys.size, dtype=bool)
+    chosen[np.argsort(-keys, kind="stable")[:max_kept]] = True
+    masks, offset = [], 0
+    for w in net.weights:
+        masks.append(chosen[offset : offset + w.size].reshape(w.shape))
+        offset += w.size
+    return MaskTensor(tuple(masks))
+
+
+def standard_mp(net: LayeredNetwork, rate: float) -> MaskTensor:
+    """Keep the max_kept connections with the largest absolute weights."""
+    return _top_k(net, _magnitudes(net), budget(net, rate).max_kept)
 
 
 def stochastic_mp(net: LayeredNetwork, rate: float, seed: int) -> MaskTensor:
@@ -76,37 +84,14 @@ def stochastic_mp(net: LayeredNetwork, rate: float, seed: int) -> MaskTensor:
     weights. Zero-magnitude connections are only chosen once every positive
     one is selected.
     """
-    b = budget(net, rate)
-    flat = np.concatenate([np.abs(w).ravel() for w in net.weights])
+    max_kept = budget(net, rate).max_kept
+    flat = _magnitudes(net)
     if not flat.any():
         raise DegenerateDistributionError("all weights are zero")
     rng = np.random.default_rng(seed)
     with np.errstate(divide="ignore"):
         keys = np.log(flat) + rng.gumbel(size=flat.size)
-    order = np.argsort(-keys, kind="stable")
-    return _masks_from_flat(net, order[: b.max_kept])
-
-
-def _masks_from_flat(net: LayeredNetwork, keep: np.ndarray) -> MaskTensor:
-    """Per-layer masks from indices into the concatenated raveled weights."""
-    chosen = np.zeros(sum(w.size for w in net.weights), dtype=bool)
-    chosen[keep] = True
-    masks, offset = [], 0
-    for w in net.weights:
-        masks.append(chosen[offset : offset + w.size].reshape(w.shape))
-        offset += w.size
-    return MaskTensor(tuple(masks))
-
-
-def select_start(net: LayeredNetwork, spec: PruneSpec, sweep_index: int,
-                 rng: np.random.Generator | None = None) -> int:
-    """Chain start neuron: round-robin when deterministic, uniform otherwise."""
-    d0 = net.dims[0]
-    if spec.stochastic:
-        if rng is None:
-            rng = np.random.default_rng(spec.seed)
-        return int(rng.integers(d0))
-    return sweep_index % d0
+    return _top_k(net, keys, max_kept)
 
 
 def _argmax_chooser(scores: np.ndarray) -> Callable[[int], int]:
@@ -170,7 +155,8 @@ def _sample_chooser(scores: np.ndarray, rng: np.random.Generator) -> Callable[[i
 def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, list[ChainTrace]]:
     """Chain-based consistent pruning, returning the chains it selected.
 
-    Chains start at an input neuron and extend layer by layer to an output
+    Chains start at an input neuron, round-robin when deterministic and
+    uniformly drawn when stochastic, and extend layer by layer to an output
     neuron, choosing the next neuron by argmax of the edge score
     (deterministic) or by sampling proportionally to it (stochastic). The
     budget counter advances only on newly set mask bits and is checked
@@ -205,13 +191,14 @@ def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, list[
     # Deterministic selection repeats verbatim after one full round-robin
     # sweep with no new bits; stochastic selection gets a generous allowance
     # before it is declared stuck.
-    stall_limit = net.dims[0] if not spec.stochastic else max(32 * net.dims[0], 1000)
+    d0 = net.dims[0]
+    stall_limit = d0 if not spec.stochastic else max(32 * d0, 1000)
     traces: list[ChainTrace] = []
     kept = 0
     sweep = 0
     stall = 0
     while kept < b.max_kept:
-        cur = select_start(net, spec, sweep, rng)
+        cur = int(rng.integers(d0)) if spec.stochastic else sweep % d0
         steps = []
         new_bits = 0
         for layer, width, bits, choose in levels:
@@ -219,10 +206,10 @@ def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, list[
             at = cur * width + nxt
             if not bits[at]:
                 bits[at] = True
-                kept += 1
                 new_bits += 1
             steps.append((layer, cur, nxt))
             cur = nxt
+        kept += new_bits
         traces.append(ChainTrace(tuple(steps), new_bits))
         sweep += 1
         if new_bits == 0:

@@ -256,3 +256,21 @@ def param_at(shape, layer: int, row: int, col: int):
     if layer == 3:
         return ("head", row, col)
     raise IndexError(f"layer {layer} out of range 1..3")
+
+
+# ---------------------------------------------------------------------------
+# Temporal chunking, one joint and one chunk at a time
+
+
+def chunk_means(joints: np.ndarray, chunks: int) -> np.ndarray:
+    """(3 * chunks, J) descriptor: column j stacks joint j's per-chunk mean points."""
+    frames = joints.shape[1]
+    q, r = divmod(frames, chunks)
+    bounds = [0]
+    for c in range(chunks):
+        bounds.append(bounds[-1] + q + (1 if c < r else 0))
+    cols = []
+    for j in range(joints.shape[0]):
+        parts = [joints[j, bounds[c] : bounds[c + 1]].mean(axis=0) for c in range(chunks)]
+        cols.append(np.concatenate(parts))
+    return np.stack(cols, axis=1)

@@ -25,6 +25,12 @@ CONFIG = {
     "epochs": 3,
     "finetune_epochs": 1,
 }
+# One well-formed runs.json entry: a saturated cell, so no mask file.
+RUN = {
+    "rate": 0.9, "tc": True, "stochastic": False, "scoring": "local", "alpha": None,
+    "seed": 0, "kept": None, "ac_percent": None, "accuracy": None, "wall_s": 0.5,
+    "status": "saturated", "mask_file": None,
+}
 
 
 def run_cli(*argv) -> int:
@@ -200,6 +206,33 @@ class TestAblate:
         cfg_path.write_text(json.dumps(data))
         assert run_cli("ablate", "--config", str(cfg_path)) == 2
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {**CONFIG, "rates": [1.5]},
+            {**CONFIG, "variants": [{"tc": True, "stochastic": False, "scoring": "global",
+                                     "alpha": 0.0}]},
+            {**CONFIG, "variants": [{"tc": True, "stochastic": False, "scoring": "foo"}]},
+        ],
+        ids=["rate-1.5", "global-alpha-0", "scoring-foo"],
+    )
+    def test_bad_cell_is_rejected_before_training(self, tmp_path, monkeypatch, data):
+        import tcprune.harness as harness
+
+        calls = []
+
+        def train(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("trained before the config was checked")
+
+        monkeypatch.setattr(harness, "train", train)
+        out_dir = tmp_path / "run"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**data, "output": str(out_dir)}))
+        assert run_cli("ablate", "--config", str(cfg_path)) == 2
+        assert calls == []
+        assert not (out_dir / "masks").exists()
+
     def test_alphas_flag_is_rejected(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("ablate", "--alphas", "1")
@@ -224,6 +257,30 @@ class TestAblate:
         table = tmp_path / "t.csv"
         assert run_cli("ablate", "--config", str(cfg_path), "--table-out", str(table)) == 0
         assert len(parse_csv(table.read_text())) == 4
+
+
+class TestReport:
+    def test_well_formed_runs_file(self, tmp_path):
+        (tmp_path / "runs.json").write_text(json.dumps([RUN]))
+        assert run_cli("report", "--artifacts", str(tmp_path)) == 0
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            [1, 2],
+            {"a": 1},
+            [{**RUN, "bogus": 1}],
+            [{k: v for k, v in RUN.items() if k != "status"}],
+            [{**RUN, "rate": "0.9"}],
+            [{**RUN, "kept": 1.5}],
+            [RUN, [0.9, True]],
+        ],
+        ids=["list-of-numbers", "object", "unknown-key", "missing-key", "rate-string",
+             "kept-float", "entry-list"],
+    )
+    def test_malformed_runs_file_is_config_error(self, tmp_path, data):
+        (tmp_path / "runs.json").write_text(json.dumps(data))
+        assert run_cli("report", "--artifacts", str(tmp_path)) == 2
 
 
 class TestExitCodes:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import chunk_means
 from tcprune.data import (
     SkeletonSequence,
     chunk_sizes,
@@ -66,6 +67,20 @@ class TestChunking:
     def test_too_few_frames_rejected(self):
         with pytest.raises(DomainError):
             temporal_chunking(constant_sequence([0, 0, 0], frames=3), 5)
+
+    @pytest.mark.parametrize(
+        "frames,chunks",
+        [(7, 3), (13, 5), (40, 7), (100, 7), (9, 1), (40, 1), (5, 5), (1, 1), (40, 5)],
+    )
+    def test_matches_per_joint_oracle_bitwise(self, frames, chunks):
+        rng = np.random.default_rng(frames * 31 + chunks)
+        for joints in (1, 4, 15):
+            pts = rng.standard_normal((joints, frames, 3)) * 10.0 ** rng.integers(-3, 4)
+            seq = SkeletonSequence(0, pts, hand_adjacency(joints))
+            got = temporal_chunking(seq, chunks)
+            want = chunk_means(seq.joints, chunks)
+            assert got.shape == want.shape == (3 * chunks, joints)
+            assert got.tobytes() == want.tobytes()
 
     def test_bad_chunk_count(self):
         with pytest.raises(DomainError):
