@@ -18,14 +18,7 @@ import json
 import sys
 
 from .data import load_dataset, synth_dataset
-from .errors import (
-    BudgetError,
-    DegenerateDistributionError,
-    DivergenceError,
-    DomainError,
-    SaturationError,
-    ShapeError,
-)
+from .errors import DivergenceError, SaturationError
 from .gcn import (
     GcnShape,
     TrainConfig,
@@ -42,6 +35,7 @@ from .harness import (
     ModelSpec,
     SyntheticSpec,
     Variant,
+    _build,
     config_from_json,
     emit,
     report_from_artifacts,
@@ -52,33 +46,20 @@ from .pruner import PruneSpec, prune
 from .topology import consistency_report, report_to_json
 
 
-def _parse_kv(text: str, cls):
-    """Parse "a=1,b=2" into a dataclass, casting by field type."""
-    values = {}
-    if text:
-        for part in text.split(","):
-            key, _, raw = part.partition("=")
-            key = key.strip()
-            fields = {f.name: f.type for f in dataclasses.fields(cls)}
-            if key not in fields:
-                raise DomainError(f"unknown {cls.__name__} field {key!r}")
-            caster = float if fields[key] == "float" else int
-            values[key] = caster(raw)
-    return cls(**values)
+def _parse_kv(text: str | None) -> SyntheticSpec:
+    """Parse "a=1,b=2" into a SyntheticSpec; each value is read as JSON."""
+    pairs = (part.partition("=") for part in text.split(",")) if text else ()
+    return _build(SyntheticSpec, {k.strip(): json.loads(v) for k, _, v in pairs}, "--synthetic")
 
 
 def _load_sequences(args):
     if args.dataset:
         return load_dataset(args.dataset)
-    spec = _parse_kv(args.synthetic or "", SyntheticSpec)
+    spec = _parse_kv(args.synthetic)
     return synth_dataset(
         spec.classes, spec.per_class_train, spec.joints, spec.frames, spec.seed,
         spec.noise, spec.phase_jitter, spec.scale_jitter,
     )
-
-
-def _train_config(args, epochs) -> TrainConfig:
-    return TrainConfig(epochs=epochs, seed=args.seed)
 
 
 def cmd_train(args) -> int:
@@ -87,7 +68,7 @@ def cmd_train(args) -> int:
     classes = int(max(seq.label for seq in sequences)) + 1
     shape = GcnShape(args.heads, joints, 3 * args.chunks, args.filters, classes)
     model = init_model(shape, args.seed, args.head_scale)
-    model, losses = train(model, sequences, _train_config(args, args.epochs))
+    model, losses = train(model, sequences, TrainConfig(epochs=args.epochs, seed=args.seed))
     save_model(model, args.out)
     acc = evaluate(model, sequences)
     print(f"trained {args.epochs} epochs, final loss {losses[-1]:.6f}, train accuracy {acc:.4f}")
@@ -122,7 +103,7 @@ def cmd_finetune(args) -> int:
     model = load_model(args.model)
     mask = load_mask(args.mask)
     sequences = _load_sequences(args)
-    tuned, losses = train(model, sequences, _train_config(args, args.epochs), mask)
+    tuned, losses = train(model, sequences, TrainConfig(epochs=args.epochs, seed=args.seed), mask)
     save_model(tuned, args.out)
     acc = evaluate(tuned, sequences, mask)
     print(f"fine-tuned {args.epochs} epochs, final loss {losses[-1]:.6f}, train accuracy {acc:.4f}")
@@ -151,7 +132,7 @@ def _experiment_config(args) -> ExperimentConfig:
         rates=tuple(float(r) for r in args.rates.split(",")),
         variants=variants,
         seeds=tuple(int(s) for s in args.seeds.split(",")),
-        synthetic=_parse_kv(args.synthetic or "", SyntheticSpec),
+        synthetic=_parse_kv(args.synthetic),
         dataset_path=args.dataset,
         model=ModelSpec(args.heads, args.filters, args.chunks, args.head_scale),
         epochs=args.epochs,
@@ -163,8 +144,8 @@ def _experiment_config(args) -> ExperimentConfig:
 def _print_rows(rows) -> None:
     for row in rows:
         alpha = "" if row.alpha is None else f" alpha={row.alpha:g}"
-        acc = "NA" if row.accuracy_mean is None else f"{row.accuracy_mean:.4f}"
-        ac = "NA" if row.ac_percentage is None else f"{row.ac_percentage:.2f}"
+        acc = "NA" if row.acc_mean is None else f"{row.acc_mean:.4f}"
+        ac = "NA" if row.ac_percent is None else f"{row.ac_percent:.2f}"
         print(
             f"rate={row.rate:g} tc={row.tc} stochastic={row.stochastic} "
             f"scoring={row.scoring}{alpha} kept={row.kept_params} ac%={ac} acc={acc}"
@@ -275,14 +256,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (
-        DomainError,
-        ShapeError,
-        BudgetError,
-        DegenerateDistributionError,
-        json.JSONDecodeError,
-        ValueError,
-    ) as exc:
+    except ValueError as exc:  # DomainError, ShapeError, JSONDecodeError, ...
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SaturationError as exc:

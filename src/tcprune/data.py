@@ -195,6 +195,9 @@ def save_dataset(sequences: list[SkeletonSequence], dirpath) -> None:
 
 
 def load_dataset(dirpath) -> list[SkeletonSequence]:
+    """Every seq_* file of a directory; none at all raises DomainError."""
     adjacency = load_adjacency(os.path.join(dirpath, "adjacency.txt"))
     names = sorted(n for n in os.listdir(dirpath) if n.startswith("seq_"))
+    if not names:
+        raise DomainError(f"{dirpath}: no seq_* sequence files")
     return [load_sequence(os.path.join(dirpath, n), adjacency) for n in names]

@@ -8,6 +8,11 @@ variant list. One baseline is trained per seed and shared by every
 pruning alone. Runs whose mask trims to nothing are reported with accuracy
 unavailable instead of crashing, and pruner saturation is captured as a row
 status.
+
+The table schema is `ResultRow`: its field names are the CSV columns and
+the JSON keys. Every JSON input (a config, `runs.json`, the CLI's
+`--synthetic` pairs) is read by one typed builder, `_build`, which checks
+each value against the field types the dataclasses declare.
 """
 
 from __future__ import annotations
@@ -28,9 +33,6 @@ from .network import LayeredNetwork, full_mask, load_mask, save_mask
 from .pruner import PruneSpec, prune
 from .topology import consistency_report, trim_to_consistent
 
-CSV_HEADER = "rate,tc,stochastic,scoring,alpha,kept_params,ac_percent,acc_mean,acc_std,seeds,wall_s"
-
-
 # Defaults below are the calibrated desk-scale task: hard enough that a
 # 99%-pruned subnetwork cannot fully recover, while the unpruned baseline
 # still trains to ~100% within 300 epochs.
@@ -45,6 +47,11 @@ class SyntheticSpec:
     phase_jitter: float = 6.283185307179586
     scale_jitter: float = 0.3
     seed: int = 7
+
+    def __post_init__(self):
+        counts = (self.classes, self.per_class_train, self.per_class_test, self.joints, self.frames)
+        if min(counts) < 1:
+            raise DomainError(f"synthetic counts must be positive, got {self}")
 
 
 @dataclass(frozen=True)
@@ -61,6 +68,11 @@ class Variant:
     stochastic: bool
     scoring: str = "local"
     alpha: float = 1.0
+
+    @property
+    def row_alpha(self) -> float | None:
+        """The alpha a result row reports; only global scoring reads alpha."""
+        return self.alpha if self.scoring == "global" else None
 
 
 DEFAULT_VARIANTS = (
@@ -94,6 +106,11 @@ class ExperimentConfig:
         for rate in self.rates:
             for variant in self.variants:
                 _spec(rate, variant, self.seeds[0])
+        # a repeated cell would merge into another's row and mask file
+        variant_keys = [(v.tc, v.stochastic, v.scoring, v.row_alpha) for v in self.variants]
+        for name, axis in (("rates", self.rates), ("variants", variant_keys), ("seeds", self.seeds)):
+            if len(set(axis)) < len(axis):
+                raise DomainError(f"{name} repeat a grid cell: {list(axis)}")
 
     @property
     def finetune_budget(self) -> int:
@@ -125,17 +142,22 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class ResultRow:
+    """One table row; the field names are the column names, in order."""
+
     rate: float
     tc: bool
     stochastic: bool
     scoring: str
     alpha: float | None
     kept_params: float | None
-    ac_percentage: float | None
-    accuracy_mean: float | None
-    accuracy_std: float | None
-    seed_count: int
-    wall_time_seconds: float
+    ac_percent: float | None
+    acc_mean: float | None
+    acc_std: float | None
+    seeds: int
+    wall_s: float
+
+
+CSV_HEADER = ",".join(f.name for f in dataclasses.fields(ResultRow))
 
 
 def _load_split(cfg: ExperimentConfig):
@@ -232,7 +254,7 @@ def _run_cell(base: _Baseline, rate: float, variant: Variant, mask_dir: str | No
         tc=variant.tc,
         stochastic=variant.stochastic,
         scoring=variant.scoring,
-        alpha=variant.alpha if variant.scoring == "global" else None,
+        alpha=variant.row_alpha,
         seed=base.seed,
         kept=kept,
         ac_percent=ac,
@@ -262,33 +284,25 @@ def _prune_and_tune(base: _Baseline, rate: float, variant: Variant):
 
 def aggregate(records: list[RunRecord]) -> list[ResultRow]:
     """One row per (rate, tc, stochastic, scoring, alpha), averaged over seeds."""
-    keys = []
     groups: dict[tuple, list[RunRecord]] = {}
     for rec in records:
         key = (rec.rate, rec.tc, rec.stochastic, rec.scoring, rec.alpha)
-        if key not in groups:
-            groups[key] = []
-            keys.append(key)
-        groups[key].append(rec)
+        groups.setdefault(key, []).append(rec)
     rows = []
-    for key in sorted(keys, key=lambda k: (k[0], k[1], k[2], k[3], k[4] or 0.0)):
+    for key in sorted(groups, key=lambda k: (*k[:4], k[4] or 0.0)):
         recs = groups[key]
         kept = [r.kept for r in recs if r.kept is not None]
         acs = [r.ac_percent for r in recs if r.ac_percent is not None]
         accs = [r.accuracy for r in recs if r.accuracy is not None]
         rows.append(
             ResultRow(
-                rate=key[0],
-                tc=key[1],
-                stochastic=key[2],
-                scoring=key[3],
-                alpha=key[4],
+                *key,
                 kept_params=float(np.mean(kept)) if kept else None,
-                ac_percentage=float(np.mean(acs)) if acs else None,
-                accuracy_mean=float(np.mean(accs)) if accs else None,
-                accuracy_std=float(np.std(accs)) if accs else None,
-                seed_count=len(recs),
-                wall_time_seconds=float(sum(r.wall_s for r in recs)),
+                ac_percent=float(np.mean(acs)) if acs else None,
+                acc_mean=float(np.mean(accs)) if accs else None,
+                acc_std=float(np.std(accs)) if accs else None,
+                seeds=len(recs),
+                wall_s=float(sum(r.wall_s for r in recs)),
             )
         )
     return rows
@@ -326,7 +340,7 @@ def _fmt(value) -> str:
 
 
 def emit(rows: list[ResultRow], fmt: str, path) -> None:
-    """Write rows as CSV (fixed header) or JSON (same field names)."""
+    """Write rows as CSV (header CSV_HEADER) or JSON (the same field names)."""
     if not rows:
         raise DomainError("no result rows to emit")
     if fmt == "csv":
@@ -335,123 +349,69 @@ def emit(rows: list[ResultRow], fmt: str, path) -> None:
             lines.append(",".join(_fmt(v) for v in dataclasses.astuple(row)))
         text = "\n".join(lines) + "\n"
     elif fmt == "json":
-        names = CSV_HEADER.split(",")
-        payload = [dict(zip(names, dataclasses.astuple(row))) for row in rows]
-        text = json.dumps(payload, indent=1) + "\n"
+        text = json.dumps([dataclasses.asdict(row) for row in rows], indent=1) + "\n"
     else:
         raise DomainError(f"unknown output format {fmt!r}")
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text)
 
 
-def parse_csv(text: str) -> list[ResultRow]:
-    lines = [ln for ln in text.split("\n") if ln.strip()]
-    if lines[0] != CSV_HEADER:
-        raise DomainError("unexpected CSV header")
-    rows = []
-    for ln in lines[1:]:
-        cells = ln.split(",")
-        rows.append(
-            ResultRow(
-                rate=float(cells[0]),
-                tc=cells[1] == "true",
-                stochastic=cells[2] == "true",
-                scoring=cells[3],
-                alpha=float(cells[4]) if cells[4] else None,
-                kept_params=float(cells[5]) if cells[5] else None,
-                ac_percentage=float(cells[6]) if cells[6] else None,
-                accuracy_mean=float(cells[7]) if cells[7] else None,
-                accuracy_std=float(cells[8]) if cells[8] else None,
-                seed_count=int(cells[9]),
-                wall_time_seconds=float(cells[10]),
-            )
-        )
-    return rows
-
-
 def report_from_artifacts(artifact_dir: str) -> list[ResultRow]:
     """Rebuild result rows from persisted runs, recomputing mask statistics.
 
     Every kept count and consistency percentage is recomputed from the mask
-    files and must match the recorded values exactly.
+    files and must equal the recorded value exactly: the same computation
+    on the same mask bits gives the same float, and JSON round-trips it.
     """
     with open(os.path.join(artifact_dir, "runs.json"), "r", encoding="ascii") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, list):
-        raise DomainError(f"runs.json must be a JSON list, got {type(raw).__name__}")
-    records = []
-    for item in raw:
-        rec = _build(RunRecord, item, "runs.json entry")
+        records = _build(tuple[RunRecord, ...], json.load(fh), "runs.json")
+    for rec in records:
         if rec.mask_file is not None:
-            mask = load_mask(os.path.join(artifact_dir, "masks", rec.mask_file))
-            rep = consistency_report(mask)
-            if rep.kept_count != rec.kept:
+            rep = consistency_report(load_mask(os.path.join(artifact_dir, "masks", rec.mask_file)))
+            if (rep.kept_count, rep.ac_percentage) != (rec.kept, rec.ac_percent):
                 raise DomainError(
-                    f"kept count mismatch for {rec.mask_file}: "
-                    f"{rep.kept_count} != {rec.kept}"
+                    f"{rec.mask_file}: recomputed kept={rep.kept_count} "
+                    f"ac_percent={rep.ac_percentage}, recorded {rec.kept} {rec.ac_percent}"
                 )
-            recomputed = rep.ac_percentage
-            if (recomputed is None) != (rec.ac_percent is None) or (
-                recomputed is not None and abs(recomputed - rec.ac_percent) > 1e-9
-            ):
-                raise DomainError(f"consistency mismatch for {rec.mask_file}")
-        records.append(rec)
-    return aggregate(records)
+    return aggregate(list(records))
 
 
 # ---------------------------------------------------------------------------
 # Config (JSON)
 
 
-def config_to_json(cfg: ExperimentConfig) -> str:
-    return json.dumps(dataclasses.asdict(cfg), indent=1)
+def _build(hint, value, where: str):
+    """`value`, a parsed JSON value, as the type `hint` names.
 
-
-def _fits(value, hint) -> bool:
-    """Whether a JSON value has the type a dataclass field declares."""
+    A dataclass is built from an object with no key it lacks (a missing key
+    takes its default), a `tuple[X, ...]` from a list, `X | None` accepts
+    null, and a leaf must have exactly its type, except that an int stands
+    for a float (a bool never stands for an int). Anything else raises
+    DomainError naming `where`.
+    """
+    if dataclasses.is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise DomainError(f"{where} must be a JSON object, got {type(value).__name__}")
+        hints = typing.get_type_hints(hint)
+        unknown = sorted(set(value) - set(hints))
+        if unknown:
+            raise DomainError(f"{where}: unknown keys {unknown}")
+        try:
+            return hint(**{k: _build(hints[k], v, f"{where}.{k}") for k, v in value.items()})
+        except TypeError as exc:  # a missing key
+            raise DomainError(f"{where}: {exc}") from exc
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:
-        return isinstance(value, (list, tuple)) and all(_fits(v, args[0]) for v in value)
+        if not isinstance(value, list):
+            raise DomainError(f"{where} must be a JSON list, got {type(value).__name__}")
+        return tuple(_build(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
     if args:  # X | None
-        return any(_fits(value, a) for a in args)
-    if hint is float:
-        return type(value) in (int, float)
-    return type(value) is hint
-
-
-def _build(cls, value, where: str):
-    """`cls(**value)` for a JSON object `value` with every key `cls` needs and
-    no other, each value of the type its field declares."""
-    if not isinstance(value, dict):
-        raise DomainError(f"{where} must be a JSON object, got {type(value).__name__}")
-    hints = typing.get_type_hints(cls)
-    for key, item in value.items():
-        hint = hints.get(key)
-        if hint is not None and not _fits(item, hint):
-            name = hint.__name__ if isinstance(hint, type) else hint
-            raise DomainError(f"{where}: {key} must be {name}, got {item!r}")
-    try:
-        return cls(**value)
-    except TypeError as exc:  # an unknown or a missing key
-        raise DomainError(f"{where}: {exc}") from exc
+        return None if value is None else _build(args[0], value, where)
+    if type(value) is hint or (hint is float and type(value) is int):
+        return value
+    raise DomainError(f"{where} must be {hint.__name__}, got {value!r}")
 
 
 def config_from_json(text: str) -> ExperimentConfig:
-    """Parse a config; a non-object, an unknown or missing key at any level,
-    a `rates`/`seeds`/`variants` that is not a list, or a value of another
-    type than its field declares (an int for a float is fine) raise
-    DomainError."""
-    data = json.loads(text)
-    if not isinstance(data, dict):
-        raise DomainError(f"config must be a JSON object, got {type(data).__name__}")
-    for key, cls in (("synthetic", SyntheticSpec), ("model", ModelSpec)):
-        if key in data:
-            data[key] = _build(cls, data[key], key)
-    for key in ("rates", "seeds", "variants"):
-        if key in data:
-            if not isinstance(data[key], list):
-                raise DomainError(f"{key} must be a JSON list, got {type(data[key]).__name__}")
-            data[key] = tuple(data[key])
-    if "variants" in data:
-        data["variants"] = tuple(_build(Variant, v, "variant") for v in data["variants"])
-    return _build(ExperimentConfig, data, "config")
+    """Parse a config; anything `_build` rejects raises DomainError."""
+    return _build(ExperimentConfig, json.loads(text), "config")

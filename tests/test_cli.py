@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,7 +6,6 @@ import pytest
 
 from tcprune.cli import main
 from tcprune.gcn import load_model
-from tcprune.harness import config_to_json, parse_csv
 from tcprune.network import load_mask
 
 SYNTH = (
@@ -38,6 +38,21 @@ def run_cli(*argv) -> int:
 
 
 @pytest.fixture
+def train_calls(monkeypatch):
+    """Every call of harness.train; each one fails the test that made it."""
+    import tcprune.harness as harness
+
+    calls = []
+
+    def train(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("trained before the config was checked")
+
+    monkeypatch.setattr(harness, "train", train)
+    return calls
+
+
+@pytest.fixture
 def trained_model(tmp_path):
     path = tmp_path / "model.json"
     code = run_cli(
@@ -61,6 +76,14 @@ class TestTrainDataset:
         data.mkdir()
         (data / "adjacency.txt").write_text("1\n")
         (data / "seq_00000.txt").write_text("label 0\njoints 1 frames 3\n1 2 3\n")
+        code = run_cli("train", "--dataset", str(data), "--heads", "1", "--filters", "1",
+                       "--chunks", "1", "--epochs", "1", "--out", str(tmp_path / "m.json"))
+        assert code == 2
+
+    def test_empty_dataset_is_config_error(self, tmp_path):
+        data = tmp_path / "D"
+        data.mkdir()
+        (data / "adjacency.txt").write_text("1\n")
         code = run_cli("train", "--dataset", str(data), "--heads", "1", "--filters", "1",
                        "--chunks", "1", "--epochs", "1", "--out", str(tmp_path / "m.json"))
         assert code == 2
@@ -150,10 +173,9 @@ class TestAblate:
             "--table-out", str(table), "--format", "csv",
         )
         assert code == 0
-        rows = parse_csv(table.read_text())
-        assert len(rows) == 8
+        assert len(json.loads((out_dir / "results.json").read_text())) == 8
         assert (out_dir / "runs.json").exists()
-        assert (out_dir / "results.csv").exists()
+        assert table.read_text() == (out_dir / "results.csv").read_text()
 
     def test_report_reproduces_table(self, tmp_path):
         out_dir = tmp_path / "run"
@@ -164,12 +186,7 @@ class TestAblate:
         ) == 0
         table = tmp_path / "report.csv"
         assert run_cli("report", "--artifacts", str(out_dir), "--table-out", str(table)) == 0
-        direct = parse_csv((out_dir / "results.csv").read_text())
-        reported = parse_csv(table.read_text())
-        for a, b in zip(direct, reported):
-            assert (a.rate, a.tc, a.stochastic, a.kept_params, a.ac_percentage) == (
-                b.rate, b.tc, b.stochastic, b.kept_params, b.ac_percentage
-            )
+        assert table.read_text() == (out_dir / "results.csv").read_text()
 
     @pytest.mark.parametrize(
         "data",
@@ -213,25 +230,39 @@ class TestAblate:
             {**CONFIG, "variants": [{"tc": True, "stochastic": False, "scoring": "global",
                                      "alpha": 0.0}]},
             {**CONFIG, "variants": [{"tc": True, "stochastic": False, "scoring": "foo"}]},
+            {**CONFIG, "variants": [{"tc": True, "stochastic": False, "alpha": 1.0},
+                                    {"tc": True, "stochastic": False, "alpha": 0.5}]},
+            {**CONFIG, "variants": [{"tc": True, "stochastic": True, "scoring": "global",
+                                     "alpha": 0.5}] * 2},
+            {**CONFIG, "rates": [0.9, 0.9]},
+            {**CONFIG, "seeds": [0, 0]},
+            {**CONFIG, "synthetic": {**CONFIG["synthetic"], "per_class_test": 0}},
         ],
-        ids=["rate-1.5", "global-alpha-0", "scoring-foo"],
+        ids=["rate-1.5", "global-alpha-0", "scoring-foo", "repeat-local-alpha",
+             "repeat-global-alpha", "repeat-rate", "repeat-seed", "per-class-test-0"],
     )
-    def test_bad_cell_is_rejected_before_training(self, tmp_path, monkeypatch, data):
-        import tcprune.harness as harness
-
-        calls = []
-
-        def train(*args, **kwargs):
-            calls.append(args)
-            raise AssertionError("trained before the config was checked")
-
-        monkeypatch.setattr(harness, "train", train)
+    def test_bad_cell_is_rejected_before_training(self, tmp_path, train_calls, data):
         out_dir = tmp_path / "run"
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({**data, "output": str(out_dir)}))
         assert run_cli("ablate", "--config", str(cfg_path)) == 2
-        assert calls == []
+        assert train_calls == []
         assert not (out_dir / "masks").exists()
+
+    @pytest.mark.parametrize("synthetic", ["per_class_test=0", "seed=1.5", "bogus=1"])
+    def test_bad_synthetic_is_rejected_before_training(self, tmp_path, train_calls, synthetic):
+        out_dir = tmp_path / "run"
+        assert run_cli("ablate", "--synthetic", synthetic, "--out", str(out_dir)) == 2
+        assert train_calls == []
+        assert not (out_dir / "masks").exists()
+
+    def test_empty_dataset_is_config_error(self, tmp_path):
+        for split in ("train", "test"):
+            (tmp_path / "D" / split).mkdir(parents=True)
+            (tmp_path / "D" / split / "adjacency.txt").write_text("1\n")
+        code = run_cli("ablate", "--dataset", str(tmp_path / "D"), "--heads", "1",
+                       "--filters", "1", "--chunks", "1", "--epochs", "1")
+        assert code == 2
 
     def test_alphas_flag_is_rejected(self):
         with pytest.raises(SystemExit) as exc:
@@ -253,10 +284,11 @@ class TestAblate:
             finetune_epochs=1,
         )
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(config_to_json(cfg))
-        table = tmp_path / "t.csv"
-        assert run_cli("ablate", "--config", str(cfg_path), "--table-out", str(table)) == 0
-        assert len(parse_csv(table.read_text())) == 4
+        cfg_path.write_text(json.dumps(dataclasses.asdict(cfg)))
+        table = tmp_path / "t.json"
+        assert run_cli("ablate", "--config", str(cfg_path), "--table-out", str(table),
+                       "--format", "json") == 0
+        assert len(json.loads(table.read_text())) == 4
 
 
 class TestReport:
@@ -301,26 +333,28 @@ class TestExitCodes:
 
 class TestAlphaSweepCommand:
     def test_rows_per_alpha(self, tmp_path):
-        table = tmp_path / "sweep.csv"
+        table = tmp_path / "sweep.json"
         code = run_cli(
             "alpha-sweep", "--synthetic", SYNTH, *MODEL_FLAGS,
             "--rates", "0.9", "--alphas", "1,0.5,0.1", "--seeds", "0",
             "--epochs", "3", "--finetune-epochs", "1", "--table-out", str(table),
+            "--format", "json",
         )
         assert code == 0
-        rows = parse_csv(table.read_text())
-        assert sorted(r.alpha for r in rows) == [0.1, 0.5, 1.0]
+        rows = json.loads(table.read_text())
+        assert sorted(r["alpha"] for r in rows) == [0.1, 0.5, 1.0]
 
     def test_sweeps_every_rate(self, tmp_path):
-        table = tmp_path / "sweep.csv"
+        table = tmp_path / "sweep.json"
         code = run_cli(
             "alpha-sweep", "--synthetic", SYNTH, *MODEL_FLAGS,
             "--rates", "0.5,0.9", "--alphas", "1,0.5", "--seeds", "0",
             "--epochs", "3", "--finetune-epochs", "1", "--table-out", str(table),
+            "--format", "json",
         )
         assert code == 0
-        rows = parse_csv(table.read_text())
-        assert sorted((r.rate, r.alpha) for r in rows) == [
+        rows = json.loads(table.read_text())
+        assert sorted((r["rate"], r["alpha"]) for r in rows) == [
             (0.5, 0.5), (0.5, 1.0), (0.9, 0.5), (0.9, 1.0)
         ]
 

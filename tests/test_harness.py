@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +19,7 @@ from tcprune.harness import (
     _run_grid,
     aggregate,
     config_from_json,
-    config_to_json,
     emit,
-    parse_csv,
     report_from_artifacts,
     run_ablation,
 )
@@ -36,7 +36,8 @@ TINY_SYNTH = SyntheticSpec(
     seed=5,
 )
 TINY_MODEL = ModelSpec(heads=2, filters=2, chunks=1)
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIG_DIR = ROOT / "configs"
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -59,7 +60,7 @@ class TestRunAblation:
         assert len(records) == 2 * 4 * 3
         rows = aggregate(records)
         assert len(rows) == 8
-        assert all(row.seed_count == 3 for row in rows)
+        assert all(row.seeds == 3 for row in rows)
 
     def test_rows_sorted_by_rate_tc_stochastic(self):
         rows = run_ablation(tiny_config(seeds=(0,)))
@@ -68,21 +69,25 @@ class TestRunAblation:
 
     def test_rate_zero_reports_baseline_accuracy(self):
         rows = run_ablation(tiny_config(rates=(0.0,), seeds=(0,)))
-        accs = {row.accuracy_mean for row in rows}
+        accs = {row.acc_mean for row in rows}
         assert len(accs) == 1  # every variant equals the baseline accuracy
-        assert all(row.ac_percentage == 100.0 for row in rows)
+        assert all(row.ac_percent == 100.0 for row in rows)
 
     def test_tc_rows_are_fully_consistent(self):
         rows = run_ablation(tiny_config())
         for row in rows:
-            if row.tc and row.ac_percentage is not None:
-                assert row.ac_percentage == 100.0
+            if row.tc and row.ac_percent is not None:
+                assert row.ac_percent == 100.0
 
-    def test_identical_seeds_give_zero_std(self):
-        rows = run_ablation(tiny_config(seeds=(1, 1)))
-        for row in rows:
-            if row.accuracy_std is not None:
-                assert row.accuracy_std == 0.0
+    def test_repeated_seed_is_rejected_before_training(self, monkeypatch):
+        # two equal seeds would merge into one row that claims seeds=2
+        import tcprune.harness as harness_mod
+
+        calls = []
+        monkeypatch.setattr(harness_mod, "train", lambda *args: calls.append(args))
+        with pytest.raises(DomainError):
+            run_ablation(tiny_config(seeds=(1, 1)))
+        assert calls == []
 
     def test_baseline_cached_per_seed_is_not_mutated(self, monkeypatch):
         import tcprune.harness as harness_mod
@@ -121,7 +126,7 @@ class TestAlphaSweep:
         cfg = tiny_config(rates=(0.9,), seeds=(0,), variants=sweep_variants((1.0,)))
         (row,) = run_ablation(cfg)
         assert row.rate == 0.9
-        assert row.ac_percentage == 100.0
+        assert row.ac_percent == 100.0
 
 
 class TestStatusHandling:
@@ -133,7 +138,7 @@ class TestStatusHandling:
         assert tc_rows
         for row in tc_rows:
             assert row.kept_params is None
-            assert row.accuracy_mean is None
+            assert row.acc_mean is None
 
     def test_disconnected_mask_reports_accuracy_unavailable(self, monkeypatch):
         import tcprune.harness as harness_mod
@@ -147,9 +152,9 @@ class TestStatusHandling:
         monkeypatch.setattr(harness_mod, "prune", disconnected_prune)
         rows = run_ablation(tiny_config(rates=(0.9,), seeds=(0,)))
         for row in rows:
-            assert row.accuracy_mean is None
+            assert row.acc_mean is None
             assert row.kept_params == 1.0
-            assert row.ac_percentage == 0.0
+            assert row.ac_percent == 0.0
 
     def test_alpha_sweep_requires_alphas(self):
         from tcprune.cli import main
@@ -166,13 +171,14 @@ class TestEmit:
             ResultRow(0.99, False, True, "local", None, None, None, None, None, 3, 0.5),
         ]
 
-    def test_csv_round_trip(self, tmp_path):
+    def test_csv_exact_text(self, tmp_path):
         path = tmp_path / "rows.csv"
         emit(self.sample_rows(), "csv", path)
-        text = path.read_text()
-        assert text.splitlines()[0] == CSV_HEADER
-        back = parse_csv(text)
-        assert back == self.sample_rows()
+        assert path.read_text() == (
+            "rate,tc,stochastic,scoring,alpha,kept_params,ac_percent,acc_mean,acc_std,seeds,wall_s\n"
+            "0.9,true,false,local,,12,100,0.75,0.05,3,1.5\n"
+            "0.99,false,true,local,,,,,,3,0.5\n"
+        )
 
     def test_json_nulls(self, tmp_path):
         path = tmp_path / "rows.json"
@@ -182,6 +188,11 @@ class TestEmit:
         assert payload[1]["acc_mean"] is None
         assert payload[0]["ac_percent"] == 100.0
         assert list(payload[0]) == CSV_HEADER.split(",")
+        assert [ResultRow(**row) for row in payload] == self.sample_rows()
+
+    def test_readme_states_the_csv_header(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        assert re.search(r"Result CSV header:\s*`([^`]*)`", readme).group(1) == CSV_HEADER
 
     def test_ac_percent_null_exactly_when_nothing_kept(self):
         # the sentinel appears only for empty masks and serializes as an
@@ -213,8 +224,8 @@ class TestArtifacts:
         key = lambda r: (r.rate, r.tc, r.stochastic, r.scoring, r.alpha or 0.0)
         for a, b in zip(sorted(rows, key=key), sorted(rebuilt, key=key)):
             assert a.kept_params == b.kept_params
-            assert a.ac_percentage == b.ac_percentage
-            assert a.accuracy_mean == b.accuracy_mean
+            assert a.ac_percent == b.ac_percent
+            assert a.acc_mean == b.acc_mean
 
     def test_report_detects_tampered_mask(self, tmp_path):
         cfg = tiny_config(rates=(0.9,), seeds=(0,), output=str(tmp_path / "out"))
@@ -235,7 +246,7 @@ class TestArtifacts:
 class TestConfig:
     def test_json_round_trip(self):
         cfg = tiny_config(variants=(Variant(True, False, "global", 0.5),), output="somewhere")
-        back = config_from_json(config_to_json(cfg))
+        back = config_from_json(json.dumps(dataclasses.asdict(cfg)))
         assert back == cfg
 
     def test_requires_nonempty_grid(self):
@@ -245,7 +256,7 @@ class TestConfig:
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
     def test_shipped_config_round_trips(self, path):
         cfg = config_from_json(path.read_text(encoding="ascii"))
-        assert config_from_json(config_to_json(cfg)) == cfg
+        assert config_from_json(json.dumps(dataclasses.asdict(cfg))) == cfg
 
     def test_alpha_sweep_config_holds_inverse_alphas(self):
         cfg = config_from_json((CONFIG_DIR / "alpha_sweep.json").read_text(encoding="ascii"))
