@@ -1,10 +1,11 @@
 """Command-line driver.
 
 Subcommands: train (baseline), prune (single mask), finetune, ablate
-(rate x variant grid; `--config` runs any grid a JSON config states, such as
-the ones under configs/), alpha-sweep (stochastic chains with global scoring
-at every `--rates` x `--alphas` cell), report (re-emit from artifacts).
-Both grid subcommands run through `harness.run_ablation`.
+(the one grid command, run through `harness.run_ablation`), report
+(re-emit from artifacts). `ablate` takes its grid from the flags (the
+default rate x variant grid) or from `--config`, a JSON config such as the
+ones under configs/, whose `variants` state any grid, an alpha sweep
+included; a grid flag given with `--config` is a config error.
 Exit codes: 0 success, 1 chain pruning saturated (SaturationError: no chain
 adds a connection before the budget fills), 2 config error, 3 I/O error,
 4 numeric divergence.
@@ -18,7 +19,7 @@ import json
 import sys
 
 from .data import load_dataset, synth_dataset
-from .errors import DivergenceError, SaturationError
+from .errors import DivergenceError, DomainError, SaturationError
 from .gcn import (
     GcnShape,
     TrainConfig,
@@ -30,11 +31,9 @@ from .gcn import (
     train,
 )
 from .harness import (
-    DEFAULT_VARIANTS,
     ExperimentConfig,
     ModelSpec,
     SyntheticSpec,
-    Variant,
     _build,
     config_from_json,
     emit,
@@ -112,25 +111,15 @@ def cmd_finetune(args) -> int:
 
 
 def _experiment_config(args) -> ExperimentConfig:
-    if args.command == "alpha-sweep":
-        variants = tuple(
-            Variant(tc=True, stochastic=True, scoring="global", alpha=float(a))
-            for a in args.alphas.split(",")
-        )
-    elif args.config:
+    if args.config:
+        if args.grid_flags:
+            given = ", ".join(sorted(set(args.grid_flags)))
+            raise DomainError(f"--config states the whole grid; drop {given}")
         with open(args.config, "r", encoding="ascii") as fh:
             cfg = config_from_json(fh.read())
-        if args.out:
-            cfg = dataclasses.replace(cfg, output=args.out)
-        return cfg
-    else:
-        variants = tuple(
-            dataclasses.replace(v, scoring=args.scoring, alpha=args.alpha) if v.tc else v
-            for v in DEFAULT_VARIANTS
-        )
+        return dataclasses.replace(cfg, output=args.out) if args.out else cfg
     return ExperimentConfig(
         rates=tuple(float(r) for r in args.rates.split(",")),
-        variants=variants,
         seeds=tuple(int(s) for s in args.seeds.split(",")),
         synthetic=_parse_kv(args.synthetic),
         dataset_path=args.dataset,
@@ -168,29 +157,26 @@ def cmd_report(args) -> int:
     return _emit_rows(report_from_artifacts(args.artifacts), args)
 
 
-def _add_data_flags(p) -> None:
-    p.add_argument("--dataset", help="directory of sequence files (adjacency.txt + seq_*.txt)")
-    p.add_argument("--synthetic", help="synthetic generator overrides, e.g. classes=4,per_class_train=50")
+class _GridFlag(argparse.Action):
+    """Store the value and record the flag, which `ablate --config` excludes."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.grid_flags = (*namespace.grid_flags, self.option_strings[0])
 
 
-def _add_model_flags(p) -> None:
-    p.add_argument("--heads", type=int, default=4)
-    p.add_argument("--filters", type=int, default=16)
-    p.add_argument("--chunks", type=int, default=5)
-    p.add_argument("--head-scale", type=float, default=1.0)
+def _add_data_flags(p, action="store") -> None:
+    p.add_argument("--dataset", action=action,
+                   help="directory of sequence files (adjacency.txt + seq_*.txt)")
+    p.add_argument("--synthetic", action=action,
+                   help="synthetic generator overrides, e.g. classes=4,per_class_train=50")
 
 
-def _add_grid_flags(p) -> None:
-    _add_data_flags(p)
-    _add_model_flags(p)
-    p.add_argument("--rates", default="0.5,0.9,0.99")
-    p.add_argument("--seeds", default="0")
-    p.add_argument("--epochs", type=int, default=300)
-    p.add_argument("--finetune-epochs", type=int, default=None)
-    p.add_argument("--out", help="artifact directory (masks, runs.json, results)")
-    p.add_argument("--table-out", help="write the aggregated table to this path")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=cmd_ablate)
+def _add_model_flags(p, action="store") -> None:
+    p.add_argument("--heads", action=action, type=int, default=4)
+    p.add_argument("--filters", action=action, type=int, default=16)
+    p.add_argument("--chunks", action=action, type=int, default=5)
+    p.add_argument("--head-scale", action=action, type=float, default=1.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,15 +213,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_finetune)
 
-    p = sub.add_parser("ablate", help="run the rate x variant grid")
-    p.add_argument("--config", help="experiment config JSON (overrides other flags)")
-    _add_grid_flags(p)
-    p.add_argument("--scoring", choices=("local", "global"), default="local")
-    p.add_argument("--alpha", type=float, default=1.0)
-
-    p = sub.add_parser("alpha-sweep", help="run chains + sampling, global scoring, per rate x alpha")
-    _add_grid_flags(p)
-    p.add_argument("--alphas", default="1", help="comma-separated power-mean exponents")
+    p = sub.add_parser("ablate", help="run a rate x variant grid")
+    p.add_argument("--config", help="experiment config JSON; excludes the grid flags")
+    _add_data_flags(p, _GridFlag)
+    _add_model_flags(p, _GridFlag)
+    p.add_argument("--rates", action=_GridFlag, default="0.5,0.9,0.99")
+    p.add_argument("--seeds", action=_GridFlag, default="0")
+    p.add_argument("--epochs", action=_GridFlag, type=int, default=300)
+    p.add_argument("--finetune-epochs", action=_GridFlag, type=int, default=None)
+    p.add_argument("--out", help="artifact directory (masks, runs.json, results)")
+    p.add_argument("--table-out", help="write the aggregated table to this path")
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
+    p.set_defaults(func=cmd_ablate, grid_flags=())
 
     p = sub.add_parser("report", help="re-emit tables from persisted artifacts")
     p.add_argument("--artifacts", required=True)

@@ -123,12 +123,6 @@ def forward_batch(model: GcnModel, signals: np.ndarray):
     return _softmax_rows(logits), (aggregates, pre, flat, logits)
 
 
-def gcn_forward(model: GcnModel, signal: np.ndarray) -> np.ndarray:
-    """Class probabilities for a single signal matrix (signal_dim, nodes)."""
-    probs, _ = forward_batch(model, np.asarray(signal, dtype=np.float64)[None])
-    return probs[0]
-
-
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     picked = probs[np.arange(len(labels)), labels]
     with np.errstate(divide="ignore"):

@@ -106,9 +106,13 @@ class ExperimentConfig:
         for rate in self.rates:
             for variant in self.variants:
                 _spec(rate, variant, self.seeds[0])
-        # a repeated cell would merge into another's row and mask file
-        variant_keys = [(v.tc, v.stochastic, v.scoring, v.row_alpha) for v in self.variants]
-        for name, axis in (("rates", self.rates), ("variants", variant_keys), ("seeds", self.seeds)):
+        # a repeated cell would merge into another's row and mask file; cells
+        # are told apart by their printed labels, so compare those
+        rates = [_as_printed(r) for r in self.rates]
+        variant_keys = [
+            (v.tc, v.stochastic, v.scoring, _as_printed(v.row_alpha)) for v in self.variants
+        ]
+        for name, axis in (("rates", rates), ("variants", variant_keys), ("seeds", self.seeds)):
             if len(set(axis)) < len(axis):
                 raise DomainError(f"{name} repeat a grid cell: {list(axis)}")
 
@@ -117,6 +121,11 @@ class ExperimentConfig:
         if self.finetune_epochs is not None:
             return self.finetune_epochs
         return max(1, self.epochs // 4)
+
+
+def _as_printed(x: float | None) -> float | None:
+    """`x` as its `:g` label in tables and mask file names reads back."""
+    return None if x is None else float(f"{x:g}")
 
 
 def _spec(rate: float, variant: Variant, seed: int) -> PruneSpec:
@@ -363,8 +372,13 @@ def report_from_artifacts(artifact_dir: str) -> list[ResultRow]:
     files and must equal the recorded value exactly: the same computation
     on the same mask bits gives the same float, and JSON round-trips it.
     """
-    with open(os.path.join(artifact_dir, "runs.json"), "r", encoding="ascii") as fh:
-        records = _build(tuple[RunRecord, ...], json.load(fh), "runs.json")
+    path = os.path.join(artifact_dir, "runs.json")
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            payload = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DomainError(f"{path}: {exc}") from exc
+    records = _build(tuple[RunRecord, ...], payload, "runs.json")
     for rec in records:
         if rec.mask_file is not None:
             rep = consistency_report(load_mask(os.path.join(artifact_dir, "masks", rec.mask_file)))
@@ -413,5 +427,9 @@ def _build(hint, value, where: str):
 
 
 def config_from_json(text: str) -> ExperimentConfig:
-    """Parse a config; anything `_build` rejects raises DomainError."""
-    return _build(ExperimentConfig, json.loads(text), "config")
+    """Parse a config; malformed JSON and anything `_build` rejects raise DomainError."""
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"config: {exc}") from exc
+    return _build(ExperimentConfig, payload, "config")

@@ -56,9 +56,7 @@ def _log_identity(n: int) -> np.ndarray:
 class SurrogateTable:
     """Log-domain downstream products D[1..L]; D[L] is the identity base."""
 
-    alpha: float
     log_downstream: tuple[np.ndarray, ...]
-    dims: tuple[int, ...]
 
     @property
     def depth(self) -> int:
@@ -85,7 +83,7 @@ def build_table(net: LayeredNetwork, alpha: float) -> SurrogateTable:
         logs[layer - 1] = alpha * _lse_matmul(
             _log_abs(net.weights[layer]) / alpha, logs[layer] / alpha
         )
-    return SurrogateTable(alpha, tuple(logs), net.dims)
+    return SurrogateTable(tuple(logs))
 
 
 def log_score_matrix(

@@ -1,10 +1,13 @@
 import dataclasses
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tcprune.cli import main
+from tcprune.cli import build_parser, main
 from tcprune.gcn import load_model
 from tcprune.network import load_mask
 
@@ -237,9 +240,13 @@ class TestAblate:
             {**CONFIG, "rates": [0.9, 0.9]},
             {**CONFIG, "seeds": [0, 0]},
             {**CONFIG, "synthetic": {**CONFIG["synthetic"], "per_class_test": 0}},
+            {**CONFIG, "rates": [0.9000001, 0.9000002]},
+            {**CONFIG, "variants": [{"tc": True, "stochastic": True, "scoring": "global",
+                                     "alpha": a} for a in (0.1000001, 0.1000002)]},
         ],
         ids=["rate-1.5", "global-alpha-0", "scoring-foo", "repeat-local-alpha",
-             "repeat-global-alpha", "repeat-rate", "repeat-seed", "per-class-test-0"],
+             "repeat-global-alpha", "repeat-rate", "repeat-seed", "per-class-test-0",
+             "rate-label-collision", "alpha-label-collision"],
     )
     def test_bad_cell_is_rejected_before_training(self, tmp_path, train_calls, data):
         out_dir = tmp_path / "run"
@@ -269,11 +276,38 @@ class TestAblate:
             run_cli("ablate", "--alphas", "1")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["alpha-sweep", "--alphas", "1"], ["ablate", "--scoring", "global"],
+         ["ablate", "--alpha", "0.1"]],
+        ids=["alpha-sweep", "scoring", "alpha"],
+    )
+    def test_removed_surface_does_not_parse(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--rates", "0.9"], ["--seeds", "0"], ["--epochs", "3"], ["--finetune-epochs", "1"],
+         ["--dataset", "D"], ["--synthetic", "seed=5"], ["--heads", "2"], ["--filters", "2"],
+         ["--chunks", "1"], ["--head-scale", "1.0"]],
+        ids=lambda flag: flag[0],
+    )
+    def test_config_excludes_grid_flags(self, tmp_path, train_calls, flag):
+        out_dir = tmp_path / "run"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**CONFIG, "output": str(out_dir)}))
+        assert run_cli("ablate", "--config", str(cfg_path), *flag) == 2
+        assert train_calls == []
+        assert not (out_dir / "masks").exists()
+
     def test_config_file_drives_run(self, tmp_path):
-        from tcprune.harness import ExperimentConfig, ModelSpec, SyntheticSpec
+        from tcprune.harness import ExperimentConfig, ModelSpec, SyntheticSpec, Variant
 
         cfg = ExperimentConfig(
-            rates=(0.9,),
+            rates=(0.5, 0.9),
+            variants=tuple(Variant(True, True, "global", a) for a in (1.0, 0.5)),
             seeds=(0,),
             synthetic=SyntheticSpec(
                 classes=2, per_class_train=4, per_class_test=4, joints=3,
@@ -288,7 +322,10 @@ class TestAblate:
         table = tmp_path / "t.json"
         assert run_cli("ablate", "--config", str(cfg_path), "--table-out", str(table),
                        "--format", "json") == 0
-        assert len(json.loads(table.read_text())) == 4
+        rows = json.loads(table.read_text())
+        assert sorted((r["rate"], r["alpha"]) for r in rows) == [
+            (0.5, 0.5), (0.5, 1.0), (0.9, 0.5), (0.9, 1.0)
+        ]
 
 
 class TestReport:
@@ -331,37 +368,13 @@ class TestExitCodes:
         assert code == 4
 
 
-class TestAlphaSweepCommand:
-    def test_rows_per_alpha(self, tmp_path):
-        table = tmp_path / "sweep.json"
-        code = run_cli(
-            "alpha-sweep", "--synthetic", SYNTH, *MODEL_FLAGS,
-            "--rates", "0.9", "--alphas", "1,0.5,0.1", "--seeds", "0",
-            "--epochs", "3", "--finetune-epochs", "1", "--table-out", str(table),
-            "--format", "json",
-        )
-        assert code == 0
-        rows = json.loads(table.read_text())
-        assert sorted(r["alpha"] for r in rows) == [0.1, 0.5, 1.0]
 
-    def test_sweeps_every_rate(self, tmp_path):
-        table = tmp_path / "sweep.json"
-        code = run_cli(
-            "alpha-sweep", "--synthetic", SYNTH, *MODEL_FLAGS,
-            "--rates", "0.5,0.9", "--alphas", "1,0.5", "--seeds", "0",
-            "--epochs", "3", "--finetune-epochs", "1", "--table-out", str(table),
-            "--format", "json",
-        )
-        assert code == 0
-        rows = json.loads(table.read_text())
-        assert sorted((r["rate"], r["alpha"]) for r in rows) == [
-            (0.5, 0.5), (0.5, 1.0), (0.9, 0.5), (0.9, 1.0)
-        ]
-
-    @pytest.mark.parametrize(
-        "flag", [["--scoring", "global"], ["--config", "c.json"]], ids=["scoring", "config"]
-    )
-    def test_unread_flags_are_rejected(self, flag):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("alpha-sweep", *flag)
-        assert exc.value.code == 2
+class TestReadme:
+    def test_readme_commands_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, flags=re.M | re.S)
+        lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+        commands = [shlex.split(ln, comments=True) for ln in lines if ln.startswith("tcprune ")]
+        assert {argv[1] for argv in commands} == {"train", "prune", "finetune", "ablate", "report"}
+        for argv in commands:
+            build_parser().parse_args(argv[1:])

@@ -16,7 +16,6 @@ from tcprune.gcn import (
     as_layered,
     evaluate,
     forward_batch,
-    gcn_forward,
     init_model,
     load_model,
     loss_and_grads,
@@ -66,14 +65,14 @@ def numeric_gradient(model, arr, signals, labels, step=1e-5):
 class TestForward:
     def test_probabilities_sum_to_one(self, rng):
         model = init_model(TINY, seed=0)
-        probs = gcn_forward(model, rng.standard_normal((3, 3)))
+        probs = forward_batch(model, rng.standard_normal((1, 3, 3)))[0][0]
         assert probs.shape == (2,)
         assert (probs >= 0).all()
         assert abs(probs.sum() - 1.0) <= 1e-9
 
     def test_zero_signal_gives_uniform(self):
         model = init_model(TINY, seed=1)
-        probs = gcn_forward(model, np.zeros((3, 3)))
+        probs = forward_batch(model, np.zeros((1, 3, 3)))[0][0]
         assert np.allclose(probs, 0.5)
 
     def test_single_head_identity_reduction(self, rng):
@@ -87,7 +86,7 @@ class TestForward:
         u = rng.standard_normal((3, 3))
         want = np.maximum(u.T, 0.0).reshape(9)
         z = np.exp(want - want.max())
-        assert np.allclose(gcn_forward(model, u), z / z.sum())
+        assert np.allclose(forward_batch(model, u[None])[0][0], z / z.sum())
 
     def test_against_per_node_loop(self, rng):
         model = init_model(TINY, seed=2)
@@ -103,12 +102,12 @@ class TestForward:
                 hidden[i, c] = max(acc, 0.0)
         logits = model.head.T @ hidden.reshape(6)
         z = np.exp(logits - logits.max())
-        assert np.abs(gcn_forward(model, u) - z / z.sum()).max() <= 1e-10
+        assert np.abs(forward_batch(model, u[None])[0][0] - z / z.sum()).max() <= 1e-10
 
     def test_shape_validation(self, rng):
         model = init_model(TINY, seed=0)
         with pytest.raises(ShapeError):
-            gcn_forward(model, rng.standard_normal((4, 3)))
+            forward_batch(model, rng.standard_normal((1, 4, 3)))
 
 
 class TestGradients:
@@ -257,7 +256,9 @@ class TestLayeredView:
         mask = full_mask(as_layered(model))
         assert all(bits.all() for bits in view_mask_to_param_masks(mask, model.shape))
         u = rng.standard_normal((3, 3))
-        assert np.array_equal(gcn_forward(model, u), gcn_forward(masked_model(model, mask), u))
+        assert np.array_equal(
+            forward_batch(model, u[None])[0], forward_batch(masked_model(model, mask), u[None])[0]
+        )
 
     def test_mask_round_trip_through_params(self, rng):
         model = init_model(TINY, seed=4)

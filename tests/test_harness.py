@@ -157,9 +157,6 @@ class TestStatusHandling:
             assert row.ac_percent == 0.0
 
     def test_alpha_sweep_requires_alphas(self):
-        from tcprune.cli import main
-
-        assert main(["alpha-sweep", "--rates", "0.9", "--alphas", ""]) == 2
         with pytest.raises(DomainError):
             tiny_config(variants=sweep_variants(()))
 
@@ -242,12 +239,22 @@ class TestArtifacts:
         with pytest.raises(DomainError):
             report_from_artifacts(cfg.output)
 
+    @pytest.mark.parametrize("payload", [b"[", b"\xff"], ids=["truncated", "non-ascii"])
+    def test_unreadable_runs_file_is_domain_error(self, tmp_path, payload):
+        (tmp_path / "runs.json").write_bytes(payload)
+        with pytest.raises(DomainError):
+            report_from_artifacts(str(tmp_path))
+
 
 class TestConfig:
     def test_json_round_trip(self):
         cfg = tiny_config(variants=(Variant(True, False, "global", 0.5),), output="somewhere")
         back = config_from_json(json.dumps(dataclasses.asdict(cfg)))
         assert back == cfg
+
+    def test_malformed_json_is_domain_error(self):
+        with pytest.raises(DomainError):
+            config_from_json("{")
 
     def test_requires_nonempty_grid(self):
         with pytest.raises(DomainError):
