@@ -278,9 +278,9 @@ class TestAblate:
 
     @pytest.mark.parametrize(
         "argv",
-        [["alpha-sweep", "--alphas", "1"], ["ablate", "--scoring", "global"],
-         ["ablate", "--alpha", "0.1"]],
-        ids=["alpha-sweep", "scoring", "alpha"],
+        [["alpha-sweep", "--config", "c.json"], ["alpha-sweep", "--scoring", "global"],
+         ["ablate", "--scoring", "global"], ["ablate", "--alpha", "0.1"]],
+        ids=["alpha-sweep-config", "alpha-sweep-scoring", "scoring", "alpha"],
     )
     def test_removed_surface_does_not_parse(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -303,11 +303,10 @@ class TestAblate:
         assert not (out_dir / "masks").exists()
 
     def test_config_file_drives_run(self, tmp_path):
-        from tcprune.harness import ExperimentConfig, ModelSpec, SyntheticSpec, Variant
+        from tcprune.harness import ExperimentConfig, ModelSpec, SyntheticSpec
 
         cfg = ExperimentConfig(
-            rates=(0.5, 0.9),
-            variants=tuple(Variant(True, True, "global", a) for a in (1.0, 0.5)),
+            rates=(0.9,),
             seeds=(0,),
             synthetic=SyntheticSpec(
                 classes=2, per_class_train=4, per_class_test=4, joints=3,
@@ -322,10 +321,26 @@ class TestAblate:
         table = tmp_path / "t.json"
         assert run_cli("ablate", "--config", str(cfg_path), "--table-out", str(table),
                        "--format", "json") == 0
+        assert len(json.loads(table.read_text())) == 4
+
+    @pytest.mark.parametrize(
+        "rates, alphas",
+        [((0.9,), (1.0, 0.5, 0.1)), ((0.5, 0.9), (1.0, 0.5))],
+        ids=["rows-per-alpha", "every-rate"],
+    )
+    def test_config_alpha_sweep(self, tmp_path, rates, alphas):
+        """The power-mean sweep: one global chain variant per alpha, one row per (rate, alpha)."""
+        variants = [{"tc": True, "stochastic": True, "scoring": "global", "alpha": a}
+                    for a in alphas]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**CONFIG, "rates": list(rates), "variants": variants}))
+        table = tmp_path / "t.json"
+        assert run_cli("ablate", "--config", str(cfg_path), "--table-out", str(table),
+                       "--format", "json") == 0
         rows = json.loads(table.read_text())
-        assert sorted((r["rate"], r["alpha"]) for r in rows) == [
-            (0.5, 0.5), (0.5, 1.0), (0.9, 0.5), (0.9, 1.0)
-        ]
+        assert sorted((r["rate"], r["alpha"]) for r in rows) == sorted(
+            (rate, alpha) for rate in rates for alpha in alphas
+        )
 
 
 class TestReport:
