@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EmptyTrajectoryError, ShapeError
-from .network import _read_fields
+from .network import _atomic_write, _read_fields
 
 
 @dataclass(frozen=True)
@@ -131,7 +131,7 @@ def synth_dataset(
 
 
 def save_adjacency(adjacency: np.ndarray, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
+    with _atomic_write(path) as fh:
         for row in np.asarray(adjacency).astype(int):
             fh.write(" ".join(str(v) for v in row) + "\n")
 
@@ -147,7 +147,7 @@ def load_adjacency(path) -> np.ndarray:
 
 
 def save_sequence(seq: SkeletonSequence, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
+    with _atomic_write(path) as fh:
         fh.write(f"label {seq.label}\n")
         fh.write(f"joints {seq.num_joints} frames {seq.num_frames}\n")
         for frame in range(seq.num_frames):

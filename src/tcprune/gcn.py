@@ -32,7 +32,7 @@ import numpy as np
 
 from .data import SkeletonSequence, temporal_chunking
 from .errors import DivergenceError, DomainError, ShapeError
-from .network import LayeredNetwork, MaskTensor
+from .network import LayeredNetwork, MaskTensor, _atomic_write
 
 
 @dataclass(frozen=True)
@@ -108,17 +108,27 @@ def _softmax_rows(logits: np.ndarray) -> np.ndarray:
 
 
 def forward_batch(model: GcnModel, signals: np.ndarray):
-    """Probabilities for a batch of signal matrices (batch, signal_dim, nodes)."""
-    n, c = model.shape.nodes, model.shape.filters
-    if signals.ndim != 3 or signals.shape[1:] != (model.shape.signal_dim, n):
-        raise ShapeError(
-            f"signals shape {signals.shape} != (batch, {model.shape.signal_dim}, {n})"
-        )
-    # aggregates[b,k,i,m] = sum_j attention[k,i,j] * signals[b,m,j]
-    aggregates = np.einsum("kij,bmj->bkim", model.attention, signals)
-    pre = np.einsum("bkim,kmc->bic", aggregates, model.conv)
-    hidden = np.maximum(pre, 0.0)
-    flat = hidden.reshape(len(signals), n * c)
+    """Probabilities for a batch of signal matrices (batch, signal_dim, nodes).
+
+    Each contraction is one 2-D matrix product. The aggregates are laid out
+    with rows (b, i) and columns (k, m), shape (batch * nodes,
+    heads * signal_dim):
+
+        aggregates[(b, i), (k, m)] = sum_j attention[k, i, j] * signals[b, m, j]
+
+    so the K filter banks act as one (heads * signal_dim, filters) matrix
+    and pre, (batch * nodes, filters), flattens row-major into the head's
+    (node, filter) input order.
+    """
+    k, n, s, c = model.shape.heads, model.shape.nodes, model.shape.signal_dim, model.shape.filters
+    if signals.ndim != 3 or signals.shape[1:] != (s, n):
+        raise ShapeError(f"signals shape {signals.shape} != (batch, {s}, {n})")
+    b = len(signals)
+    # rows (b, m), columns (k, i); one transpose-copy into the aggregate layout
+    mixed = signals.reshape(b * s, n) @ model.attention.reshape(k * n, n).T
+    aggregates = mixed.reshape(b, s, k, n).transpose(0, 3, 2, 1).reshape(b * n, k * s)
+    pre = aggregates @ model.conv.reshape(k * s, c)
+    flat = np.maximum(pre, 0.0).reshape(b, n * c)
     logits = flat @ model.head
     return _softmax_rows(logits), (aggregates, pre, flat, logits)
 
@@ -130,7 +140,13 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
 
 
 def loss_and_grads(model: GcnModel, signals: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy and gradients for every parameter group."""
+    """Mean cross-entropy and gradients for every parameter group.
+
+    dpre (batch * nodes, filters) and dagg (batch * nodes, heads *
+    signal_dim) share the layouts of pre and the aggregates; dagg is copied
+    once into rows (k, i) and columns (b, m) for the attention gradient.
+    """
+    k, n, s, c = model.shape.heads, model.shape.nodes, model.shape.signal_dim, model.shape.filters
     probs, (aggregates, pre, flat, _) = forward_batch(model, signals)
     batch = len(labels)
     loss = cross_entropy(probs, labels)
@@ -140,9 +156,10 @@ def loss_and_grads(model: GcnModel, signals: np.ndarray, labels: np.ndarray):
     g_head = flat.T @ dlogits
     dflat = dlogits @ model.head.T
     dpre = dflat.reshape(pre.shape) * (pre > 0)
-    g_conv = np.einsum("bkim,bic->kmc", aggregates, dpre)
-    dagg = np.einsum("bic,kmc->bkim", dpre, model.conv)
-    g_attn = np.einsum("bkim,bmj->kij", dagg, signals)
+    g_conv = (aggregates.T @ dpre).reshape(k, s, c)
+    dagg = dpre @ model.conv.reshape(k * s, c).T
+    dagg_by_head = dagg.reshape(batch, n, k, s).transpose(2, 1, 0, 3).reshape(k * n, batch * s)
+    g_attn = (dagg_by_head @ signals.reshape(batch * s, n)).reshape(k, n, n)
     return loss, (g_attn, g_conv, g_head)
 
 
@@ -319,7 +336,7 @@ _ARRAY_KEYS = ("attention", "conv", "head")
 def save_model(model: GcnModel, path) -> None:
     payload = {key: getattr(model.shape, key) for key in _SHAPE_KEYS}
     payload.update((key, getattr(model, key).tolist()) for key in _ARRAY_KEYS)
-    with open(path, "w", encoding="ascii") as fh:
+    with _atomic_write(path) as fh:
         json.dump(payload, fh)
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from .data import load_dataset, synth_dataset
 from .errors import BudgetError, DomainError, SaturationError
 from .gcn import GcnModel, GcnShape, TrainConfig, as_layered, evaluate, init_model, train
-from .network import LayeredNetwork, full_mask, load_mask, save_mask
+from .network import LayeredNetwork, _atomic_write, full_mask, load_mask, save_mask
 from .pruner import PruneSpec, prune
 from .topology import consistency_report, trim_to_consistent
 
@@ -328,7 +328,7 @@ def run_ablation(cfg: ExperimentConfig) -> list[ResultRow]:
 
 def _persist(cfg: ExperimentConfig, records, rows) -> None:
     os.makedirs(cfg.output, exist_ok=True)
-    with open(os.path.join(cfg.output, "runs.json"), "w", encoding="ascii") as fh:
+    with _atomic_write(os.path.join(cfg.output, "runs.json")) as fh:
         json.dump([dataclasses.asdict(r) for r in records], fh, indent=1)
     emit(rows, "csv", os.path.join(cfg.output, "results.csv"))
     emit(rows, "json", os.path.join(cfg.output, "results.json"))
@@ -361,7 +361,7 @@ def emit(rows: list[ResultRow], fmt: str, path) -> None:
         text = json.dumps([dataclasses.asdict(row) for row in rows], indent=1) + "\n"
     else:
         raise DomainError(f"unknown output format {fmt!r}")
-    with open(path, "w", encoding="ascii") as fh:
+    with _atomic_write(path) as fh:
         fh.write(text)
 
 
@@ -400,8 +400,8 @@ def _build(hint, value, where: str):
     A dataclass is built from an object with no key it lacks (a missing key
     takes its default), a `tuple[X, ...]` from a list, `X | None` accepts
     null, and a leaf must have exactly its type, except that an int stands
-    for a float (a bool never stands for an int). Anything else raises
-    DomainError naming `where`.
+    for a float and is converted to one (a bool never stands for an int).
+    Anything else raises DomainError naming `where`.
     """
     if dataclasses.is_dataclass(hint):
         if not isinstance(value, dict):
@@ -421,8 +421,13 @@ def _build(hint, value, where: str):
         return tuple(_build(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
     if args:  # X | None
         return None if value is None else _build(args[0], value, where)
-    if type(value) is hint or (hint is float and type(value) is int):
+    if type(value) is hint:
         return value
+    if hint is float and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError as exc:
+            raise DomainError(f"{where}: {value} is out of float range") from exc
     raise DomainError(f"{where} must be {hint.__name__}, got {value!r}")
 
 

@@ -8,7 +8,9 @@ Networks and masks are treated as immutable once constructed.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -162,8 +164,34 @@ def apply_mask(net: LayeredNetwork, mask: MaskTensor) -> LayeredNetwork:
 # Weights are written with 17 significant digits, which round-trips float64.
 
 
+@contextlib.contextmanager
+def _atomic_write(path):
+    """An ASCII text handle whose contents replace `path` only once the block
+    completes. A failure part-way leaves the old file (or no file) and no
+    temp file behind. The temp file sits beside the file a symlink points
+    to, so `os.replace` is a single rename that keeps the link. Nothing is
+    fsynced: this guards against a write that fails, not against a power
+    cut. An existing target that is not a regular file (a FIFO,
+    /dev/stdout) is written in place.
+    """
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="ascii") as fh:
+            yield fh
+        return
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    try:
+        with open(tmp, "x", encoding="ascii") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def _write_matrices(path, mats: Sequence[np.ndarray], fmt) -> None:
-    with open(path, "w", encoding="ascii") as fh:
+    with _atomic_write(path) as fh:
         fh.write(f"layers {len(mats)}\n")
         for m in mats:
             r, c = m.shape

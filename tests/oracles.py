@@ -274,3 +274,31 @@ def chunk_means(joints: np.ndarray, chunks: int) -> np.ndarray:
         parts = [joints[j, bounds[c] : bounds[c + 1]].mean(axis=0) for c in range(chunks)]
         cols.append(np.concatenate(parts))
     return np.stack(cols, axis=1)
+
+
+# ---------------------------------------------------------------------------
+# GCN forward and manual gradients, one einsum per contraction
+
+
+def einsum_loss_and_grads(model, signals: np.ndarray, labels: np.ndarray):
+    """(probs, loss, (g_attn, g_conv, g_head)) with the aggregates as a
+    (batch, heads, nodes, signal_dim) tensor and every contraction an einsum."""
+    batch = len(labels)
+    n, c = model.shape.nodes, model.shape.filters
+    # aggregates[b,k,i,m] = sum_j attention[k,i,j] * signals[b,m,j]
+    aggregates = np.einsum("kij,bmj->bkim", model.attention, signals)
+    pre = np.einsum("bkim,kmc->bic", aggregates, model.conv)
+    flat = np.maximum(pre, 0.0).reshape(batch, n * c)
+    logits = flat @ model.head
+    z = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = z / z.sum(axis=1, keepdims=True)
+    loss = float(-np.mean(np.log(probs[np.arange(batch), labels])))
+    dlogits = probs.copy()
+    dlogits[np.arange(batch), labels] -= 1.0
+    dlogits /= batch
+    g_head = flat.T @ dlogits
+    dpre = (dlogits @ model.head.T).reshape(pre.shape) * (pre > 0)
+    g_conv = np.einsum("bkim,bic->kmc", aggregates, dpre)
+    dagg = np.einsum("bic,kmc->bkim", dpre, model.conv)
+    g_attn = np.einsum("bkim,bmj->kij", dagg, signals)
+    return probs, loss, (g_attn, g_conv, g_head)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import param_at
+from oracles import einsum_loss_and_grads, param_at
 from tcprune.data import synth_dataset
 from tcprune.errors import DivergenceError, DomainError, ShapeError
 from tcprune.gcn import (
@@ -123,6 +123,32 @@ class TestGradients:
             numeric = numeric_gradient(model, arr, signals, labels)
             denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-6)
             assert (np.abs(analytic - numeric) / denom).max() <= 1e-4
+
+    @pytest.mark.parametrize(
+        "dims, batch",
+        [
+            ((2, 3, 3, 2, 2), 8),
+            ((1, 4, 4, 3, 3), 5),
+            ((2, 5, 6, 3, 3), 7),
+            ((3, 6, 3, 4, 5), 1),
+            ((4, 15, 15, 4, 4), 600),
+        ],
+        ids=["tiny", "one-head", "signal-dim-6", "batch-1", "batch-600"],
+    )
+    def test_matches_einsum_oracle(self, dims, batch):
+        shape = GcnShape(*dims)
+        rng = np.random.default_rng(sum(dims) + batch)
+        model = init_model(shape, seed=batch)
+        signals = rng.standard_normal((batch, shape.signal_dim, shape.nodes))
+        labels = rng.integers(0, shape.num_classes, batch)
+        probs, loss, grads = einsum_loss_and_grads(model, signals, labels)
+        assert np.allclose(forward_batch(model, signals)[0], probs, rtol=1e-12, atol=0.0)
+        got_loss, got_grads = loss_and_grads(model, signals, labels)
+        assert got_loss == pytest.approx(loss, rel=1e-12, abs=0.0)
+        for got, want in zip(got_grads, grads):
+            assert got.shape == want.shape
+            scale = np.abs(want).max()
+            assert np.abs(got - want).max() <= 1e-12 * scale
 
 
 class TestTraining:

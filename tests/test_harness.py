@@ -256,6 +256,32 @@ class TestConfig:
         with pytest.raises(DomainError):
             config_from_json("{")
 
+    def test_int_for_float_is_converted(self):
+        variant = '{"tc": true, "stochastic": true, "scoring": "global", "alpha": 1}'
+        cfg = config_from_json('{"rates": [0, 0.1], "variants": [%s]}' % variant)
+        assert [type(r) for r in cfg.rates] == [float, float]
+        assert type(cfg.variants[0].alpha) is float
+
+    def test_int_for_float_writes_float_artifacts(self, tmp_path):
+        variant = Variant(True, True, "global", 1.0)
+        flags = tiny_config(
+            rates=(0.0,), seeds=(0,), variants=(variant,), output=str(tmp_path / "a")
+        )
+        payload = dataclasses.asdict(flags)
+        payload.update(rates=[0], output=str(tmp_path / "b"))
+        payload["variants"][0]["alpha"] = 1
+        run_ablation(flags)
+        run_ablation(config_from_json(json.dumps(payload)))
+        for name in ("runs.json", "results.json"):
+            texts = ((tmp_path / d / name).read_text() for d in "ab")
+            a, b = (re.sub(r'"wall_s": [^,\n]*', "", text) for text in texts)
+            assert a == b
+            assert '"alpha": 1.0' in a and '"rate": 0.0' in a
+
+    def test_int_out_of_float_range_is_domain_error(self):
+        with pytest.raises(DomainError, match="out of float range"):
+            config_from_json('{"rates": [%d]}' % 10**400)
+
     def test_requires_nonempty_grid(self):
         with pytest.raises(DomainError):
             ExperimentConfig(rates=())

@@ -1,3 +1,7 @@
+import os
+import stat
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +9,14 @@ from hypothesis import strategies as st
 
 from conftest import random_mask_tensor, random_network
 from oracles import loop_forward
+from tcprune.data import save_adjacency, save_sequence, synth_dataset
 from tcprune.errors import DomainError, ShapeError
+from tcprune.gcn import GcnShape, init_model, save_model
+from tcprune.harness import ExperimentConfig, ResultRow, _persist, emit
 from tcprune.network import (
     LayeredNetwork,
     MaskTensor,
+    _write_matrices,
     apply_mask,
     budget,
     forward,
@@ -231,3 +239,72 @@ class TestSerialization:
         path.write_bytes(text.encode("latin-1"))
         with pytest.raises(DomainError):
             loader(path)
+
+
+class TestAtomicWrites:
+    """Every file writer replaces its target whole or not at all."""
+
+    WRITERS = {
+        "network": lambda p: save_network(LayeredNetwork((np.eye(2),), ("identity",)), p),
+        "mask": lambda p: save_mask(MaskTensor((np.eye(2, dtype=bool),)), p),
+        "model": lambda p: save_model(init_model(GcnShape(1, 3, 3, 1, 2), seed=0), p),
+        "adjacency": lambda p: save_adjacency(np.eye(3), p),
+        "sequence": lambda p: save_sequence(synth_dataset(1, 1, 3, 2, seed=0)[0], p),
+        "table": lambda p: emit(
+            [ResultRow(0.5, False, False, "local", None, 1, 100.0, 1.0, 0.0, 1, 0.1)], "csv", p
+        ),
+        "runs": lambda p: _persist(ExperimentConfig(rates=(0.5,), output=str(p.parent)), [], []),
+    }
+
+    @pytest.mark.parametrize("writer", sorted(WRITERS))
+    def test_failed_replace_keeps_old_file(self, tmp_path, monkeypatch, writer):
+        path = tmp_path / ("runs.json" if writer == "runs" else "target.txt")
+        path.write_text("old\n")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            self.WRITERS[writer](path)
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == [path.name]
+
+    def test_failure_part_way_keeps_old_file(self, tmp_path):
+        path = tmp_path / "net.txt"
+        save_network(LayeredNetwork((np.eye(3),), ("identity",)), path)
+        old = path.read_text()
+        calls = []
+
+        def fmt(v):
+            calls.append(v)
+            if len(calls) == 5:
+                raise ValueError("unwritable value")
+            return str(v)
+
+        with pytest.raises(ValueError, match="unwritable"):
+            _write_matrices(path, [np.ones((3, 3))], fmt)
+        assert path.read_text() == old
+        assert os.listdir(tmp_path) == ["net.txt"]
+
+    def test_write_through_symlink_keeps_link(self, tmp_path):
+        target, link = tmp_path / "mask.txt", tmp_path / "link.txt"
+        target.write_text("old\n")
+        link.symlink_to(target)
+        mask = MaskTensor((np.eye(2, dtype=bool),))
+        save_mask(mask, link)
+        assert link.is_symlink()
+        assert np.array_equal(load_mask(target).masks[0], mask.masks[0])
+        assert sorted(os.listdir(tmp_path)) == ["link.txt", "mask.txt"]
+
+    def test_fifo_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_text()))
+        reader.start()
+        save_mask(MaskTensor((np.eye(2, dtype=bool),)), fifo)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert got == ["layers 1\ndims 2 2\n1 0\n0 1\n"]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
