@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import stat
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -164,25 +165,47 @@ def apply_mask(net: LayeredNetwork, mask: MaskTensor) -> LayeredNetwork:
 # Weights are written with 17 significant digits, which round-trips float64.
 
 
+def _writes_in_place(path) -> bool:
+    """Whether `path` is written in place rather than replaced: an existing
+    target that is not a regular file (a FIFO, a device, a pipe behind
+    /dev/stdout), or a path that reaches, through links, an open file
+    descriptor (/dev/stdout, /dev/fd/N). A descriptor is shared with the
+    caller, so its file must keep its inode even when it is a regular file.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        return True
+    link = os.path.abspath(path)
+    for _ in range(40):  # the kernel's own limit on links in one lookup
+        if os.path.realpath(os.path.dirname(link)).startswith(("/proc/", "/dev/fd")):
+            return True
+        if not os.path.islink(link):
+            return False
+        link = os.path.join(os.path.dirname(link), os.readlink(link))
+    return False
+
+
 @contextlib.contextmanager
 def _atomic_write(path):
     """An ASCII text handle whose contents replace `path` only once the block
     completes. A failure part-way leaves the old file (or no file) and no
     temp file behind. The temp file sits beside the file a symlink points
-    to, so `os.replace` is a single rename that keeps the link. Nothing is
-    fsynced: this guards against a write that fails, not against a power
-    cut. An existing target that is not a regular file (a FIFO,
-    /dev/stdout) is written in place.
+    to, so `os.replace` is a single rename that keeps the link. A replaced
+    file keeps its permission bits but not its owner or hard links, and a
+    read-only file is replaced like any other. Nothing is fsynced: this
+    guards against a write that fails, not against a power cut. Targets
+    that `_writes_in_place` names are opened and written directly.
     """
-    path = os.path.realpath(path)
-    if os.path.exists(path) and not os.path.isfile(path):
+    if _writes_in_place(path):
         with open(path, "w", encoding="ascii") as fh:
             yield fh
         return
+    path = os.path.realpath(path)
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
     try:
         with open(tmp, "x", encoding="ascii") as fh:
             yield fh
+        with contextlib.suppress(FileNotFoundError):
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

@@ -1,12 +1,16 @@
 import dataclasses
 import json
 import re
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tcprune
 from tcprune.cli import build_parser, main
 from tcprune.gcn import load_model
 from tcprune.network import load_mask
@@ -365,6 +369,37 @@ class TestReport:
     def test_malformed_runs_file_is_config_error(self, tmp_path, data):
         (tmp_path / "runs.json").write_text(json.dumps(data))
         assert run_cli("report", "--artifacts", str(tmp_path)) == 2
+
+    @staticmethod
+    def report_to(table_out, artifacts, stdout):
+        """`tcprune report` in a child process whose stdout is `stdout`."""
+        src = str(Path(tcprune.__file__).parents[1])
+        return subprocess.run(
+            [sys.executable, "-c", "import sys; from tcprune.cli import main; sys.exit(main())",
+             "report", "--artifacts", str(artifacts), "--table-out", table_out],
+            stdout=stdout, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+        )
+
+    @pytest.mark.parametrize("table_out", ["/dev/stdout", "/dev/fd/1"])
+    def test_table_to_piped_stdout(self, tmp_path, table_out):
+        (tmp_path / "runs.json").write_text(json.dumps([RUN]))
+        proc = self.report_to(table_out, tmp_path, subprocess.PIPE)
+        assert proc.returncode == 0
+        assert proc.stdout.decode().startswith(
+            "rate,tc,stochastic,scoring,alpha,kept_params,ac_percent,acc_mean,acc_std,seeds,"
+            "wall_s\n0.9,true,false,local,,,,,,1,0.5\n"
+        )
+
+    def test_table_to_stdout_redirected_to_file_keeps_its_inode(self, tmp_path):
+        (tmp_path / "runs.json").write_text(json.dumps([RUN]))
+        log = tmp_path / "log.txt"
+        with open(log, "w") as fh:
+            inode = os.fstat(fh.fileno()).st_ino
+            proc = self.report_to("/dev/stdout", tmp_path, fh)
+        assert proc.returncode == 0
+        assert os.stat(log).st_ino == inode
+        # The summary printed after the table reached the same file.
+        assert "rate=0.9 tc=True" in log.read_text()
 
 
 class TestExitCodes:

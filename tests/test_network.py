@@ -297,6 +297,13 @@ class TestAtomicWrites:
         assert np.array_equal(load_mask(target).masks[0], mask.masks[0])
         assert sorted(os.listdir(tmp_path)) == ["link.txt", "mask.txt"]
 
+    def test_replaced_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "mask.txt"
+        path.write_text("old\n")
+        path.chmod(0o640)
+        save_mask(MaskTensor((np.eye(2, dtype=bool),)), path)
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o640
+
     def test_fifo_is_written_in_place(self, tmp_path):
         fifo = tmp_path / "pipe"
         os.mkfifo(fifo)
