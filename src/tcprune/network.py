@@ -12,6 +12,7 @@ import contextlib
 import math
 import os
 import stat
+import sys
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -184,6 +185,14 @@ def _writes_in_place(path) -> bool:
     return False
 
 
+def _is_stdout(path) -> bool:
+    """Whether `path` names the same file as descriptor 1."""
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(1))
+    except OSError:
+        return False
+
+
 @contextlib.contextmanager
 def _atomic_write(path):
     """An ASCII text handle whose contents replace `path` only once the block
@@ -193,9 +202,16 @@ def _atomic_write(path):
     file keeps its permission bits but not its owner or hard links, and a
     read-only file is replaced like any other. Nothing is fsynced: this
     guards against a write that fails, not against a power cut. Targets
-    that `_writes_in_place` names are opened and written directly.
+    that `_writes_in_place` names are opened and written directly, except
+    the file behind descriptor 1: reopening it would truncate it and write
+    from its start, over what was printed before, so its text goes through
+    `sys.stdout` instead.
     """
     if _writes_in_place(path):
+        if _is_stdout(path):
+            yield sys.stdout
+            sys.stdout.flush()
+            return
         with open(path, "w", encoding="ascii") as fh:
             yield fh
         return

@@ -14,6 +14,8 @@ largest path product. The recursion runs in log space: the entrywise power
 overflows, while log-sum-exp with a per-entry max shift is exact about the
 dominating path and never produces a silent Inf. A shared positive rescale
 never changes within-layer argmax decisions, and neither does the log map.
+Each step loops over its reduction index, so it needs O(d_l * d_out)
+memory; the step against the identity base is exact and skipped.
 
 The edge score of connection (l, i -> j) is |W[l](i, j)| * max_k D[l](j, k);
 for the last layer the identity base makes this plain |W[L](i, j)|.
@@ -31,12 +33,18 @@ from .network import LayeredNetwork
 
 
 def _lse_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """out[i,k] = log sum_j exp(a[i,j] + b[j,k]), with -inf acting as log 0."""
-    t = a[:, :, None] + b[None, :, :]
-    mx = t.max(axis=1)
+    """out[i,k] = log sum_j exp(a[i,j] + b[j,k]), with -inf acting as log 0;
+    the terms are added in place, one j at a time, in the order of j."""
+    term = np.empty((a.shape[0], b.shape[1]))
+    mx = np.full_like(term, -np.inf)
+    for j in range(b.shape[0]):
+        np.maximum(mx, np.add(a[:, j, None], b[j], out=term), out=mx)
     shift = np.where(np.isfinite(mx), mx, 0.0)
+    total = np.zeros_like(term)
     with np.errstate(invalid="ignore", divide="ignore"):
-        total = np.exp(t - shift[:, None, :]).sum(axis=1)
+        for j in range(b.shape[0]):
+            np.add(a[:, j, None], b[j], out=term)
+            total += np.exp(np.subtract(term, shift, out=term), out=term)
         out = np.where(np.isfinite(mx), shift + np.log(total), -np.inf)
     return out
 
@@ -79,7 +87,9 @@ def build_table(net: LayeredNetwork, alpha: float) -> SurrogateTable:
     depth = net.depth
     logs: list[np.ndarray] = [np.empty(0)] * depth
     logs[depth - 1] = _log_identity(net.dims[-1])
-    for layer in range(depth - 1, 0, -1):
+    if depth > 1:  # against the identity base the step returns its input
+        logs[depth - 2] = alpha * (_log_abs(net.weights[depth - 1]) / alpha)
+    for layer in range(depth - 2, 0, -1):
         logs[layer - 1] = alpha * _lse_matmul(
             _log_abs(net.weights[layer]) / alpha, logs[layer] / alpha
         )

@@ -141,6 +141,28 @@ def brute_edge_score(net: LayeredNetwork, alpha: float, layer: int, i: int, j: i
 
 
 # ---------------------------------------------------------------------------
+# Surrogate recursion with one broadcast log-sum-exp per layer
+
+
+def broadcast_build_table(net: LayeredNetwork, alpha: float) -> list[np.ndarray]:
+    """Log downstream tables D[1..L], back to front from log I. Each step
+    broadcasts the (d_l, d_{l+1}, d_out) tensor of log path terms, shifts it
+    by its per-entry max over the middle axis and sums it there; the step
+    against the identity base is taken like any other."""
+    with np.errstate(divide="ignore"):
+        logs = [np.log(np.eye(net.dims[-1]))]
+        for w in reversed(net.weights[1:]):
+            t = (np.log(np.abs(w)) / alpha)[:, :, None] + (logs[0] / alpha)[None, :, :]
+            mx = t.max(axis=1)
+            shift = np.where(np.isfinite(mx), mx, 0.0)
+            with np.errstate(invalid="ignore"):
+                total = np.exp(t - shift[:, None, :]).sum(axis=1)
+                out = np.where(np.isfinite(mx), shift + np.log(total), -np.inf)
+            logs.insert(0, alpha * out)
+    return logs
+
+
+# ---------------------------------------------------------------------------
 # Literal transcription of the greedy chain-selection pseudocode
 
 

@@ -371,11 +371,13 @@ class TestReport:
         assert run_cli("report", "--artifacts", str(tmp_path)) == 2
 
     @staticmethod
-    def report_to(table_out, artifacts, stdout):
-        """`tcprune report` in a child process whose stdout is `stdout`."""
+    def report_to(table_out, artifacts, stdout, prefix=()):
+        """`tcprune report` in a child process whose stdout is `stdout`,
+        run as the last arguments of the command `prefix`, if given."""
         src = str(Path(tcprune.__file__).parents[1])
         return subprocess.run(
-            [sys.executable, "-c", "import sys; from tcprune.cli import main; sys.exit(main())",
+            [*prefix, sys.executable, "-c",
+             "import sys; from tcprune.cli import main; sys.exit(main())",
              "report", "--artifacts", str(artifacts), "--table-out", table_out],
             stdout=stdout, env={**os.environ, "PYTHONPATH": src}, timeout=60,
         )
@@ -400,6 +402,20 @@ class TestReport:
         assert os.stat(log).st_ino == inode
         # The summary printed after the table reached the same file.
         assert "rate=0.9 tc=True" in log.read_text()
+
+    def test_table_to_stdout_redirected_to_file_keeps_earlier_output(self, tmp_path):
+        (tmp_path / "runs.json").write_text(json.dumps([RUN]))
+        log = tmp_path / "log.txt"
+        shell = ("sh", "-c", 'echo before; "$@"; echo after', "sh")
+        with open(log, "w") as fh:
+            proc = self.report_to("/dev/stdout", tmp_path, fh, prefix=shell)
+        assert proc.returncode == 0
+        text = log.read_text()
+        marks = ["before\n", "rate,tc,stochastic,", "\n0.9,true,false,local,",
+                 "results written to /dev/stdout\n", "rate=0.9 tc=True", "after\n"]
+        where = [text.find(m) for m in marks]
+        assert text.startswith("before\n") and text.endswith("after\n"), text
+        assert -1 not in where and where == sorted(where), text
 
 
 class TestExitCodes:

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_network
-from oracles import brute_edge_score, path_norm_table
+from oracles import broadcast_build_table, brute_edge_score, path_norm_table
 from tcprune.errors import DomainError
 from tcprune.linalg import row_normalize
 from tcprune.network import LayeredNetwork
@@ -115,6 +117,53 @@ class TestBuildTable:
             assert not np.isposinf(logs).any()
         s = log_score_matrix(net, 1, table)
         assert np.isfinite(s).all()
+
+    def test_traced_peak_is_not_cubic(self):
+        rng = np.random.default_rng(0)
+        net = random_network(rng, (32, 256, 256, 256))
+        tracemalloc.start()
+        try:
+            build_table(net, 0.1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one broadcast (256, 256, 256) float64 tensor alone is 128 MiB
+        assert peak < 16 * 2**20
+
+
+class TestAgainstBroadcastOracle:
+    @given(
+        seed=st.integers(0, 10_000),
+        hidden=st.lists(st.integers(1, 12), min_size=1, max_size=4),
+        d_out=st.integers(2, 12),
+        zero_frac=st.floats(0.0, 0.9),
+        log10_scale=st.floats(-3.0, 3.0),
+        inv_alpha=st.floats(1.0, 1000.0),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bit_identical_when_d_out_at_least_two(
+        self, seed, hidden, d_out, zero_frac, log10_scale, inv_alpha
+    ):
+        rng = np.random.default_rng(seed)
+        # zero weights are -inf entries of the log tables
+        weights = tuple(
+            np.where(rng.random(w.shape) < zero_frac, 0.0, w * 10.0**log10_scale)
+            for w in random_network(rng, (*hidden, d_out)).weights
+        )
+        net = LayeredNetwork(weights, ("identity",) * len(weights))
+        got = build_table(net, 1.0 / inv_alpha).log_downstream
+        want = broadcast_build_table(net, 1.0 / inv_alpha)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_single_output_within_float_rounding(self, rng):
+        # with d_out == 1 the broadcast sum over j is numpy's pairwise sum
+        net = random_network(rng, (8, 200, 300, 1))
+        for alpha in (1.0, 0.1, 1e-3):
+            got = build_table(net, alpha).log_downstream
+            for g, w in zip(got, broadcast_build_table(net, alpha)):
+                assert np.all(np.abs(g - w) <= 1e-15 * np.abs(w))
 
 
 def score(net, layer, i, j, table=None) -> float:
