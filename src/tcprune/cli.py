@@ -18,6 +18,7 @@ import dataclasses
 import json
 import sys
 
+from . import gcn
 from .data import load_dataset, synth_dataset
 from .errors import DivergenceError, DomainError, SaturationError
 from .gcn import (
@@ -51,25 +52,29 @@ def _parse_kv(text: str | None) -> SyntheticSpec:
     return _build(SyntheticSpec, {k.strip(): json.loads(v) for k, _, v in pairs}, "--synthetic")
 
 
-def _load_sequences(args):
+def _load_data(args, chunks: int):
+    """The --dataset or --synthetic sequences, chunked once to (signals, labels)."""
     if args.dataset:
-        return load_dataset(args.dataset)
-    spec = _parse_kv(args.synthetic)
-    return synth_dataset(
-        spec.classes, spec.per_class_train, spec.joints, spec.frames, spec.seed,
-        spec.noise, spec.phase_jitter, spec.scale_jitter,
-    )
+        sequences = load_dataset(args.dataset)
+    else:
+        spec = _parse_kv(args.synthetic)
+        sequences = synth_dataset(
+            spec.classes, spec.per_class_train, spec.joints, spec.frames, spec.seed,
+            spec.noise, spec.phase_jitter, spec.scale_jitter,
+        )
+    # called through the module, so a wrapper patched onto it sees every call
+    return gcn.dataset_arrays(sequences, chunks)
 
 
 def cmd_train(args) -> int:
-    sequences = _load_sequences(args)
-    joints = sequences[0].num_joints
-    classes = int(max(seq.label for seq in sequences)) + 1
-    shape = GcnShape(args.heads, joints, 3 * args.chunks, args.filters, classes)
+    data = _load_data(args, args.chunks)
+    signals, labels = data
+    classes = int(labels.max()) + 1
+    shape = GcnShape(args.heads, signals.shape[2], 3 * args.chunks, args.filters, classes)
     model = init_model(shape, args.seed, args.head_scale)
-    model, losses = train(model, sequences, TrainConfig(epochs=args.epochs, seed=args.seed))
+    model, losses = train(model, data, TrainConfig(epochs=args.epochs, seed=args.seed))
     save_model(model, args.out)
-    acc = evaluate(model, sequences)
+    acc = evaluate(model, data)
     print(f"trained {args.epochs} epochs, final loss {losses[-1]:.6f}, train accuracy {acc:.4f}")
     print(f"model written to {args.out}")
     return 0
@@ -101,10 +106,10 @@ def cmd_prune(args) -> int:
 def cmd_finetune(args) -> int:
     model = load_model(args.model)
     mask = load_mask(args.mask)
-    sequences = _load_sequences(args)
-    tuned, losses = train(model, sequences, TrainConfig(epochs=args.epochs, seed=args.seed), mask)
+    data = _load_data(args, model.shape.chunks)
+    tuned, losses = train(model, data, TrainConfig(epochs=args.epochs, seed=args.seed), mask)
     save_model(tuned, args.out)
-    acc = evaluate(tuned, sequences, mask)
+    acc = evaluate(tuned, data, mask)
     print(f"fine-tuned {args.epochs} epochs, final loss {losses[-1]:.6f}, train accuracy {acc:.4f}")
     print(f"model written to {args.out}")
     return 0
@@ -167,7 +172,7 @@ class _GridFlag(argparse.Action):
 
 def _add_data_flags(p, action="store") -> None:
     p.add_argument("--dataset", action=action,
-                   help="directory of sequence files (adjacency.txt + seq_*.txt)")
+                   help="directory of seq_*.txt sequence files")
     p.add_argument("--synthetic", action=action,
                    help="synthetic generator overrides, e.g. classes=4,per_class_train=50")
 

@@ -1,10 +1,11 @@
 """Skeleton sequences: synthetic generation, temporal chunking, file I/O.
 
-A sequence is a set of J joint trajectories in 3-D plus a fixed spatial
-adjacency over the joints. Temporal chunking turns a trajectory of any
-length into a fixed-size descriptor: the frames are split into M contiguous
-chunks of near-equal size and the per-chunk coordinate averages are
-concatenated. Column j of the resulting signal matrix describes joint j.
+A sequence is a class label and a set of J joint trajectories in 3-D; the
+GCN learns its joint-to-joint relations, so no skeleton graph is stored.
+Temporal chunking turns a trajectory of any length into a fixed-size
+descriptor: the frames are split into M contiguous chunks of near-equal size
+and the per-chunk coordinate averages are concatenated. Column j of the
+resulting signal matrix describes joint j.
 """
 
 from __future__ import annotations
@@ -22,23 +23,14 @@ from .network import _atomic_write, _read_fields
 class SkeletonSequence:
     label: int
     joints: np.ndarray  # (J, T, 3)
-    adjacency: np.ndarray  # (J, J) bool, symmetric
 
     def __post_init__(self):
         joints = np.asarray(self.joints, dtype=np.float64)
-        adjacency = np.asarray(self.adjacency).astype(bool)
         if joints.ndim != 3 or joints.shape[2] != 3:
             raise ShapeError(f"joints must have shape (J, T, 3), got {joints.shape}")
         if joints.shape[1] == 0:
             raise EmptyTrajectoryError("every trajectory must be nonempty")
-        if adjacency.shape != (joints.shape[0], joints.shape[0]):
-            raise ShapeError(
-                f"adjacency shape {adjacency.shape} does not match {joints.shape[0]} joints"
-            )
-        if not np.array_equal(adjacency, adjacency.T):
-            raise DomainError("adjacency must be symmetric")
         object.__setattr__(self, "joints", joints)
-        object.__setattr__(self, "adjacency", adjacency)
 
     @property
     def num_joints(self) -> int:
@@ -68,20 +60,6 @@ def temporal_chunking(seq: SkeletonSequence, chunks: int) -> np.ndarray:
     return means.transpose(0, 2, 1).reshape(3 * chunks, seq.num_joints)
 
 
-def hand_adjacency(joints: int) -> np.ndarray:
-    """Wrist root plus up to five finger-like chains; self-loops included."""
-    if joints < 1:
-        raise DomainError("need at least one joint")
-    adj = np.eye(joints, dtype=bool)
-    if joints > 1:
-        for chain in np.array_split(np.arange(1, joints), min(5, joints - 1)):
-            prev = 0
-            for node in chain:
-                adj[prev, node] = adj[node, prev] = True
-                prev = int(node)
-    return adj
-
-
 def synth_dataset(
     num_classes: int,
     per_class: int,
@@ -105,7 +83,6 @@ def synth_dataset(
     if min(num_classes, per_class, joints, frames) < 1:
         raise DomainError("all generator counts must be positive")
     rng = np.random.default_rng(seed)
-    adjacency = hand_adjacency(joints)
     shape = (num_classes, joints, 1, 3)
     freq = rng.uniform(0.5, 3.0, size=shape)
     phase = rng.uniform(0.0, 2.0 * np.pi, size=shape)
@@ -121,29 +98,13 @@ def synth_dataset(
                 2.0 * np.pi * freq[c] * t + phase[c] + offset
             )
             pts = clean + noise * rng.standard_normal(size=(joints, frames, 3))
-            sequences.append(SkeletonSequence(c, pts, adjacency))
+            sequences.append(SkeletonSequence(c, pts))
     return sequences
 
 
 # ---------------------------------------------------------------------------
 # Text formats. Sequence file: "label k" / "joints J frames T" / T blocks of
-# J lines "x y z". Adjacency file: J lines of J space-separated 0/1.
-
-
-def save_adjacency(adjacency: np.ndarray, path) -> None:
-    with _atomic_write(path) as fh:
-        for row in np.asarray(adjacency).astype(int):
-            fh.write(" ".join(str(v) for v in row) + "\n")
-
-
-def load_adjacency(path) -> np.ndarray:
-    """A non-empty square of 0/1 values; anything else raises DomainError."""
-    rows = _read_fields(path)
-    if not rows or any(len(row) != len(rows) for row in rows):
-        raise DomainError(f"{path}: adjacency is not a non-empty square matrix")
-    if any(v not in ("0", "1") for row in rows for v in row):
-        raise DomainError(f"{path}: adjacency values must be 0 or 1")
-    return np.asarray(rows) == "1"
+# J lines "x y z". A dataset directory holds one file per sequence, seq_*.
 
 
 def save_sequence(seq: SkeletonSequence, path) -> None:
@@ -156,7 +117,7 @@ def save_sequence(seq: SkeletonSequence, path) -> None:
                 fh.write(f"{x:.17g} {y:.17g} {z:.17g}\n")
 
 
-def load_sequence(path, adjacency: np.ndarray) -> SkeletonSequence:
+def load_sequence(path) -> SkeletonSequence:
     """Read one sequence file. A bad label or meta line, a number of frame
     rows other than joints * frames, a row without 3 numbers and trailing
     lines raise DomainError."""
@@ -184,20 +145,27 @@ def load_sequence(path, adjacency: np.ndarray) -> SkeletonSequence:
     except ValueError as exc:
         raise DomainError(f"{path}: {exc}") from exc
     joints = values.reshape(n_frames, n_joints, 3).transpose(1, 0, 2).copy()
-    return SkeletonSequence(int(head[1]), joints, adjacency)
+    return SkeletonSequence(int(head[1]), joints)
 
 
 def save_dataset(sequences: list[SkeletonSequence], dirpath) -> None:
     os.makedirs(dirpath, exist_ok=True)
-    save_adjacency(sequences[0].adjacency, os.path.join(dirpath, "adjacency.txt"))
     for idx, seq in enumerate(sequences):
         save_sequence(seq, os.path.join(dirpath, f"seq_{idx:05d}.txt"))
 
 
 def load_dataset(dirpath) -> list[SkeletonSequence]:
-    """Every seq_* file of a directory; none at all raises DomainError."""
-    adjacency = load_adjacency(os.path.join(dirpath, "adjacency.txt"))
+    """Every seq_* file of a directory, other files ignored. No such file at
+    all, or a file whose joint count differs from the first's, raises
+    DomainError."""
     names = sorted(n for n in os.listdir(dirpath) if n.startswith("seq_"))
     if not names:
         raise DomainError(f"{dirpath}: no seq_* sequence files")
-    return [load_sequence(os.path.join(dirpath, n), adjacency) for n in names]
+    sequences = [load_sequence(os.path.join(dirpath, n)) for n in names]
+    for name, seq in zip(names, sequences):
+        if seq.num_joints != sequences[0].num_joints:
+            raise DomainError(
+                f"{os.path.join(dirpath, name)}: {seq.num_joints} joints, "
+                f"but {names[0]} has {sequences[0].num_joints}"
+            )
+    return sequences

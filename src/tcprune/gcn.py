@@ -191,10 +191,26 @@ _LR_MIN, _LR_MAX = 1e-8, 1.0
 
 
 def dataset_arrays(dataset: list[SkeletonSequence], chunks: int):
+    """(signals, labels): the chunked (batch, 3 * chunks, joints) signal
+    matrices and the class labels, the data train and evaluate take."""
     if not dataset:
         raise DomainError("dataset is empty")
     signals = np.stack([temporal_chunking(seq, chunks) for seq in dataset])
     labels = np.asarray([seq.label for seq in dataset], dtype=np.intp)
+    return signals, labels
+
+
+def _checked(data, shape: GcnShape):
+    """`data`'s (signals, labels); an empty batch or a label outside
+    [0, num_classes) raises DomainError."""
+    signals, labels = data
+    if len(labels) == 0:
+        raise DomainError("dataset is empty")
+    outside = labels[(labels < 0) | (labels >= shape.num_classes)]
+    if outside.size:
+        raise DomainError(
+            f"label {outside[0]} is outside the model's classes [0, {shape.num_classes})"
+        )
     return signals, labels
 
 
@@ -210,11 +226,12 @@ def _masked(model: GcnModel, mask: MaskTensor | None):
 
 def train(
     model: GcnModel,
-    dataset: list[SkeletonSequence],
+    data: tuple[np.ndarray, np.ndarray],
     cfg: TrainConfig,
     mask: MaskTensor | None = None,
 ) -> tuple[GcnModel, list[float]]:
-    """Momentum SGD on cross-entropy; returns (trained copy, per-epoch loss).
+    """Momentum SGD on cross-entropy over `data`, the (signals, labels) of
+    dataset_arrays; returns (trained copy, per-epoch loss).
 
     Every parameter group carries keep bits (all True without a view mask).
     Dropped parameters start at +0.0 and their gradients are zeroed every
@@ -223,7 +240,7 @@ def train(
     compared to the previous epoch the rate is multiplied by lr_decay,
     otherwise divided; it is clamped to [1e-8, 1].
     """
-    signals, labels = dataset_arrays(dataset, model.shape.chunks)
+    signals, labels = _checked(data, model.shape)
     bits, params = _masked(model, mask)
     velocity = [np.zeros_like(p) for p in params]
     rng = np.random.default_rng(cfg.seed)
@@ -256,14 +273,15 @@ def train(
 
 def evaluate(
     model: GcnModel,
-    dataset: list[SkeletonSequence],
+    data: tuple[np.ndarray, np.ndarray],
     mask: MaskTensor | None = None,
 ) -> float:
-    """Balanced accuracy: per-class accuracy averaged over the classes present.
+    """Balanced accuracy on `data`, the (signals, labels) of dataset_arrays:
+    per-class accuracy averaged over the classes present.
 
     With a view mask, the parameters it drops are zeroed first.
     """
-    signals, labels = dataset_arrays(dataset, model.shape.chunks)
+    signals, labels = _checked(data, model.shape)
     _, params = _masked(model, mask)
     model = GcnModel(model.shape, *params)
     probs, _ = forward_batch(model, signals)

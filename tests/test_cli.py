@@ -81,7 +81,6 @@ class TestTrainDataset:
     def test_truncated_sequence_file_is_config_error(self, tmp_path):
         data = tmp_path / "D"
         data.mkdir()
-        (data / "adjacency.txt").write_text("1\n")
         (data / "seq_00000.txt").write_text("label 0\njoints 1 frames 3\n1 2 3\n")
         code = run_cli("train", "--dataset", str(data), "--heads", "1", "--filters", "1",
                        "--chunks", "1", "--epochs", "1", "--out", str(tmp_path / "m.json"))
@@ -90,10 +89,21 @@ class TestTrainDataset:
     def test_empty_dataset_is_config_error(self, tmp_path):
         data = tmp_path / "D"
         data.mkdir()
-        (data / "adjacency.txt").write_text("1\n")
         code = run_cli("train", "--dataset", str(data), "--heads", "1", "--filters", "1",
                        "--chunks", "1", "--epochs", "1", "--out", str(tmp_path / "m.json"))
         assert code == 2
+
+    def test_old_format_adjacency_file_is_ignored(self, tmp_path):
+        from tcprune.data import save_dataset, synth_dataset
+
+        data = tmp_path / "D"
+        save_dataset(synth_dataset(2, 3, 3, 6, seed=5), data)
+        (data / "adjacency.txt").write_text("1 1 0\n1 1 1\n0 1 1\n")
+        out = tmp_path / "m.json"
+        code = run_cli("train", "--dataset", str(data), *MODEL_FLAGS,
+                       "--epochs", "2", "--out", str(out))
+        assert code == 0
+        assert load_model(out).shape.nodes == 3
 
 
 class TestPrune:
@@ -167,6 +177,21 @@ class TestFinetune:
             "--synthetic", SYNTH, "--out", str(tmp_path / "t.json"),
         )
         assert code == 3
+
+    def test_label_outside_model_classes_is_config_error(self, trained_model, tmp_path, capsys):
+        mask_path = tmp_path / "mask.txt"
+        assert run_cli("prune", "--model", str(trained_model), "--rate", "0.5",
+                       "--out", str(mask_path)) == 0
+        three_classes = SYNTH.replace("classes=2", "classes=3")
+        capsys.readouterr()
+        code = run_cli(
+            "finetune", "--model", str(trained_model), "--mask", str(mask_path),
+            "--synthetic", three_classes, "--epochs", "1", "--out", str(tmp_path / "t.json"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: label 2 is outside") and "Traceback" not in err
+        assert not (tmp_path / "t.json").exists()
 
 
 class TestAblate:
@@ -270,7 +295,6 @@ class TestAblate:
     def test_empty_dataset_is_config_error(self, tmp_path):
         for split in ("train", "test"):
             (tmp_path / "D" / split).mkdir(parents=True)
-            (tmp_path / "D" / split / "adjacency.txt").write_text("1\n")
         code = run_cli("ablate", "--dataset", str(tmp_path / "D"), "--heads", "1",
                        "--filters", "1", "--chunks", "1", "--epochs", "1")
         assert code == 2

@@ -5,8 +5,6 @@ from oracles import chunk_means
 from tcprune.data import (
     SkeletonSequence,
     chunk_sizes,
-    hand_adjacency,
-    load_adjacency,
     load_dataset,
     load_sequence,
     save_dataset,
@@ -19,22 +17,17 @@ from tcprune.errors import DomainError, EmptyTrajectoryError, ShapeError
 
 def constant_sequence(point, joints=2, frames=6):
     pts = np.tile(np.asarray(point, float), (joints, frames, 1))
-    return SkeletonSequence(0, pts, hand_adjacency(joints))
+    return SkeletonSequence(0, pts)
 
 
 class TestSkeletonSequence:
     def test_empty_trajectory_rejected(self):
         with pytest.raises(EmptyTrajectoryError):
-            SkeletonSequence(0, np.zeros((2, 0, 3)), np.eye(2, dtype=bool))
-
-    def test_asymmetric_adjacency_rejected(self):
-        adj = np.array([[1, 1], [0, 1]], dtype=bool)
-        with pytest.raises(DomainError):
-            SkeletonSequence(0, np.zeros((2, 4, 3)), adj)
+            SkeletonSequence(0, np.zeros((2, 0, 3)))
 
     def test_bad_joint_shape(self):
         with pytest.raises(ShapeError):
-            SkeletonSequence(0, np.zeros((2, 4, 2)), np.eye(2, dtype=bool))
+            SkeletonSequence(0, np.zeros((2, 4, 2)))
 
 
 class TestChunking:
@@ -46,7 +39,7 @@ class TestChunking:
 
     def test_frames_equal_chunks_gives_raw_points(self):
         pts = np.arange(2 * 4 * 3, dtype=float).reshape(2, 4, 3)
-        seq = SkeletonSequence(0, pts, hand_adjacency(2))
+        seq = SkeletonSequence(0, pts)
         u = temporal_chunking(seq, 4)
         assert np.array_equal(u[:, 1], pts[1].ravel())
 
@@ -54,7 +47,7 @@ class TestChunking:
         assert chunk_sizes(7, 3) == [3, 2, 2]
         pts = np.zeros((1, 7, 3))
         pts[0, :, 0] = np.arange(7.0)
-        seq = SkeletonSequence(0, pts, hand_adjacency(1))
+        seq = SkeletonSequence(0, pts)
         u = temporal_chunking(seq, 3)
         # chunks {0,1,2}, {3,4}, {5,6} -> x-averages 1, 3.5, 5.5
         assert np.array_equal(u[[0, 3, 6], 0], [1.0, 3.5, 5.5])
@@ -76,7 +69,7 @@ class TestChunking:
         rng = np.random.default_rng(frames * 31 + chunks)
         for joints in (1, 4, 15):
             pts = rng.standard_normal((joints, frames, 3)) * 10.0 ** rng.integers(-3, 4)
-            seq = SkeletonSequence(0, pts, hand_adjacency(joints))
+            seq = SkeletonSequence(0, pts)
             got = temporal_chunking(seq, chunks)
             want = chunk_means(seq.joints, chunks)
             assert got.shape == want.shape == (3 * chunks, joints)
@@ -85,21 +78,6 @@ class TestChunking:
     def test_bad_chunk_count(self):
         with pytest.raises(DomainError):
             temporal_chunking(constant_sequence([0, 0, 0]), 0)
-
-
-class TestHandAdjacency:
-    def test_symmetric_with_self_loops(self):
-        adj = hand_adjacency(15)
-        assert np.array_equal(adj, adj.T)
-        assert adj.diagonal().all()
-
-    def test_connected_to_root(self):
-        adj = hand_adjacency(9)
-        reach = np.zeros(9, dtype=bool)
-        reach[0] = True
-        for _ in range(9):
-            reach = reach | (adj[reach].any(axis=0))
-        assert reach.all()
 
 
 class TestSynthDataset:
@@ -138,7 +116,7 @@ class TestFileFormats:
         seq = synth_dataset(2, 1, 3, 7, seed=4)[1]
         path = tmp_path / "seq.txt"
         save_sequence(seq, path)
-        back = load_sequence(path, seq.adjacency)
+        back = load_sequence(path)
         assert back.label == seq.label
         assert np.array_equal(back.joints, seq.joints)
 
@@ -150,7 +128,13 @@ class TestFileFormats:
         for sa, sb in zip(seqs, back):
             assert sa.label == sb.label
             assert np.array_equal(sa.joints, sb.joints)
-            assert np.array_equal(sa.adjacency, sb.adjacency)
+
+    def test_mixed_joint_counts_name_the_first_odd_file(self, tmp_path):
+        save_dataset(synth_dataset(1, 2, 4, 6, seed=5), tmp_path)
+        save_sequence(synth_dataset(1, 1, 3, 6, seed=5)[0], tmp_path / "seq_00002.txt")
+        save_sequence(synth_dataset(1, 1, 5, 6, seed=5)[0], tmp_path / "seq_00003.txt")
+        with pytest.raises(DomainError, match="seq_00002.txt: 3 joints"):
+            load_dataset(tmp_path)
 
     @pytest.mark.parametrize(
         "text",
@@ -178,23 +162,4 @@ class TestFileFormats:
         path = tmp_path / "seq.txt"
         path.write_bytes(text.encode("latin-1"))
         with pytest.raises(DomainError):
-            load_sequence(path, np.eye(1, dtype=bool))
-
-    @pytest.mark.parametrize(
-        "text",
-        [
-            pytest.param("", id="empty"),
-            pytest.param("1 0\n", id="one-row-of-two"),
-            pytest.param("1 0\n0 1\n1 1\n", id="three-rows-of-two"),
-            pytest.param("1 0\n0\n", id="short-row"),
-            pytest.param("1 2\n2 1\n", id="value-2"),
-            pytest.param("1 -1\n-1 1\n", id="value-minus-1"),
-            pytest.param("1 x\nx 1\n", id="not-a-number"),
-            pytest.param("1 0.5\n0.5 1\n", id="fraction"),
-        ],
-    )
-    def test_malformed_adjacency_file(self, tmp_path, text):
-        path = tmp_path / "adj.txt"
-        path.write_text(text)
-        with pytest.raises(DomainError):
-            load_adjacency(path)
+            load_sequence(path)

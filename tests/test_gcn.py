@@ -14,6 +14,7 @@ from tcprune.gcn import (
     GcnShape,
     TrainConfig,
     as_layered,
+    dataset_arrays,
     evaluate,
     forward_batch,
     init_model,
@@ -34,6 +35,11 @@ def tiny_batch(rng, count=8):
     signals = rng.standard_normal((count, TINY.signal_dim, TINY.nodes))
     labels = rng.integers(0, TINY.num_classes, count)
     return signals, labels
+
+
+def synth_arrays(*args, chunks=1, **kwargs):
+    """A synthetic dataset as the (signals, labels) train and evaluate take."""
+    return dataset_arrays(synth_dataset(*args, **kwargs), chunks)
 
 
 def masked_model(model, mask):
@@ -153,7 +159,7 @@ class TestGradients:
 
 class TestTraining:
     def test_zero_learning_rate_changes_nothing(self, rng):
-        dataset = synth_dataset(2, 4, 3, 6, seed=0)
+        dataset = synth_arrays(2, 4, 3, 6, seed=0)
         shape = GcnShape(heads=2, nodes=3, signal_dim=3, filters=2, num_classes=2)
         model = init_model(shape, seed=0)
         cfg = TrainConfig(epochs=5, initial_lr=1e-12, seed=0)
@@ -163,13 +169,13 @@ class TestTraining:
         assert np.abs(np.diff(losses)).max() <= 1e-9
 
     def test_loss_decreases(self):
-        dataset = synth_dataset(2, 10, 3, 6, seed=1, noise=0.1)
+        dataset = synth_arrays(2, 10, 3, 6, seed=1, noise=0.1)
         shape = GcnShape(heads=2, nodes=3, signal_dim=3, filters=4, num_classes=2)
         trained, losses = train(init_model(shape, 0), dataset, TrainConfig(epochs=60, seed=0))
         assert losses[-1] < losses[0]
 
     def test_masked_parameters_stay_exactly_zero(self):
-        dataset = synth_dataset(2, 6, 3, 6, seed=2)
+        dataset = synth_arrays(2, 6, 3, 6, seed=2)
         shape = GcnShape(heads=2, nodes=3, signal_dim=3, filters=2, num_classes=2)
         model = init_model(shape, seed=1)
         mask = random_view_mask(model, np.random.default_rng(0))
@@ -184,7 +190,7 @@ class TestTraining:
 
     def test_all_ones_mask_trains_like_no_mask(self):
         # the masked and the unmasked run share one update rule
-        dataset = synth_dataset(2, 6, 3, 6, seed=8)
+        dataset = synth_arrays(2, 6, 3, 6, seed=8)
         model = init_model(TINY, seed=4)
         cfg = TrainConfig(epochs=40, batch_size=5, seed=3)
         plain, plain_losses = train(model, dataset, cfg)
@@ -195,7 +201,7 @@ class TestTraining:
         assert np.array_equal(masked.head, plain.head)
 
     def test_input_model_never_mutated(self):
-        dataset = synth_dataset(2, 4, 3, 6, seed=3)
+        dataset = synth_arrays(2, 4, 3, 6, seed=3)
         shape = GcnShape(heads=1, nodes=3, signal_dim=3, filters=2, num_classes=2)
         model = init_model(shape, seed=2)
         before = [model.attention.copy(), model.conv.copy(), model.head.copy()]
@@ -205,7 +211,7 @@ class TestTraining:
         assert np.array_equal(model.head, before[2])
 
     def test_divergence_reports_epoch(self):
-        dataset = synth_dataset(2, 4, 3, 6, seed=4)
+        dataset = synth_arrays(2, 4, 3, 6, seed=4)
         shape = GcnShape(heads=1, nodes=3, signal_dim=3, filters=2, num_classes=2)
         model = init_model(shape, seed=0)
         broken = GcnModel(shape, 1e300 * np.ones_like(model.attention), model.conv, model.head)
@@ -214,13 +220,25 @@ class TestTraining:
         assert exc.value.epoch == 0
 
     def test_empty_dataset_rejected(self):
+        empty = (np.zeros((0, TINY.signal_dim, TINY.nodes)), np.zeros(0, dtype=np.intp))
         with pytest.raises(DomainError):
-            train(init_model(TINY, 0), [], TrainConfig(epochs=1))
+            train(init_model(TINY, 0), empty, TrainConfig(epochs=1))
+        with pytest.raises(DomainError):
+            evaluate(init_model(TINY, 0), empty)
+
+    @pytest.mark.parametrize("label", [-1, TINY.num_classes])
+    def test_label_outside_classes_rejected(self, rng, label):
+        signals, labels = tiny_batch(rng)
+        labels[3] = label
+        with pytest.raises(DomainError, match=f"label {label} is outside"):
+            train(init_model(TINY, 0), (signals, labels), TrainConfig(epochs=1))
+        with pytest.raises(DomainError, match=f"label {label} is outside"):
+            evaluate(init_model(TINY, 0), (signals, labels))
 
 
 class TestEvaluate:
     def test_balanced_accuracy_of_constant_predictor(self):
-        dataset = synth_dataset(2, 10, 3, 6, seed=5)
+        dataset = synth_arrays(2, 10, 3, 6, seed=5)
         shape = GcnShape(heads=1, nodes=3, signal_dim=3, filters=2, num_classes=2)
         model = init_model(shape, seed=0)
         constant = GcnModel(
@@ -232,15 +250,15 @@ class TestEvaluate:
         assert evaluate(constant, dataset) == pytest.approx(0.5)
 
     def test_invariant_under_shuffling(self, rng):
-        dataset = synth_dataset(3, 6, 3, 6, seed=6)
+        dataset = synth_arrays(3, 6, 3, 6, seed=6)
         shape = GcnShape(heads=2, nodes=3, signal_dim=3, filters=2, num_classes=3)
         model = init_model(shape, seed=1)
-        shuffled = list(dataset)
-        rng.shuffle(shuffled)
+        order = rng.permutation(len(dataset[1]))
+        shuffled = (dataset[0][order], dataset[1][order])
         assert evaluate(model, dataset) == pytest.approx(evaluate(model, shuffled))
 
     def test_memorization_after_calibration_run(self):
-        dataset = synth_dataset(2, 8, 6, 10, seed=7, noise=0.3)
+        dataset = synth_arrays(2, 8, 6, 10, seed=7, noise=0.3, chunks=2)
         shape = GcnShape(heads=2, nodes=6, signal_dim=6, filters=4, num_classes=2)
         trained, _ = train(init_model(shape, 0), dataset, TrainConfig(epochs=150, seed=0))
         assert evaluate(trained, dataset) >= 0.95

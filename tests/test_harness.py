@@ -304,12 +304,24 @@ class TestConfig:
 class TestSplit:
     def test_split_shares_class_structure(self):
         cfg = tiny_config()
-        train_set, test_set = _load_split(cfg)
-        assert len(train_set) == 2 * 4
-        assert len(test_set) == 2 * 4
-        assert sorted({s.label for s in train_set}) == [0, 1]
-        assert sorted({s.label for s in test_set}) == [0, 1]
+        (train_signals, train_labels), (test_signals, test_labels) = _load_split(cfg)
+        assert train_signals.shape == test_signals.shape == (2 * 4, 3, 3)
+        assert train_labels.tolist() == test_labels.tolist() == [0] * 4 + [1] * 4
         # train and test must not share exact samples
-        for a in train_set:
-            for b in test_set:
-                assert not np.array_equal(a.joints, b.joints)
+        for a in train_signals:
+            for b in test_signals:
+                assert not np.array_equal(a, b)
+
+    def test_grid_chunks_each_split_once(self, monkeypatch):
+        import tcprune.gcn as gcn_mod
+
+        calls = []
+        original = gcn_mod.dataset_arrays
+
+        def counting(dataset, chunks):
+            calls.append(len(dataset))
+            return original(dataset, chunks)
+
+        monkeypatch.setattr(gcn_mod, "dataset_arrays", counting)
+        run_ablation(tiny_config(rates=(0.5, 0.9), seeds=(0, 1)))
+        assert calls == [2 * 4, 2 * 4]

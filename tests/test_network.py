@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import random_mask_tensor, random_network
 from oracles import loop_forward
-from tcprune.data import save_adjacency, save_sequence, synth_dataset
+from tcprune.data import save_sequence, synth_dataset
 from tcprune.errors import DomainError, ShapeError
 from tcprune.gcn import GcnShape, init_model, save_model
 from tcprune.harness import ExperimentConfig, ResultRow, _persist, emit
@@ -248,7 +248,6 @@ class TestAtomicWrites:
         "network": lambda p: save_network(LayeredNetwork((np.eye(2),), ("identity",)), p),
         "mask": lambda p: save_mask(MaskTensor((np.eye(2, dtype=bool),)), p),
         "model": lambda p: save_model(init_model(GcnShape(1, 3, 3, 1, 2), seed=0), p),
-        "adjacency": lambda p: save_adjacency(np.eye(3), p),
         "sequence": lambda p: save_sequence(synth_dataset(1, 1, 3, 2, seed=0)[0], p),
         "table": lambda p: emit(
             [ResultRow(0.5, False, False, "local", None, 1, 100.0, 1.0, 0.0, 1, 0.1)], "csv", p
