@@ -15,7 +15,6 @@ from .pruner import PruneSpec, prune, standard_mp, stochastic_mp, tc_mp
 from .surrogate import SurrogateTable, build_table
 from .topology import (
     ConsistencyReport,
-    connection_flags,
     consistency_report,
     trim_to_consistent,
 )
@@ -37,7 +36,6 @@ __all__ = [
     "SurrogateTable",
     "build_table",
     "ConsistencyReport",
-    "connection_flags",
     "consistency_report",
     "trim_to_consistent",
 ]

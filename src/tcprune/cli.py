@@ -36,8 +36,8 @@ from .harness import (
     ModelSpec,
     SyntheticSpec,
     _build,
-    config_from_json,
     emit,
+    load_config,
     report_from_artifacts,
     run_ablation,
 )
@@ -47,9 +47,16 @@ from .topology import consistency_report, report_to_json
 
 
 def _parse_kv(text: str | None) -> SyntheticSpec:
-    """Parse "a=1,b=2" into a SyntheticSpec; each value is read as JSON."""
-    pairs = (part.partition("=") for part in text.split(",")) if text else ()
-    return _build(SyntheticSpec, {k.strip(): json.loads(v) for k, _, v in pairs}, "--synthetic")
+    """Parse "a=1,b=2" into a SyntheticSpec; each value is read as JSON, and
+    a pair that is not key=<JSON> raises DomainError naming it."""
+    payload = {}
+    for pair in text.split(",") if text else ():
+        key, _, value = pair.partition("=")
+        try:
+            payload[key.strip()] = json.loads(value)
+        except json.JSONDecodeError as exc:
+            raise DomainError(f"--synthetic: {pair!r} is not key=<JSON>: {exc}") from exc
+    return _build(SyntheticSpec, payload, "--synthetic")
 
 
 def _load_data(args, chunks: int):
@@ -120,8 +127,7 @@ def _experiment_config(args) -> ExperimentConfig:
         if args.grid_flags:
             given = ", ".join(sorted(set(args.grid_flags)))
             raise DomainError(f"--config states the whole grid; drop {given}")
-        with open(args.config, "r", encoding="ascii") as fh:
-            cfg = config_from_json(fh.read())
+        cfg = load_config(args.config)
         return dataclasses.replace(cfg, output=args.out) if args.out else cfg
     return ExperimentConfig(
         rates=tuple(float(r) for r in args.rates.split(",")),
@@ -250,7 +256,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:  # DomainError, ShapeError, JSONDecodeError, ...
+    except ValueError as exc:  # DomainError, ShapeError, ...
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SaturationError as exc:

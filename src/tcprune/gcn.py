@@ -32,7 +32,7 @@ import numpy as np
 
 from .data import SkeletonSequence, temporal_chunking
 from .errors import DivergenceError, DomainError, ShapeError
-from .network import LayeredNetwork, MaskTensor, _atomic_write
+from .network import LayeredNetwork, MaskTensor, _atomic_write, _read_json
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,7 @@ def forward_batch(model: GcnModel, signals: np.ndarray):
     aggregates = mixed.reshape(b, s, k, n).transpose(0, 3, 2, 1).reshape(b * n, k * s)
     pre = aggregates @ model.conv.reshape(k * s, c)
     flat = np.maximum(pre, 0.0).reshape(b, n * c)
-    logits = flat @ model.head
-    return _softmax_rows(logits), (aggregates, pre, flat, logits)
+    return _softmax_rows(flat @ model.head), (aggregates, pre, flat)
 
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -147,7 +146,7 @@ def loss_and_grads(model: GcnModel, signals: np.ndarray, labels: np.ndarray):
     once into rows (k, i) and columns (b, m) for the attention gradient.
     """
     k, n, s, c = model.shape.heads, model.shape.nodes, model.shape.signal_dim, model.shape.filters
-    probs, (aggregates, pre, flat, _) = forward_batch(model, signals)
+    probs, (aggregates, pre, flat) = forward_batch(model, signals)
     batch = len(labels)
     loss = cross_entropy(probs, labels)
     dlogits = probs.copy()
@@ -246,19 +245,19 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     lr = cfg.initial_lr
     losses: list[float] = []
-    current = GcnModel(model.shape, *params)
+    # wraps the arrays of `params` themselves, which the steps update in place
+    tuned = GcnModel(model.shape, *params)
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(labels))
         epoch_loss = 0.0
         for lo in range(0, len(order), cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
-            loss, grads = loss_and_grads(current, signals[idx], labels[idx])
+            loss, grads = loss_and_grads(tuned, signals[idx], labels[idx])
             epoch_loss += loss * len(idx)
             for p, v, g, b in zip(params, velocity, grads, bits):
                 v *= cfg.momentum
                 v -= lr * np.where(b, g, 0.0)
                 p += v
-            current = GcnModel(model.shape, *params)
         epoch_loss /= len(labels)
         if not np.isfinite(epoch_loss):
             raise DivergenceError(epoch)
@@ -268,7 +267,7 @@ def train(
             speed_prev = abs(losses[-2] - losses[-3])
             lr = lr * cfg.lr_decay if speed_now > speed_prev else lr / cfg.lr_decay
             lr = float(np.clip(lr, _LR_MIN, _LR_MAX))
-    return current, losses
+    return tuned, losses
 
 
 def evaluate(
@@ -362,11 +361,7 @@ def load_model(path) -> GcnModel:
     """Read a model back. A top level that is not an object, a missing or
     unknown key, a shape field that is not a positive integer and an array
     that is not numeric raise DomainError; a wrong array shape, ShapeError."""
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            payload = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DomainError(f"{path}: {exc}") from exc
+    payload = _read_json(path)
     if not isinstance(payload, dict):
         raise DomainError(f"{path}: model must be a JSON object, got {type(payload).__name__}")
     missing = sorted(set(_SHAPE_KEYS + _ARRAY_KEYS) - set(payload))

@@ -30,7 +30,7 @@ from . import gcn
 from .data import load_dataset, synth_dataset
 from .errors import BudgetError, DomainError, SaturationError
 from .gcn import GcnModel, GcnShape, TrainConfig, as_layered, evaluate, init_model, train
-from .network import LayeredNetwork, _atomic_write, full_mask, load_mask, save_mask
+from .network import LayeredNetwork, _atomic_write, _read_json, full_mask, load_mask, save_mask
 from .pruner import PruneSpec, prune
 from .topology import consistency_report, trim_to_consistent
 
@@ -195,10 +195,15 @@ def _load_split(cfg: ExperimentConfig):
 
 
 def _shape_for(cfg: ExperimentConfig, train_set) -> GcnShape:
+    """The grid's model shape. Every cell prunes the layered view, so a
+    shape without one (3 * chunks != joints) raises DomainError here,
+    before anything trains."""
     signals, labels = train_set
     joints = signals.shape[2]
     classes = int(labels.max()) + 1
-    return GcnShape(cfg.model.heads, joints, 3 * cfg.model.chunks, cfg.model.filters, classes)
+    shape = GcnShape(cfg.model.heads, joints, 3 * cfg.model.chunks, cfg.model.filters, classes)
+    gcn._view_dims(shape)
+    return shape
 
 
 def _mask_name(rate, variant: Variant, seed) -> str:
@@ -377,12 +382,7 @@ def report_from_artifacts(artifact_dir: str) -> list[ResultRow]:
     files and must equal the recorded value exactly: the same computation
     on the same mask bits gives the same float, and JSON round-trips it.
     """
-    path = os.path.join(artifact_dir, "runs.json")
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            payload = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise DomainError(f"{path}: {exc}") from exc
+    payload = _read_json(os.path.join(artifact_dir, "runs.json"))
     records = _build(tuple[RunRecord, ...], payload, "runs.json")
     for rec in records:
         if rec.mask_file is not None:
@@ -436,10 +436,7 @@ def _build(hint, value, where: str):
     raise DomainError(f"{where} must be {hint.__name__}, got {value!r}")
 
 
-def config_from_json(text: str) -> ExperimentConfig:
-    """Parse a config; malformed JSON and anything `_build` rejects raise DomainError."""
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"config: {exc}") from exc
-    return _build(ExperimentConfig, payload, "config")
+def load_config(path) -> ExperimentConfig:
+    """Read a config file; anything `_read_json` or `_build` rejects raises
+    DomainError naming the file."""
+    return _build(ExperimentConfig, _read_json(path), f"{path}: config")

@@ -27,14 +27,6 @@ def as_bools(values) -> np.ndarray:
     return arr.astype(bool)
 
 
-def hadamard(a, mask) -> np.ndarray:
-    """Entrywise product with a boolean mask; masked entries are exactly 0."""
-    a, mask = as_dense(a), as_bools(mask)
-    if a.shape != mask.shape:
-        raise ShapeError(f"shape mismatch {a.shape} vs {mask.shape}")
-    return np.where(mask, a, 0.0)
-
-
 def row_normalize(a) -> np.ndarray:
     """Divide each row by its sum of absolute values."""
     a = as_dense(a)

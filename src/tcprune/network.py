@@ -9,6 +9,7 @@ Networks and masks are treated as immutable once constructed.
 from __future__ import annotations
 
 import contextlib
+import json
 import math
 import os
 import stat
@@ -19,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .linalg import as_bools, as_dense, hadamard
+from .linalg import as_bools, as_dense
 
 
 def _relu(x: np.ndarray) -> np.ndarray:
@@ -149,14 +150,14 @@ def masked_forward(net: LayeredNetwork, mask: MaskTensor, x) -> np.ndarray:
     if x.shape != (net.dims[0],):
         raise ShapeError(f"input length {x.shape} does not match width {net.dims[0]}")
     for w, m, name in zip(net.weights, mask.masks, net.activations):
-        x = ACTIVATIONS[name](hadamard(w, m).T @ x)
+        x = ACTIVATIONS[name](np.where(m, w, 0.0).T @ x)
     return x
 
 
 def apply_mask(net: LayeredNetwork, mask: MaskTensor) -> LayeredNetwork:
     """Materialize the pruned network with masked weights set to zero."""
     check_shapes(net, mask)
-    zeroed = tuple(hadamard(w, m) for w, m in zip(net.weights, mask.masks))
+    zeroed = tuple(np.where(m, w, 0.0) for w, m in zip(net.weights, mask.masks))
     return LayeredNetwork(zeroed, net.activations)
 
 
@@ -254,6 +255,16 @@ def _read_fields(path) -> list[list[str]]:
         with open(path, "r", encoding="ascii") as fh:
             return [fields for fields in (ln.split() for ln in fh) if fields]
     except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: {exc}") from exc
+
+
+def _read_json(path):
+    """The parsed contents of an ASCII JSON file; a non-ASCII byte or
+    malformed JSON raises DomainError naming the file."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DomainError(f"{path}: {exc}") from exc
 
 

@@ -42,13 +42,17 @@ class PruneSpec:
 
 
 class ChainTrace(NamedTuple):
-    """One complete chain added by tc_mp: (layer, from, to) per step.
+    """One complete chain added by tc_mp: the neuron it visits at each
+    depth 0..L, and how many mask bits it newly set."""
 
-    Step t has layer t + 1 and starts where step t - 1 ended.
-    """
-
-    steps: tuple[tuple[int, int, int], ...]
+    path: tuple[int, ...]
     newly_added: int
+
+    @property
+    def steps(self) -> tuple[tuple[int, int, int], ...]:
+        """(layer, from, to) per step; step t has layer t + 1 and starts
+        where step t - 1 ended."""
+        return tuple((t + 1, i, j) for t, (i, j) in enumerate(zip(self.path, self.path[1:])))
 
 
 def _magnitudes(net: LayeredNetwork) -> np.ndarray:
@@ -184,10 +188,7 @@ def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, list[
         choosers = [_sample_chooser(s, rng) for s in scores]
     else:
         choosers = [_argmax_chooser(s) for s in scores]
-    levels = [
-        (layer, m.shape[1], memoryview(m.reshape(-1)), choose)
-        for layer, m, choose in zip(range(1, depth + 1), masks, choosers)
-    ]
+    levels = [(m.shape[1], memoryview(m.reshape(-1)), choose) for m, choose in zip(masks, choosers)]
     # Deterministic selection repeats verbatim after one full round-robin
     # sweep with no new bits; stochastic selection gets a generous allowance
     # before it is declared stuck.
@@ -195,23 +196,21 @@ def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, list[
     stall_limit = d0 if not spec.stochastic else max(32 * d0, 1000)
     traces: list[ChainTrace] = []
     kept = 0
-    sweep = 0
     stall = 0
     while kept < b.max_kept:
-        cur = int(rng.integers(d0)) if spec.stochastic else sweep % d0
-        steps = []
+        cur = int(rng.integers(d0)) if spec.stochastic else len(traces) % d0
+        path = [cur]
         new_bits = 0
-        for layer, width, bits, choose in levels:
+        for width, bits, choose in levels:
             nxt = choose(cur)
             at = cur * width + nxt
             if not bits[at]:
                 bits[at] = True
                 new_bits += 1
-            steps.append((layer, cur, nxt))
+            path.append(nxt)
             cur = nxt
         kept += new_bits
-        traces.append(ChainTrace(tuple(steps), new_bits))
-        sweep += 1
+        traces.append(ChainTrace(tuple(path), new_bits))
         if new_bits == 0:
             stall += 1
             if stall >= stall_limit:

@@ -41,17 +41,6 @@ def _on_complete_paths(mask: MaskTensor, reached, reaches_out) -> list[np.ndarra
             for l, m in enumerate(mask.masks)]
 
 
-def connection_flags(mask: MaskTensor, layer: int, i: int, j: int) -> tuple[bool, bool]:
-    """(accessible, coaccessible) for the connection (layer, i -> j)."""
-    if not 1 <= layer <= mask.depth:
-        raise IndexError(f"layer {layer} out of range 1..{mask.depth}")
-    rows, cols = mask.masks[layer - 1].shape
-    if not (0 <= i < rows and 0 <= j < cols):
-        raise IndexError(f"connection ({i}, {j}) out of range for shape {(rows, cols)}")
-    reached, reaches_out = _neuron_flags(mask)
-    return bool(reached[layer - 1][i]), bool(reaches_out[layer][j])
-
-
 @dataclass(frozen=True)
 class ConsistencyReport:
     """Per-neuron reachability plus aggregate counts over kept connections.

@@ -76,6 +76,15 @@ class TestTrain:
         assert model.shape.nodes == 3
         assert model.shape.num_classes == 2
 
+    def test_chunks_need_not_match_joints(self, tmp_path):
+        # training builds no layered view, so 3 * chunks may differ from the joints
+        path = tmp_path / "model.json"
+        code = run_cli("train", "--synthetic", SYNTH, "--heads", "2", "--filters", "2",
+                       "--chunks", "2", "--epochs", "1", "--out", str(path))
+        assert code == 0
+        shape = load_model(path).shape
+        assert (shape.signal_dim, shape.nodes) == (6, 3)
+
 
 class TestTrainDataset:
     def test_truncated_sequence_file_is_config_error(self, tmp_path):
@@ -289,6 +298,29 @@ class TestAblate:
     def test_bad_synthetic_is_rejected_before_training(self, tmp_path, train_calls, synthetic):
         out_dir = tmp_path / "run"
         assert run_cli("ablate", "--synthetic", synthetic, "--out", str(out_dir)) == 2
+        assert train_calls == []
+        assert not (out_dir / "masks").exists()
+
+    @pytest.mark.parametrize(
+        "synthetic, pair",
+        [("classes", "classes"), ("classes=4,", ""), ("noise=.5", "noise=.5")],
+        ids=["no-value", "trailing-comma", "not-json"],
+    )
+    def test_synthetic_pair_not_json_is_config_error(
+        self, tmp_path, train_calls, capsys, synthetic, pair
+    ):
+        assert run_cli("ablate", "--synthetic", synthetic, "--out", str(tmp_path / "run")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --synthetic: {pair!r} is not key=<JSON>")
+        assert train_calls == []
+
+    def test_grid_without_layered_view_is_rejected_before_training(
+        self, tmp_path, train_calls, capsys
+    ):
+        out_dir = tmp_path / "run"
+        # the default 15 joints need 5 chunks for the view every cell prunes
+        assert run_cli("ablate", "--chunks", "4", "--epochs", "20", "--out", str(out_dir)) == 2
+        assert "3 * chunks == nodes" in capsys.readouterr().err
         assert train_calls == []
         assert not (out_dir / "masks").exists()
 

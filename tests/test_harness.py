@@ -18,8 +18,8 @@ from tcprune.harness import (
     _load_split,
     _run_grid,
     aggregate,
-    config_from_json,
     emit,
+    load_config,
     report_from_artifacts,
     run_ablation,
 )
@@ -246,19 +246,31 @@ class TestArtifacts:
             report_from_artifacts(str(tmp_path))
 
 
+def config_file(tmp_path, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text, encoding="ascii")
+    return path
+
+
 class TestConfig:
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, tmp_path):
         cfg = tiny_config(variants=(Variant(True, False, "global", 0.5),), output="somewhere")
-        back = config_from_json(json.dumps(dataclasses.asdict(cfg)))
+        back = load_config(config_file(tmp_path, json.dumps(dataclasses.asdict(cfg))))
         assert back == cfg
 
-    def test_malformed_json_is_domain_error(self):
-        with pytest.raises(DomainError):
-            config_from_json("{")
+    def test_malformed_json_is_domain_error(self, tmp_path):
+        with pytest.raises(DomainError, match="cfg.json: "):
+            load_config(config_file(tmp_path, "{"))
 
-    def test_int_for_float_is_converted(self):
+    def test_non_ascii_file_is_domain_error(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"rates": [0.9], "output": "\xff"}')
+        with pytest.raises(DomainError, match="cfg.json: "):
+            load_config(path)
+
+    def test_int_for_float_is_converted(self, tmp_path):
         variant = '{"tc": true, "stochastic": true, "scoring": "global", "alpha": 1}'
-        cfg = config_from_json('{"rates": [0, 0.1], "variants": [%s]}' % variant)
+        cfg = load_config(config_file(tmp_path, '{"rates": [0, 0.1], "variants": [%s]}' % variant))
         assert [type(r) for r in cfg.rates] == [float, float]
         assert type(cfg.variants[0].alpha) is float
 
@@ -271,28 +283,28 @@ class TestConfig:
         payload.update(rates=[0], output=str(tmp_path / "b"))
         payload["variants"][0]["alpha"] = 1
         run_ablation(flags)
-        run_ablation(config_from_json(json.dumps(payload)))
+        run_ablation(load_config(config_file(tmp_path, json.dumps(payload))))
         for name in ("runs.json", "results.json"):
             texts = ((tmp_path / d / name).read_text() for d in "ab")
             a, b = (re.sub(r'"wall_s": [^,\n]*', "", text) for text in texts)
             assert a == b
             assert '"alpha": 1.0' in a and '"rate": 0.0' in a
 
-    def test_int_out_of_float_range_is_domain_error(self):
-        with pytest.raises(DomainError, match="out of float range"):
-            config_from_json('{"rates": [%d]}' % 10**400)
+    def test_int_out_of_float_range_is_domain_error(self, tmp_path):
+        with pytest.raises(DomainError, match="cfg.json: .*out of float range"):
+            load_config(config_file(tmp_path, '{"rates": [%d]}' % 10**400))
 
     def test_requires_nonempty_grid(self):
         with pytest.raises(DomainError):
             ExperimentConfig(rates=())
 
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
-    def test_shipped_config_round_trips(self, path):
-        cfg = config_from_json(path.read_text(encoding="ascii"))
-        assert config_from_json(json.dumps(dataclasses.asdict(cfg))) == cfg
+    def test_shipped_config_round_trips(self, tmp_path, path):
+        cfg = load_config(path)
+        assert load_config(config_file(tmp_path, json.dumps(dataclasses.asdict(cfg)))) == cfg
 
     def test_alpha_sweep_config_holds_inverse_alphas(self):
-        cfg = config_from_json((CONFIG_DIR / "alpha_sweep.json").read_text(encoding="ascii"))
+        cfg = load_config(CONFIG_DIR / "alpha_sweep.json")
         inverse = (1, 1.5, 2.5, 7, 10, 20, 50)
         assert cfg.variants == sweep_variants(tuple(1.0 / x for x in inverse))
 

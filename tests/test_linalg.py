@@ -1,35 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
-from tcprune.errors import DegenerateRowError, ShapeError
-from tcprune.linalg import hadamard, row_normalize
-
-
-class TestHadamard:
-    def test_all_ones_and_zeros(self, rng):
-        a = rng.standard_normal((3, 4))
-        assert np.array_equal(hadamard(a, np.ones((3, 4))), a)
-        assert np.array_equal(hadamard(a, np.zeros((3, 4))), np.zeros((3, 4)))
-
-    def test_hand_example(self):
-        out = hadamard([[1, -2], [3, 4]], [[0, 1], [1, 0]])
-        assert np.array_equal(out, [[0, -2], [3, 0]])
-
-    @given(
-        a=arrays(np.float64, (4, 3), elements=st.floats(-1e6, 1e6)),
-        m=arrays(np.bool_, (4, 3)),
-    )
-    def test_masked_entries_are_exact_zeros(self, a, m):
-        out = hadamard(a, m)
-        assert (out[~m] == 0.0).all()
-        assert np.array_equal(out[m], a[m])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            hadamard(np.ones((2, 2)), np.ones((2, 3)))
+from tcprune.errors import DegenerateRowError
+from tcprune.linalg import row_normalize
 
 
 class TestRowNormalize:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import random_mask_tensor, random_network
 from oracles import loop_forward
@@ -140,6 +141,25 @@ class TestApplyMask:
         net = random_network(rng, (2, 3, 2))
         mask = MaskTensor(tuple(np.zeros(w.shape, bool) for w in net.weights))
         assert all(not w.any() for w in apply_mask(net, mask).weights)
+
+    def test_hand_example(self):
+        net = LayeredNetwork((np.array([[1.0, -2.0], [3.0, 4.0]]),), ("identity",))
+        mask = MaskTensor((np.array([[0, 1], [1, 0]], dtype=bool),))
+        assert np.array_equal(apply_mask(net, mask).weights[0], [[0, -2], [3, 0]])
+
+    @given(
+        w=arrays(np.float64, (4, 3), elements=st.floats(-1e6, 1e6)),
+        m=arrays(np.bool_, (4, 3)),
+    )
+    def test_masked_entries_are_exact_zeros(self, w, m):
+        (out,) = apply_mask(LayeredNetwork((w,), ("identity",)), MaskTensor((m,))).weights
+        assert (out[~m] == 0.0).all()
+        assert np.array_equal(out[m], w[m])
+
+    def test_shape_mismatch(self, rng):
+        net = random_network(rng, (3, 4, 2))
+        with pytest.raises(ShapeError):
+            apply_mask(net, random_mask_tensor(rng, (3, 5, 2)))
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=30, deadline=None)

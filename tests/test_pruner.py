@@ -340,10 +340,14 @@ class TestTcMp:
                     continue
                 assert traces
                 for trace in traces:
+                    assert len(trace.path) == depth + 1
+                    assert all(0 <= v < d for v, d in zip(trace.path, dims))
+                    # the steps keep their (layer, from, to) layout
                     assert [layer for layer, _, _ in trace.steps] == list(range(1, depth + 1))
                     for (_, _, to), (_, frm, _) in zip(trace.steps, trace.steps[1:]):
                         assert to == frm
                     for layer, i, j in trace.steps:
+                        assert (i, j) == trace.path[layer - 1 : layer + 1]
                         assert 0 <= i < dims[layer - 1] and 0 <= j < dims[layer]
 
 

@@ -8,30 +8,28 @@ from hypothesis import strategies as st
 from conftest import random_mask_tensor
 from oracles import dfs_connection_flags, dfs_consistent_set
 from tcprune.network import MaskTensor
-from tcprune.topology import (
-    connection_flags,
-    consistency_report,
-    report_to_json,
-    trim_to_consistent,
-)
+from tcprune.topology import consistency_report, report_to_json, trim_to_consistent
 
 
 def mask_from_lists(*layers):
     return MaskTensor(tuple(np.asarray(m, dtype=bool) for m in layers))
 
 
+def flags(mask, layer, i, j):
+    """(accessible, coaccessible) of connection (layer, i -> j), read off the report."""
+    report = consistency_report(mask)
+    return (bool(report.per_layer_accessible[layer - 1][i, j]),
+            bool(report.per_layer_coaccessible[layer - 1][i, j]))
+
+
 class TestConnectionFlags:
     def test_layer_one_always_accessible(self, rng):
         mask = random_mask_tensor(rng, (3, 4, 2), density=0.3)
-        for i in range(3):
-            for j in range(4):
-                assert connection_flags(mask, 1, i, j)[0]
+        assert consistency_report(mask).per_layer_accessible[0].all()
 
     def test_last_layer_always_coaccessible(self, rng):
         mask = random_mask_tensor(rng, (3, 4, 2), density=0.3)
-        for i in range(4):
-            for j in range(2):
-                assert connection_flags(mask, 2, i, j)[1]
+        assert consistency_report(mask).per_layer_coaccessible[-1].all()
 
     def test_chain_with_dangling_edge(self):
         # full chain 0->0->0 plus a layer-2 edge into a neuron with no
@@ -42,30 +40,24 @@ class TestConnectionFlags:
             [[1, 0, 0], [0, 0, 0], [0, 0, 0]],
         )
         for layer in range(1, 4):
-            assert connection_flags(mask, layer, 0, 0) == (True, True)
-        assert connection_flags(mask, 2, 0, 1) == (True, False)
+            assert flags(mask, layer, 0, 0) == (True, True)
+        assert flags(mask, 2, 0, 1) == (True, False)
 
     @given(seed=st.integers(0, 100_000))
     @settings(max_examples=60, deadline=None)
     def test_matches_dfs_oracle(self, seed):
         rng = np.random.default_rng(seed)
-        dims = tuple(rng.integers(1, 5, size=rng.integers(3, 6)))
+        dims = tuple(rng.integers(1, 5, size=rng.integers(3, 6)))  # depths 2-4
         mask = random_mask_tensor(rng, dims, density=float(rng.uniform(0.1, 0.7)))
+        report = consistency_report(mask)
         for layer in range(1, mask.depth + 1):
-            m = mask.masks[layer - 1]
-            for i in range(m.shape[0]):
-                for j in range(m.shape[1]):
-                    assert connection_flags(mask, layer, i, j) == dfs_connection_flags(
-                        mask, layer, i, j
-                    )
-
-    def test_index_out_of_range(self, rng):
-        mask = random_mask_tensor(rng, (3, 2))
-        with pytest.raises(IndexError):
-            connection_flags(mask, 1, 3, 0)
-        for bad in (0, 2, -1):
-            with pytest.raises(IndexError):
-                connection_flags(mask, bad, 0, 0)
+            accessible = report.per_layer_accessible[layer - 1]
+            coaccessible = report.per_layer_coaccessible[layer - 1]
+            assert accessible.shape == coaccessible.shape == mask.masks[layer - 1].shape
+            for i in range(accessible.shape[0]):
+                for j in range(accessible.shape[1]):
+                    got = (bool(accessible[i, j]), bool(coaccessible[i, j]))
+                    assert got == dfs_connection_flags(mask, layer, i, j)
 
 
 class TestConsistencyReport:
