@@ -48,12 +48,15 @@ from .topology import consistency_report, report_to_json
 
 def _parse_kv(text: str | None) -> SyntheticSpec:
     """Parse "a=1,b=2" into a SyntheticSpec; each value is read as JSON, and
-    a pair that is not key=<JSON> raises DomainError naming it."""
+    a pair that is not key=<JSON>, or repeats a key, raises DomainError naming it."""
     payload = {}
     for pair in text.split(",") if text else ():
         key, _, value = pair.partition("=")
+        key = key.strip()
+        if key in payload:
+            raise DomainError(f"--synthetic: repeated key {key!r}")
         try:
-            payload[key.strip()] = json.loads(value)
+            payload[key] = json.loads(value)
         except json.JSONDecodeError as exc:
             raise DomainError(f"--synthetic: {pair!r} is not key=<JSON>: {exc}") from exc
     return _build(SyntheticSpec, payload, "--synthetic")

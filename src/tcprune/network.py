@@ -259,11 +259,20 @@ def _read_fields(path) -> list[list[str]]:
 
 
 def _read_json(path):
-    """The parsed contents of an ASCII JSON file; a non-ASCII byte or
-    malformed JSON raises DomainError naming the file."""
+    """The parsed contents of an ASCII JSON file; a non-ASCII byte, malformed
+    JSON or a key repeated in one object raises DomainError naming the file."""
+
+    def unique(pairs):
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise DomainError(f"{path}: repeated key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
         with open(path, "r", encoding="ascii") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DomainError(f"{path}: {exc}") from exc
 

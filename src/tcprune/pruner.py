@@ -61,13 +61,24 @@ def _magnitudes(net: LayeredNetwork) -> np.ndarray:
 
 
 def _top_k(net: LayeredNetwork, keys: np.ndarray, max_kept: int) -> MaskTensor:
-    """Keep the max_kept connections with the largest flat keys.
+    """Keep the max_kept connections with the largest flat keys, in linear time.
 
-    Ties break toward the lexicographically smallest (layer, row, col),
-    which is the flat concatenation order the stable sort preserves.
+    A mask is a set, so only the max_kept-th largest key is needed: every
+    key above it is kept, and the slots left go to the lowest flat indices
+    whose key equals it. Ties thus break toward the lexicographically
+    smallest (layer, row, col), as a stable sort of -keys would, with -inf
+    keys last. Keys are never NaN: LayeredNetwork rejects non-finite weights.
     """
-    chosen = np.zeros(keys.size, dtype=bool)
-    chosen[np.argsort(-keys, kind="stable")[:max_kept]] = True
+    n = keys.size
+    if max_kept >= n:
+        chosen = np.ones(n, dtype=bool)
+    elif max_kept == 0:
+        chosen = np.zeros(n, dtype=bool)
+    else:
+        cut = np.partition(keys, n - max_kept)[n - max_kept]
+        chosen = keys > cut
+        ties = np.flatnonzero(keys == cut)
+        chosen[ties[: max_kept - np.count_nonzero(chosen)]] = True
     masks, offset = [], 0
     for w in net.weights:
         masks.append(chosen[offset : offset + w.size].reshape(w.shape))

@@ -88,6 +88,19 @@ def dfs_consistent_set(mask: MaskTensor) -> list[np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
+# Top-k by a full stable sort
+
+
+def argsort_top_k(net: LayeredNetwork, keys: np.ndarray, max_kept: int) -> list[np.ndarray]:
+    """Per-layer masks of the max_kept largest flat keys, by a stable argsort
+    of every key: ties keep flat (layer, row, col) order, -inf keys last."""
+    chosen = np.zeros(keys.size, dtype=bool)
+    chosen[np.argsort(-keys, kind="stable")[:max_kept]] = True
+    sizes = np.cumsum([w.size for w in net.weights])[:-1]
+    return [part.reshape(w.shape) for part, w in zip(np.split(chosen, sizes), net.weights)]
+
+
+# ---------------------------------------------------------------------------
 # Path enumeration for surrogate scores
 
 

@@ -314,6 +314,27 @@ class TestAblate:
         assert err.startswith(f"error: --synthetic: {pair!r} is not key=<JSON>")
         assert train_calls == []
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"rates": [0.5], "rates": [0.9]}', "rates"),
+            ('{"rates": [0.9], "synthetic": {"seed": 1, "seed": 2}}', "seed"),
+        ],
+        ids=["top-level", "nested"],
+    )
+    def test_config_repeated_key_is_config_error(self, tmp_path, train_calls, capsys, text, key):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        assert run_cli("ablate", "--config", str(cfg_path)) == 2
+        assert f"{cfg_path}: repeated key {key!r}" in capsys.readouterr().err
+        assert train_calls == []
+
+    def test_synthetic_repeated_key_is_config_error(self, tmp_path, train_calls, capsys):
+        out_dir = tmp_path / "run"
+        assert run_cli("ablate", "--synthetic", "seed=1, seed=2", "--out", str(out_dir)) == 2
+        assert capsys.readouterr().err.startswith("error: --synthetic: repeated key 'seed'")
+        assert train_calls == []
+
     def test_grid_without_layered_view_is_rejected_before_training(
         self, tmp_path, train_calls, capsys
     ):

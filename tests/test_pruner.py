@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_network
-from oracles import OracleSaturation, greedy_chain_oracle, stochastic_chain_oracle
+from oracles import OracleSaturation, argsort_top_k, greedy_chain_oracle, stochastic_chain_oracle
 from tcprune.errors import BudgetError, DegenerateDistributionError, DomainError, SaturationError
 from tcprune.network import LayeredNetwork, budget, total_connections
 from tcprune.pruner import (
     PruneSpec,
+    _top_k,
     prune,
     standard_mp,
     stochastic_mp,
@@ -104,6 +105,44 @@ class TestStochasticMp:
         net = LayeredNetwork((np.zeros((2, 2)),), ("identity",))
         with pytest.raises(DegenerateDistributionError):
             stochastic_mp(net, 0.5, seed=0)
+
+
+class TestTopK:
+    """The linear-time top-k against a stable argsort of every key."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_argsort_oracle_with_ties(self, data):
+        dims = data.draw(st.lists(st.integers(1, 6), min_size=2, max_size=4))
+        net = LayeredNetwork(
+            tuple(np.ones((a, b)) for a, b in zip(dims, dims[1:])), ("identity",) * (len(dims) - 1)
+        )
+        n = total_connections(net)
+        pool = st.sampled_from([-np.inf, -1.0, 0.0, 0.5, 2.0, np.inf])
+        keys = np.array(data.draw(st.lists(pool, min_size=n, max_size=n)))
+        max_kept = data.draw(st.one_of(st.just(0), st.just(n), st.integers(0, n)))
+        got = _top_k(net, keys, max_kept)
+        want = argsort_top_k(net, keys, max_kept)
+        assert got.kept_count == max_kept
+        for g, w in zip(got.masks, want):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("rate", [0.9, 0.99])
+    def test_pruners_match_argsort_oracle(self, rate):
+        # weights rounded to one decimal: many tied magnitudes and exact zeros
+        rng = np.random.default_rng(2024)
+        dims = (64, 256, 256, 10)
+        weights = tuple(
+            np.round(rng.standard_normal((a, b)), 1) for a, b in zip(dims, dims[1:])
+        )
+        net = LayeredNetwork(weights, ("identity",) * 3)
+        max_kept = budget(net, rate).max_kept
+        flat = np.concatenate([np.abs(w).ravel() for w in weights])
+        with np.errstate(divide="ignore"):
+            gumbel = np.log(flat) + np.random.default_rng(5).gumbel(size=flat.size)
+        for got, keys in ((standard_mp(net, rate), flat), (stochastic_mp(net, rate, 5), gumbel)):
+            for g, w in zip(got.masks, argsort_top_k(net, keys, max_kept)):
+                assert np.array_equal(g, w)
 
 
 class TestSelectStart:
