@@ -10,6 +10,10 @@ and classifies the flattened features with a dense head:
 Training is plain momentum SGD on the cross-entropy loss with manual
 gradients; the learning rate moves inversely to the speed of change of the
 loss (slows down when the loss moves faster, speeds up when it stalls).
+Each train call makes one StepBuffers set, sized for its largest batch, and
+every forward pass, backward pass and update of the call writes into it, so
+a training step allocates no array and its speed does not depend on how the
+allocator lays out the heap.
 
 as_layered exposes the three parameter groups as one dense 3-layer network
 so the mask machinery can prune the model. The view requires
@@ -26,6 +30,7 @@ view mask itself.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,12 +107,42 @@ def init_model(shape: GcnShape, seed: int, head_scale: float = 1.0) -> GcnModel:
 # Forward / loss / gradients
 
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    z = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return z / z.sum(axis=1, keepdims=True)
+class StepBuffers:
+    """Scratch arrays for forward_batch and loss_and_grads on batches of up
+    to `batch` samples, so that a training step allocates no array.
+
+    train makes one set per call and reuses it for every step. What the two
+    functions return are views into these arrays, valid until the set's next
+    use; a smaller batch uses the leading part of each array. The backward
+    pass writes dagg over `mixed` and dagg_by_head over `aggregates`, each
+    dead by then, which keeps the set no larger than one step's temporaries.
+    """
+
+    def __init__(self, shape: GcnShape, batch: int):
+        k, n, s, c = shape.heads, shape.nodes, shape.signal_dim, shape.filters
+        q = shape.num_classes
+        per_sample = {
+            "mixed": s * k * n,
+            "aggregates": n * k * s,
+            "pre": n * c,
+            "flat": n * c,
+            "probs": q,
+            "row": 1,
+            "dlogits": q,
+            "dpre": n * c,
+        }
+        self._arrays = {name: np.empty(batch * size) for name, size in per_sample.items()}
+        self._arrays["positive"] = np.empty(batch * n * c, dtype=bool)
+        self._arrays.update(
+            g_attn=np.empty(k * n * n), g_conv=np.empty(k * s * c), g_head=np.empty(n * c * q)
+        )
+
+    def get(self, name: str, *shape: int) -> np.ndarray:
+        """The leading part of array `name`, shaped `shape`."""
+        return self._arrays[name][: math.prod(shape)].reshape(shape)
 
 
-def forward_batch(model: GcnModel, signals: np.ndarray):
+def forward_batch(model: GcnModel, signals: np.ndarray, buffers: StepBuffers | None = None):
     """Probabilities for a batch of signal matrices (batch, signal_dim, nodes).
 
     Each contraction is one 2-D matrix product. The aggregates are laid out
@@ -118,18 +153,29 @@ def forward_batch(model: GcnModel, signals: np.ndarray):
 
     so the K filter banks act as one (heads * signal_dim, filters) matrix
     and pre, (batch * nodes, filters), flattens row-major into the head's
-    (node, filter) input order.
+    (node, filter) input order. Results are written into `buffers`, a fresh
+    set when None.
     """
     k, n, s, c = model.shape.heads, model.shape.nodes, model.shape.signal_dim, model.shape.filters
     if signals.ndim != 3 or signals.shape[1:] != (s, n):
         raise ShapeError(f"signals shape {signals.shape} != (batch, {s}, {n})")
     b = len(signals)
+    buf = StepBuffers(model.shape, b) if buffers is None else buffers
     # rows (b, m), columns (k, i); one transpose-copy into the aggregate layout
-    mixed = signals.reshape(b * s, n) @ model.attention.reshape(k * n, n).T
-    aggregates = mixed.reshape(b, s, k, n).transpose(0, 3, 2, 1).reshape(b * n, k * s)
-    pre = aggregates @ model.conv.reshape(k * s, c)
-    flat = np.maximum(pre, 0.0).reshape(b, n * c)
-    return _softmax_rows(flat @ model.head), (aggregates, pre, flat)
+    mixed = buf.get("mixed", b * s, k * n)
+    np.matmul(signals.reshape(b * s, n), model.attention.reshape(k * n, n).T, out=mixed)
+    aggregates = buf.get("aggregates", b * n, k * s)
+    np.copyto(aggregates.reshape(b, n, k, s), mixed.reshape(b, s, k, n).transpose(0, 3, 2, 1))
+    pre = np.matmul(aggregates, model.conv.reshape(k * s, c), out=buf.get("pre", b * n, c))
+    flat = buf.get("flat", b, n * c)
+    np.maximum(pre, 0.0, out=flat.reshape(pre.shape))
+    # softmax over each row of the logits, in place
+    probs = np.matmul(flat, model.head, out=buf.get("probs", b, model.shape.num_classes))
+    row = buf.get("row", b, 1)
+    probs -= np.max(probs, axis=1, keepdims=True, out=row)
+    np.exp(probs, out=probs)
+    probs /= np.sum(probs, axis=1, keepdims=True, out=row)
+    return probs, (aggregates, pre, flat)
 
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -138,28 +184,39 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
         return float(-np.mean(np.log(picked)))
 
 
-def loss_and_grads(model: GcnModel, signals: np.ndarray, labels: np.ndarray):
+def loss_and_grads(
+    model: GcnModel, signals: np.ndarray, labels: np.ndarray, buffers: StepBuffers | None = None
+):
     """Mean cross-entropy and gradients for every parameter group.
 
     dpre (batch * nodes, filters) and dagg (batch * nodes, heads *
     signal_dim) share the layouts of pre and the aggregates; dagg is copied
     once into rows (k, i) and columns (b, m) for the attention gradient.
+    The gradients are views into `buffers`, a fresh set when None.
     """
     k, n, s, c = model.shape.heads, model.shape.nodes, model.shape.signal_dim, model.shape.filters
-    probs, (aggregates, pre, flat) = forward_batch(model, signals)
     batch = len(labels)
+    buf = StepBuffers(model.shape, batch) if buffers is None else buffers
+    probs, (aggregates, pre, flat) = forward_batch(model, signals, buf)
     loss = cross_entropy(probs, labels)
-    dlogits = probs.copy()
+    dlogits = buf.get("dlogits", *probs.shape)
+    np.copyto(dlogits, probs)
     dlogits[np.arange(batch), labels] -= 1.0
     dlogits /= batch
-    g_head = flat.T @ dlogits
-    dflat = dlogits @ model.head.T
-    dpre = dflat.reshape(pre.shape) * (pre > 0)
-    g_conv = (aggregates.T @ dpre).reshape(k, s, c)
-    dagg = dpre @ model.conv.reshape(k * s, c).T
-    dagg_by_head = dagg.reshape(batch, n, k, s).transpose(2, 1, 0, 3).reshape(k * n, batch * s)
-    g_attn = (dagg_by_head @ signals.reshape(batch * s, n)).reshape(k, n, n)
-    return loss, (g_attn, g_conv, g_head)
+    g_head = np.matmul(flat.T, dlogits, out=buf.get("g_head", *model.head.shape))
+    dpre = buf.get("dpre", batch * n, c)
+    np.matmul(dlogits, model.head.T, out=dpre.reshape(batch, n * c))
+    dpre *= np.greater(pre, 0.0, out=buf.get("positive", *pre.shape))
+    g_conv = np.matmul(aggregates.T, dpre, out=buf.get("g_conv", k * s, c))
+    # dagg over mixed and dagg_by_head over the aggregates, both read for the last time above
+    dagg = np.matmul(dpre, model.conv.reshape(k * s, c).T, out=buf.get("mixed", batch * n, k * s))
+    dagg_by_head = buf.get("aggregates", k * n, batch * s)
+    np.copyto(
+        dagg_by_head.reshape(k, n, batch, s), dagg.reshape(batch, n, k, s).transpose(2, 1, 0, 3)
+    )
+    g_attn = buf.get("g_attn", k * n, n)
+    np.matmul(dagg_by_head, signals.reshape(batch * s, n), out=g_attn)
+    return loss, (g_attn.reshape(k, n, n), g_conv.reshape(k, s, c), g_head)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +291,9 @@ def train(
 
     Every parameter group carries keep bits (all True without a view mask).
     Dropped parameters start at +0.0 and their gradients are zeroed every
-    step, so their velocities and values stay exactly +0.0.
+    step, so their velocities and values stay exactly +0.0. One StepBuffers
+    set, sized for the largest batch, serves every step of the call, so a
+    step allocates no array.
     The learning rate adapts per epoch: when |loss(t-1) - loss(t)| grew
     compared to the previous epoch the rate is multiplied by lr_decay,
     otherwise divided; it is clamped to [1e-8, 1].
@@ -242,6 +301,11 @@ def train(
     signals, labels = _checked(data, model.shape)
     bits, params = _masked(model, mask)
     velocity = [np.zeros_like(p) for p in params]
+    steps = [np.empty_like(p) for p in params]
+    batch = min(cfg.batch_size, len(labels))
+    buffers = StepBuffers(model.shape, batch)
+    batch_signals = np.empty((batch,) + signals.shape[1:])
+    batch_labels = np.empty(batch, dtype=labels.dtype)
     rng = np.random.default_rng(cfg.seed)
     lr = cfg.initial_lr
     losses: list[float] = []
@@ -252,11 +316,17 @@ def train(
         epoch_loss = 0.0
         for lo in range(0, len(order), cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
-            loss, grads = loss_and_grads(tuned, signals[idx], labels[idx])
+            x = np.take(signals, idx, axis=0, out=batch_signals[: len(idx)], mode="clip")
+            y = np.take(labels, idx, out=batch_labels[: len(idx)], mode="clip")
+            loss, grads = loss_and_grads(tuned, x, y, buffers)
             epoch_loss += loss * len(idx)
-            for p, v, g, b in zip(params, velocity, grads, bits):
+            for p, v, t, g, b in zip(params, velocity, steps, grads, bits):
+                # t = lr * where(b, g, 0.0), without a temporary
+                np.copyto(t, 0.0)
+                np.copyto(t, g, where=b)
+                t *= lr
                 v *= cfg.momentum
-                v -= lr * np.where(b, g, 0.0)
+                v -= t
                 p += v
         epoch_loss /= len(labels)
         if not np.isfinite(epoch_loss):

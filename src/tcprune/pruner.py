@@ -2,15 +2,15 @@
 
 standard_mp keeps the globally largest absolute weights; stochastic_mp
 samples connections without replacement proportionally to magnitude. Both
-can leave kept connections dangling. tc_mp instead grows the mask one
-complete input-to-output chain at a time, so its output is topologically
-consistent by construction.
+can leave kept connections dangling. tc_mp instead grows the mask from
+complete input-to-output chains, so its output is topologically consistent
+by construction. It selects them a block of chains at a time, each layer of
+a block in a few array operations, with the result of one chain at a time.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections.abc import Callable
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -109,32 +109,7 @@ def stochastic_mp(net: LayeredNetwork, rate: float, seed: int) -> MaskTensor:
     return _top_k(net, keys, max_kept)
 
 
-def _argmax_chooser(scores: np.ndarray) -> Callable[[int], int]:
-    """Next-neuron choice by argmax of a layer's scores, fresh columns first.
-
-    Preferring connections not selected yet keeps the budget filling once a
-    start neuron's best chain repeats. Each row's order by (-score, col) is
-    computed once. A row's mask bits are set only by the chains passing
-    through it, and each pass sets the column chosen here, so the set bits
-    of a row are exactly the first `fresh[row]` entries of its order. The
-    next entry is then the highest-scoring unselected column, lowest index
-    among ties; once the row is full its overall best column repeats.
-    """
-    n = scores.shape[1]
-    order = memoryview(np.argsort(-scores, axis=1, kind="stable").reshape(-1))
-    fresh = [0] * scores.shape[0]
-
-    def choose(row: int) -> int:
-        p = fresh[row]
-        if p == n:
-            return order[row * n]
-        fresh[row] = p + 1
-        return order[row * n + p]
-
-    return choose
-
-
-def _choice_cdf(row_scores: np.ndarray) -> memoryview:
+def _choice_cdf(row_scores: np.ndarray) -> np.ndarray:
     """The CDF Generator.choice builds from a row's softmax probabilities."""
     mx = row_scores.max()
     if mx == -np.inf:
@@ -145,29 +120,97 @@ def _choice_cdf(row_scores: np.ndarray) -> memoryview:
         probs = weights / weights.sum()
     cdf = probs.cumsum()
     cdf /= cdf[-1]
-    return memoryview(cdf)
+    return cdf
 
 
-def _sample_chooser(scores: np.ndarray, rng: np.random.Generator) -> Callable[[int], int]:
-    """Next-neuron choice sampled proportionally to exp(score).
+def _visits(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A block's visits grouped by row: their stable sort by row, the rows
+    visited, and where each row's visits start in that sort."""
+    by_row = np.argsort(rows, kind="stable")
+    sorted_rows = rows[by_row]
+    starts = np.flatnonzero(np.concatenate(([True], sorted_rows[1:] != sorted_rows[:-1])))
+    return by_row, sorted_rows[starts], starts
 
-    Draws the same numbers and returns the same index as
-    `rng.choice(n, p=probs)`, which inverts its CDF with one `rng.random()`
-    and a right-sided search; the CDF of a row is built on its first visit
-    and kept, since scores do not change during selection. O(log n) per step.
+
+def _ranked_steps(
+    scores: np.ndarray, order: np.ndarray, ordered: np.ndarray, fresh: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Argmax next columns of a block's visits to `rows`, and which set a new bit.
+
+    Preferring connections not selected yet keeps the budget filling once a
+    start neuron's best chain repeats. A row's mask bits are set only by the
+    chains passing through it, and each pass sets the column chosen here, so
+    the set bits of a row are exactly the first `fresh[row]` entries of its
+    order by (-score, col), argsorted on the row's first visit. The r-th
+    visit of a row in the block therefore takes entry fresh[row] + r, the
+    highest-scoring unselected column (lowest index among ties), until the
+    row is full; then the row's overall best column repeats.
     """
-    cdfs: list[memoryview | None] = [None] * scores.shape[0]
+    by_row, visited, starts = _visits(rows)
+    todo = visited[~ordered[visited]]
+    order[todo] = np.argsort(-scores[todo], axis=1, kind="stable")
+    ordered[todo] = True
+    rank = np.empty_like(rows)
+    rank[by_row] = np.arange(rows.size) - np.repeat(starts, np.diff(np.append(starts, rows.size)))
+    pos = fresh[rows] + rank
+    new = pos < scores.shape[1]
+    return order[rows, np.where(new, pos, 0)], new
 
-    def choose(row: int) -> int:
+
+def _sampled_steps(
+    scores: np.ndarray, cdfs: list, bits: np.ndarray, rows: np.ndarray, draws: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sampled next columns of a block's visits to `rows`, and which set a new bit.
+
+    Visit c takes the column at which draws[c] falls in the row's softmax
+    CDF, found by a right-sided search, which is what `Generator.choice`
+    returns for the same draw; a row's CDF is built on its first visit and
+    kept. A column sets a new bit when its bit was unset before the block
+    and no earlier visit in the block took it.
+    """
+    by_row, visited, starts = _visits(rows)
+    picked = np.empty_like(rows)
+    sorted_draws = draws[by_row]
+    bounds = np.append(starts, rows.size).tolist()
+    for row, lo, hi in zip(visited.tolist(), bounds, bounds[1:]):
         cdf = cdfs[row]
         if cdf is None:
             cdf = cdfs[row] = _choice_cdf(scores[row])
-        return bisect_right(cdf, rng.random())
+        picked[lo:hi] = cdf.searchsorted(sorted_draws[lo:hi], side="right")
+    cols = np.empty_like(rows)
+    cols[by_row] = picked
+    at = rows * scores.shape[1] + cols
+    _, first = np.unique(at, return_index=True)
+    new = np.zeros(rows.size, dtype=bool)
+    new[first] = ~bits.reshape(-1)[at[first]]
+    return cols, new
 
-    return choose
+
+class ChainTraces(Sequence[ChainTrace]):
+    """The chains tc_mp_trace selected, in order, as arrays: row c of `paths`
+    holds the neuron chain c visits at each depth 0..L, and `newly_added[c]`
+    the mask bits it newly set. A ChainTrace is built only when indexed."""
+
+    def __init__(self, paths: np.ndarray, newly_added: np.ndarray):
+        self.paths = paths
+        self.newly_added = newly_added
+        paths.flags.writeable = False
+        newly_added.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.newly_added)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return ChainTraces(self.paths[i], self.newly_added[i])
+        return ChainTrace(tuple(self.paths[i].tolist()), int(self.newly_added[i]))
+
+    def __iter__(self):
+        for path, new_bits in zip(self.paths.tolist(), self.newly_added.tolist()):
+            yield ChainTrace(tuple(path), new_bits)
 
 
-def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, list[ChainTrace]]:
+def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, ChainTraces]:
     """Chain-based consistent pruning, returning the chains it selected.
 
     Chains start at an input neuron, round-robin when deterministic and
@@ -177,11 +220,20 @@ def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, list[
     budget counter advances only on newly set mask bits and is checked
     before each chain, so the final chain may overshoot by at most L - 1.
 
-    A step costs O(1) amortised when deterministic (a presorted row order
-    and a pointer to its first unselected column) and O(log width) when
-    stochastic (a search in the row's cached CDF). The stochastic random
-    stream is exactly the one of `rng.integers(d0)` per chain start and
-    `rng.choice(width, p=softmax(row))` per step.
+    Chains are chosen a block at a time, one layer of the whole block per
+    array operation. A chain's steps depend only on the chains before it,
+    so the block is cut after the first chain that reaches the budget or
+    completes a stall run, and masks, chains, SaturationError.kept and the
+    random stream equal those of selecting one chain at a time. A block
+    holds max(d0, ceil(remaining budget / L)) chains: no more than are
+    still needed, since a chain sets at most L bits, or one round-robin
+    sweep. Per block and layer, a
+    deterministic step costs a stable sort of the block's rows plus a
+    stable argsort of each row on its first visit; a stochastic step costs
+    one Python-level search per visited row, over the row's cached CDF,
+    plus one `rng.integers(d0)` and one `rng.random(L)` call per chain. The
+    stochastic random stream is exactly the one of `rng.integers(d0)` per
+    chain start and `rng.choice(width, p=softmax(row))` per step.
     """
     if not spec.tc:
         raise DomainError("chain pruning requires spec.tc == True")
@@ -196,38 +248,62 @@ def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, list[
     masks = [np.zeros(w.shape, dtype=bool) for w in net.weights]
     rng = np.random.default_rng(spec.seed)
     if spec.stochastic:
-        choosers = [_sample_chooser(s, rng) for s in scores]
+        cdfs = [[None] * s.shape[0] for s in scores]
     else:
-        choosers = [_argmax_chooser(s) for s in scores]
-    levels = [(m.shape[1], memoryview(m.reshape(-1)), choose) for m, choose in zip(masks, choosers)]
+        orders = [np.empty(s.shape, dtype=np.intp) for s in scores]
+        ordered = [np.zeros(s.shape[0], dtype=bool) for s in scores]
+        fresh = [np.zeros(s.shape[0], dtype=np.intp) for s in scores]
     # Deterministic selection repeats verbatim after one full round-robin
     # sweep with no new bits; stochastic selection gets a generous allowance
     # before it is declared stuck.
     d0 = net.dims[0]
     stall_limit = d0 if not spec.stochastic else max(32 * d0, 1000)
-    traces: list[ChainTrace] = []
-    kept = 0
-    stall = 0
+    paths: list[np.ndarray] = []
+    gains: list[np.ndarray] = []
+    chains = kept = stall = 0
     while kept < b.max_kept:
-        cur = int(rng.integers(d0)) if spec.stochastic else len(traces) % d0
-        path = [cur]
-        new_bits = 0
-        for width, bits, choose in levels:
-            nxt = choose(cur)
-            at = cur * width + nxt
-            if not bits[at]:
-                bits[at] = True
-                new_bits += 1
-            path.append(nxt)
-            cur = nxt
-        kept += new_bits
-        traces.append(ChainTrace(tuple(path), new_bits))
-        if new_bits == 0:
-            stall += 1
-            if stall >= stall_limit:
-                raise SaturationError(kept, b.max_kept)
+        size = max(d0, -(-(b.max_kept - kept) // depth))
+        path = np.empty((size, depth + 1), dtype=np.intp)
+        new = np.empty((size, depth), dtype=bool)
+        if spec.stochastic:
+            starts, draws = [0] * size, np.empty((size, depth))
+            for c in range(size):
+                starts[c] = rng.integers(d0)
+                rng.random(out=draws[c])
+            path[:, 0] = starts
+            for t, s in enumerate(scores):
+                path[:, t + 1], new[:, t] = _sampled_steps(
+                    s, cdfs[t], masks[t], path[:, t], draws[:, t]
+                )
         else:
-            stall = 0
+            path[:, 0] = np.arange(chains, chains + size) % d0
+            for t, s in enumerate(scores):
+                path[:, t + 1], new[:, t] = _ranked_steps(
+                    s, orders[t], ordered[t], fresh[t], path[:, t]
+                )
+        gain = new.sum(axis=1)
+        reached = kept + np.cumsum(gain)
+        index = np.arange(size)
+        last_gain = np.maximum.accumulate(np.where(gain > 0, index, -1))
+        run = np.where(last_gain >= 0, index - last_gain, stall + index + 1)
+        stops = np.flatnonzero((reached >= b.max_kept) | (run >= stall_limit))
+        end = int(stops[0]) + 1 if stops.size else size
+        for t, m in enumerate(masks):
+            step = new[:end, t]
+            rows = path[:end, t][step]
+            m[rows, path[:end, t + 1][step]] = True
+            if not spec.stochastic:
+                fresh[t] += np.bincount(rows, minlength=fresh[t].size)
+        paths.append(path[:end])
+        gains.append(gain[:end])
+        chains += end
+        kept = int(reached[end - 1])
+        stall = int(run[end - 1])
+        if stall >= stall_limit:
+            # the chains so far, readable from this frame when it raises
+            traces = ChainTraces(np.concatenate(paths), np.concatenate(gains))
+            raise SaturationError(kept, b.max_kept)
+    traces = ChainTraces(np.concatenate(paths), np.concatenate(gains))
     return MaskTensor(tuple(masks)), traces
 
 

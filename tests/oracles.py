@@ -2,14 +2,22 @@
 
 Everything here is deliberately written the dumb way: explicit Python loops,
 graph searches, and path enumeration. None of it shares code with the
-package internals it verifies.
+package internals it verifies; where an oracle calls the package, it is for
+a part it does not check (the chain-loop oracle takes its scores and row
+CDFs from the package, the training oracle its gradients).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
-from tcprune.network import ACTIVATIONS, LayeredNetwork, MaskTensor
+from tcprune.errors import SaturationError
+from tcprune.gcn import GcnModel, loss_and_grads, view_mask_to_param_masks
+from tcprune.network import ACTIVATIONS, LayeredNetwork, MaskTensor, budget
+from tcprune.pruner import _choice_cdf
+from tcprune.surrogate import build_table, log_score_matrix
 
 
 def loop_forward(net: LayeredNetwork, x: np.ndarray) -> np.ndarray:
@@ -222,6 +230,70 @@ def greedy_chain_oracle(net: LayeredNetwork, max_kept: int, scoring: str = "loca
 
 
 # ---------------------------------------------------------------------------
+# Chain selection one chain and one step at a time
+
+
+def sequential_tc_mp_trace(net: LayeredNetwork, spec) -> tuple[list[np.ndarray], list]:
+    """tc_mp_trace as a plain loop: one chain at a time, one step per layer.
+
+    Deterministic steps take a row's best unselected column from the row's
+    stable order by (-score, col), or its best column once the row is full;
+    stochastic steps invert the row's softmax CDF with one `rng.random()`.
+    Returns the masks and (path, newly_added) per chain, or raises
+    SaturationError after a stall run, carrying the chains so far as its
+    `chains` attribute.
+    """
+    b = budget(net, spec.rate)
+    depth = net.depth
+    table = build_table(net, spec.alpha) if spec.scoring == "global" else None
+    scores = [log_score_matrix(net, layer, table) for layer in range(1, depth + 1)]
+    masks = [np.zeros(w.shape, dtype=bool) for w in net.weights]
+    rng = np.random.default_rng(spec.seed)
+    orders = [np.argsort(-s, axis=1, kind="stable") for s in scores]
+    fresh = [[0] * s.shape[0] for s in scores]
+    cdfs = [[None] * s.shape[0] for s in scores]
+
+    def choose(t: int, row: int) -> int:
+        if spec.stochastic:
+            if cdfs[t][row] is None:
+                cdfs[t][row] = _choice_cdf(scores[t][row]).tolist()
+            return bisect_right(cdfs[t][row], rng.random())
+        p = fresh[t][row]
+        if p == scores[t].shape[1]:
+            return int(orders[t][row, 0])
+        fresh[t][row] = p + 1
+        return int(orders[t][row, p])
+
+    d0 = net.dims[0]
+    stall_limit = d0 if not spec.stochastic else max(32 * d0, 1000)
+    traces = []
+    kept = 0
+    stall = 0
+    while kept < b.max_kept:
+        cur = int(rng.integers(d0)) if spec.stochastic else len(traces) % d0
+        path = [cur]
+        new_bits = 0
+        for t in range(depth):
+            nxt = choose(t, cur)
+            if not masks[t][cur, nxt]:
+                masks[t][cur, nxt] = True
+                new_bits += 1
+            path.append(nxt)
+            cur = nxt
+        kept += new_bits
+        traces.append((tuple(path), new_bits))
+        if new_bits == 0:
+            stall += 1
+            if stall >= stall_limit:
+                error = SaturationError(kept, b.max_kept)
+                error.chains = traces
+                raise error
+        else:
+            stall = 0
+    return masks, traces
+
+
+# ---------------------------------------------------------------------------
 # Literal transcription of the stochastic chain-selection loop
 
 
@@ -337,3 +409,41 @@ def einsum_loss_and_grads(model, signals: np.ndarray, labels: np.ndarray):
     dagg = np.einsum("bic,kmc->bkim", dpre, model.conv)
     g_attn = np.einsum("bkim,bmj->kij", dagg, signals)
     return probs, loss, (g_attn, g_conv, g_head)
+
+
+# ---------------------------------------------------------------------------
+# GCN training on the allocating step calls
+
+
+def allocating_train(model, data, cfg, mask=None):
+    """Momentum SGD as gcn.train runs it, with a fresh loss_and_grads call
+    per step and the update through np.where temporaries; returns the
+    trained (attention, conv, head) and the per-epoch losses."""
+    signals, labels = data
+    params = (model.attention, model.conv, model.head)
+    if mask is None:
+        bits = tuple(np.ones(p.shape, dtype=bool) for p in params)
+    else:
+        bits = view_mask_to_param_masks(mask, model.shape)
+    params = [np.where(b, p, 0.0) for p, b in zip(params, bits)]
+    velocity = [np.zeros_like(p) for p in params]
+    rng = np.random.default_rng(cfg.seed)
+    lr = cfg.initial_lr
+    losses = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(labels))
+        epoch_loss = 0.0
+        for lo in range(0, len(order), cfg.batch_size):
+            idx = order[lo : lo + cfg.batch_size]
+            loss, grads = loss_and_grads(GcnModel(model.shape, *params), signals[idx], labels[idx])
+            epoch_loss += loss * len(idx)
+            for p, v, g, b in zip(params, velocity, grads, bits):
+                v *= cfg.momentum
+                v -= lr * np.where(b, g, 0.0)
+                p += v
+        losses.append(epoch_loss / len(labels))
+        if len(losses) >= 3:
+            faster = abs(losses[-1] - losses[-2]) > abs(losses[-2] - losses[-3])
+            lr = lr * cfg.lr_decay if faster else lr / cfg.lr_decay
+            lr = float(np.clip(lr, 1e-8, 1.0))
+    return params, losses

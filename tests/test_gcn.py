@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import einsum_loss_and_grads, param_at
+from oracles import allocating_train, einsum_loss_and_grads, param_at
 from tcprune.data import synth_dataset
 from tcprune.errors import DivergenceError, DomainError, ShapeError
 from tcprune.gcn import (
     GcnModel,
     GcnShape,
+    StepBuffers,
     TrainConfig,
     as_layered,
     dataset_arrays,
@@ -157,7 +158,41 @@ class TestGradients:
             assert np.abs(got - want).max() <= 1e-12 * scale
 
 
+    def test_reused_buffers_match_fresh_calls(self):
+        # the gradients are views into the buffers, which the next call overwrites
+        shape = GcnShape(2, 5, 6, 3, 3)
+        rng = np.random.default_rng(7)
+        model = init_model(shape, seed=7)
+        signals = rng.standard_normal((11, shape.signal_dim, shape.nodes))
+        labels = rng.integers(0, shape.num_classes, 11)
+        buffers = StepBuffers(shape, 8)
+        got = []
+        for lo, hi in ((0, 8), (8, 11), (3, 11)):
+            loss, grads = loss_and_grads(model, signals[lo:hi], labels[lo:hi], buffers)
+            got.append((lo, hi, loss, [g.copy() for g in grads]))
+        for lo, hi, loss, grads in got:
+            want_loss, want = loss_and_grads(model, signals[lo:hi], labels[lo:hi])
+            assert loss == want_loss
+            for g, w in zip(grads, want):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
 class TestTraining:
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_matches_allocating_reference_loop(self, masked):
+        # batches of 7, 7 and 6: the short last batch reuses the same buffers
+        rng = np.random.default_rng(11)
+        signals = rng.standard_normal((20, TINY.signal_dim, TINY.nodes))
+        labels = rng.integers(0, TINY.num_classes, 20)
+        model = init_model(TINY, seed=5)
+        mask = random_view_mask(model, rng) if masked else None
+        cfg = TrainConfig(epochs=6, batch_size=7, seed=2)
+        trained, losses = train(model, (signals, labels), cfg, mask)
+        want_params, want_losses = allocating_train(model, (signals, labels), cfg, mask)
+        assert losses == want_losses
+        for got, want in zip((trained.attention, trained.conv, trained.head), want_params):
+            assert got.tobytes() == want.tobytes()
+
     def test_zero_learning_rate_changes_nothing(self, rng):
         dataset = synth_arrays(2, 4, 3, 6, seed=0)
         shape = GcnShape(heads=2, nodes=3, signal_dim=3, filters=2, num_classes=2)

@@ -4,10 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_network
-from oracles import OracleSaturation, argsort_top_k, greedy_chain_oracle, stochastic_chain_oracle
+from oracles import (
+    OracleSaturation,
+    argsort_top_k,
+    greedy_chain_oracle,
+    sequential_tc_mp_trace,
+    stochastic_chain_oracle,
+)
 from tcprune.errors import BudgetError, DegenerateDistributionError, DomainError, SaturationError
 from tcprune.network import LayeredNetwork, budget, total_connections
 from tcprune.pruner import (
+    ChainTrace,
     PruneSpec,
     _top_k,
     prune,
@@ -388,6 +395,133 @@ class TestTcMp:
                     for layer, i, j in trace.steps:
                         assert (i, j) == trace.path[layer - 1 : layer + 1]
                         assert 0 <= i < dims[layer - 1] and 0 <= j < dims[layer]
+
+
+def tied_net(seed: int) -> LayeredNetwork:
+    """Depth 2-3, widths 2-6, weights in -2..2: many ties, zeros, and stalls at rate 0."""
+    rng = np.random.default_rng(seed)
+    depth = int(rng.integers(2, 4))
+    dims = [int(d) for d in rng.integers(2, 7, size=depth + 1)]
+    weights = tuple(rng.integers(-2, 3, size=(a, b)).astype(float) for a, b in zip(dims, dims[1:]))
+    return LayeredNetwork(weights, ("identity",) * depth)
+
+
+def blocks_of(gains: list[int], net: LayeredNetwork, max_kept: int) -> list[tuple[int, int]]:
+    """(first chain, size) of each block tc_mp_trace runs, replayed from the
+    chains' gains: max(d0, ceil(remaining budget / L)) chains a block."""
+    blocks, chains, kept = [], 0, 0
+    while chains < len(gains):
+        size = max(net.dims[0], -(-(max_kept - kept) // net.depth))
+        blocks.append((chains, size))
+        kept += sum(gains[chains : chains + size])
+        chains += size
+    return blocks
+
+
+def stalled_chains(excinfo) -> list:
+    """The `traces` local of the tc_mp_trace frame that raised, as the bench reads it."""
+    tb = excinfo.tb
+    while tb.tb_frame.f_code is not tc_mp_trace.__code__:
+        tb = tb.tb_next
+    return [(t.path, t.newly_added) for t in tb.tb_frame.f_locals["traces"]]
+
+
+def assert_matches_sequential(net: LayeredNetwork, spec: PruneSpec):
+    """tc_mp_trace equals the one-chain-at-a-time loop: masks and chains, or
+    SaturationError with the same kept count and the same chains so far.
+    Returns the oracle's chains and whether it saturated."""
+    try:
+        want_masks, want = sequential_tc_mp_trace(net, spec)
+    except SaturationError as exc:
+        with pytest.raises(SaturationError) as got:
+            tc_mp_trace(net, spec)
+        assert (got.value.kept, got.value.max_kept) == (exc.kept, exc.max_kept)
+        assert stalled_chains(got) == exc.chains
+        return exc.chains, True
+    mask, traces = tc_mp_trace(net, spec)
+    assert [(t.path, t.newly_added) for t in traces] == want
+    for g, w in zip(mask.masks, want_masks):
+        assert np.array_equal(g, w)
+    return want, False
+
+
+class TestBlockLoop:
+    """Chain selection a block at a time against the one-chain loop."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_sequential_oracle(self, data):
+        depth = data.draw(st.integers(1, 3))
+        dims = data.draw(st.lists(st.integers(1, 12), min_size=depth + 1, max_size=depth + 1))
+        if data.draw(st.booleans()):
+            dims[0] = 1
+        weights = []
+        for a, b in zip(dims, dims[1:]):
+            values = data.draw(st.lists(st.integers(-2, 2), min_size=a * b, max_size=a * b))
+            w = np.array(values, dtype=float).reshape(a, b)
+            if data.draw(st.booleans()):
+                w[data.draw(st.integers(0, a - 1))] = 0.0
+            weights.append(w)
+        net = LayeredNetwork(tuple(weights), ("identity",) * depth)
+        total = total_connections(net)
+        spec = PruneSpec(
+            rate=rate_for_kept(total, data.draw(st.integers(depth, total))),
+            stochastic=data.draw(st.booleans()),
+            scoring=data.draw(st.sampled_from(["local", "global"])),
+            alpha=data.draw(st.sampled_from([1.0, 0.5, 0.1])),
+            seed=data.draw(st.integers(0, 2**16)),
+        )
+        assert_matches_sequential(net, spec)
+
+    @pytest.mark.parametrize("stochastic", [False, True])
+    def test_budget_reached_mid_block(self, stochastic):
+        net = tied_net(4)
+        spec = PruneSpec(rate=0.5, stochastic=stochastic, seed=4)
+        chains, saturated = assert_matches_sequential(net, spec)
+        assert not saturated
+        start, size = blocks_of([g for _, g in chains], net, budget(net, 0.5).max_kept)[-1]
+        assert start + size > len(chains)  # the block ran past the last chain kept
+
+    def test_stall_completed_mid_block(self):
+        net = tied_net(18)
+        chains, saturated = assert_matches_sequential(net, PruneSpec(rate=0.0))
+        assert saturated
+        start, size = blocks_of([g for _, g in chains], net, total_connections(net))[-1]
+        assert start <= len(chains) - net.dims[0]  # the whole stall run is in this block
+        assert start + size > len(chains)  # and chains after it were cut
+
+    @pytest.mark.parametrize("seed, stochastic", [(1, False), (0, True)])
+    def test_stall_run_spanning_blocks(self, seed, stochastic):
+        net = tied_net(seed)
+        spec = PruneSpec(rate=0.0, stochastic=stochastic, seed=seed)
+        chains, saturated = assert_matches_sequential(net, spec)
+        assert saturated
+        limit = max(32 * net.dims[0], 1000) if stochastic else net.dims[0]
+        start, _ = blocks_of([g for _, g in chains], net, total_connections(net))[-1]
+        assert start > len(chains) - limit  # the run began in an earlier block
+
+    @pytest.mark.parametrize("rate", [0.9, 0.99])
+    @pytest.mark.parametrize("stochastic", [False, True])
+    def test_seeded_wide_net(self, rate, stochastic):
+        rng = np.random.default_rng(2024)
+        dims = (64, 256, 256, 10)
+        weights = tuple(rng.standard_normal((a, b)) for a, b in zip(dims, dims[1:]))
+        net = LayeredNetwork(weights, ("identity",) * 3)
+        spec = PruneSpec(rate=rate, stochastic=stochastic, seed=9)
+        chains, saturated = assert_matches_sequential(net, spec)
+        assert not saturated and len(chains) > 64
+
+    def test_traces_sequence(self, rng):
+        net = random_network(rng, (3, 4, 2))
+        _, traces = tc_mp_trace(net, PruneSpec(rate=0.3, tc=True))
+        listed = list(traces)
+        assert len(listed) == len(traces) >= 2
+        assert [traces[i] for i in range(len(traces))] == listed
+        assert traces[-1] == listed[-1]
+        assert list(traces[1:]) == listed[1:]
+        assert all(type(t) is ChainTrace and type(t.path[0]) is int for t in listed)
+        with pytest.raises(ValueError):
+            traces.paths[0, 0] = 1
 
 
 class TestPruneDispatch:
