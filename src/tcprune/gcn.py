@@ -10,10 +10,17 @@ and classifies the flattened features with a dense head:
 Training is plain momentum SGD on the cross-entropy loss with manual
 gradients; the learning rate moves inversely to the speed of change of the
 loss (slows down when the loss moves faster, speeds up when it stalls).
-Each train call makes one StepBuffers set, sized for its largest batch, and
-every forward pass, backward pass and update of the call writes into it, so
-a training step allocates no array and its speed does not depend on how the
-allocator lays out the heap.
+The step contracts the filter banks first, the signals with W[k] and then
+the result with A[k], and lays every activation out filters first with the
+batch innermost. Past one copy of the batch's signals, no array of
+activation size is re-laid out, only the parameters and their gradients
+(see forward_batch and loss_and_grads). Each train call makes one
+StepBuffers set, sized for its largest batch, and every forward pass,
+backward pass and update of the call writes into it, so a training step
+allocates no array of activation size and its speed does not depend on how
+the allocator lays out the heap; what it still allocates (the label pick
+and numpy's iterator buffers for the softmax's broadcasts) is a few KiB at
+batch 200.
 
 as_layered exposes the three parameter groups as one dense 3-layer network
 so the mask machinery can prune the model. The view requires
@@ -109,32 +116,45 @@ def init_model(shape: GcnShape, seed: int, head_scale: float = 1.0) -> GcnModel:
 
 class StepBuffers:
     """Scratch arrays for forward_batch and loss_and_grads on batches of up
-    to `batch` samples, so that a training step allocates no array.
+    to `batch` samples, so that a training step allocates no array of
+    activation size.
 
     train makes one set per call and reuses it for every step. What the two
     functions return are views into these arrays, valid until the set's next
-    use; a smaller batch uses the leading part of each array. The backward
-    pass writes dagg over `mixed` and dagg_by_head over `aggregates`, each
-    dead by then, which keeps the set no larger than one step's temporaries.
+    use; a smaller batch uses the leading part of each array. Per sample the
+    set holds the signals by channel xs (signal_dim * nodes doubles), the
+    filtered signals z (filters * heads * nodes; the backward pass writes dz
+    over them) and three filters * nodes arrays: hidden, dpre and the ReLU's
+    0/1 gradient. The parameter-sized arrays hold the parameters re-laid out
+    filters first and the gradients; `rows` is 0, 1, ..., batch - 1, the row
+    index of the label pick.
     """
 
     def __init__(self, shape: GcnShape, batch: int):
         k, n, s, c = shape.heads, shape.nodes, shape.signal_dim, shape.filters
         q = shape.num_classes
         per_sample = {
-            "mixed": s * k * n,
-            "aggregates": n * k * s,
-            "pre": n * c,
-            "flat": n * c,
+            "xs": s * n,
+            "z": c * k * n,
+            "hidden": c * n,
             "probs": q,
             "row": 1,
             "dlogits": q,
-            "dpre": n * c,
+            "dpre": c * n,
+            "relu_grad": c * n,
         }
         self._arrays = {name: np.empty(batch * size) for name, size in per_sample.items()}
-        self._arrays["positive"] = np.empty(batch * n * c, dtype=bool)
+        self._arrays["positive"] = np.empty(batch * c * n, dtype=bool)
+        self._arrays["rows"] = np.arange(batch)
         self._arrays.update(
-            g_attn=np.empty(k * n * n), g_conv=np.empty(k * s * c), g_head=np.empty(n * c * q)
+            attention=np.empty(n * k * n),
+            conv=np.empty(c * k * s),
+            head=np.empty(c * n * q),
+            g_by_filter=np.empty(c * n * k * n),
+            g_scratch=np.empty(max(n * k * n, c * k * s, c * n * q)),
+            g_attn=np.empty(k * n * n),
+            g_conv=np.empty(k * s * c),
+            g_head=np.empty(n * c * q),
         )
 
     def get(self, name: str, *shape: int) -> np.ndarray:
@@ -145,43 +165,46 @@ class StepBuffers:
 def forward_batch(model: GcnModel, signals: np.ndarray, buffers: StepBuffers | None = None):
     """Probabilities for a batch of signal matrices (batch, signal_dim, nodes).
 
-    Each contraction is one 2-D matrix product. The aggregates are laid out
-    with rows (b, i) and columns (k, m), shape (batch * nodes,
-    heads * signal_dim):
+    The filter banks are contracted before the attention, and every array
+    of activation size is laid out filters first with the batch innermost,
+    so past one copy of the signals to xs, (signal_dim, nodes, batch), no
+    activation is re-laid out:
 
-        aggregates[(b, i), (k, m)] = sum_j attention[k, i, j] * signals[b, m, j]
+        z[c, (k, j), b] = sum_m conv[k, m, c] * xs[m, j, b]
+        pre[c, i, b]    = sum_{k, j} attention[k, i, j] * z[c, (k, j), b]
+        logits[b, q]    = sum_{c, i} relu(pre)[c, i, b] * head[(i, c), q]
 
-    so the K filter banks act as one (heads * signal_dim, filters) matrix
-    and pre, (batch * nodes, filters), flattens row-major into the head's
-    (node, filter) input order. Results are written into `buffers`, a fresh
-    set when None.
+    z is one 2-D matrix product, pre one product broadcast over the
+    filters, the logits one product with relu(pre) read transposed. The
+    parameters are re-laid out filters first, about a thousand entries
+    each at the default shape. Returns (probs, (xs, z, hidden))
+    with hidden = relu(pre), views into `buffers`, a fresh set when None.
     """
     k, n, s, c = model.shape.heads, model.shape.nodes, model.shape.signal_dim, model.shape.filters
+    q = model.shape.num_classes
     if signals.ndim != 3 or signals.shape[1:] != (s, n):
         raise ShapeError(f"signals shape {signals.shape} != (batch, {s}, {n})")
     b = len(signals)
     buf = StepBuffers(model.shape, b) if buffers is None else buffers
-    # rows (b, m), columns (k, i); one transpose-copy into the aggregate layout
-    mixed = buf.get("mixed", b * s, k * n)
-    np.matmul(signals.reshape(b * s, n), model.attention.reshape(k * n, n).T, out=mixed)
-    aggregates = buf.get("aggregates", b * n, k * s)
-    np.copyto(aggregates.reshape(b, n, k, s), mixed.reshape(b, s, k, n).transpose(0, 3, 2, 1))
-    pre = np.matmul(aggregates, model.conv.reshape(k * s, c), out=buf.get("pre", b * n, c))
-    flat = buf.get("flat", b, n * c)
-    np.maximum(pre, 0.0, out=flat.reshape(pre.shape))
+    conv = buf.get("conv", c, k, s)
+    np.copyto(conv, model.conv.transpose(2, 0, 1))
+    attention = buf.get("attention", n, k, n)
+    np.copyto(attention, model.attention.transpose(1, 0, 2))
+    head = buf.get("head", c, n, q)
+    np.copyto(head, model.head.reshape(n, c, q).transpose(1, 0, 2))
+    xs = buf.get("xs", s, n, b)
+    np.copyto(xs, signals.transpose(1, 2, 0))
+    z = buf.get("z", c, k * n, b)
+    np.matmul(conv.reshape(c * k, s), xs.reshape(s, n * b), out=z.reshape(c * k, n * b))
+    hidden = np.matmul(attention.reshape(n, k * n), z, out=buf.get("hidden", c, n, b))
+    np.maximum(hidden, 0.0, out=hidden)
     # softmax over each row of the logits, in place
-    probs = np.matmul(flat, model.head, out=buf.get("probs", b, model.shape.num_classes))
+    probs = np.matmul(hidden.reshape(c * n, b).T, head.reshape(c * n, q), out=buf.get("probs", b, q))
     row = buf.get("row", b, 1)
     probs -= np.max(probs, axis=1, keepdims=True, out=row)
     np.exp(probs, out=probs)
     probs /= np.sum(probs, axis=1, keepdims=True, out=row)
-    return probs, (aggregates, pre, flat)
-
-
-def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
-    picked = probs[np.arange(len(labels)), labels]
-    with np.errstate(divide="ignore"):
-        return float(-np.mean(np.log(picked)))
+    return probs, (xs, z, hidden)
 
 
 def loss_and_grads(
@@ -189,34 +212,59 @@ def loss_and_grads(
 ):
     """Mean cross-entropy and gradients for every parameter group.
 
-    dpre (batch * nodes, filters) and dagg (batch * nodes, heads *
-    signal_dim) share the layouts of pre and the aggregates; dagg is copied
-    once into rows (k, i) and columns (b, m) for the attention gradient.
-    The gradients are views into `buffers`, a fresh set when None.
+    The backward pass keeps the forward layouts: dpre, (filters, nodes,
+    batch) like pre, is the head's gradient times relu'(pre), and
+
+        g_attn[k, i, j]   = sum_{c, b} dpre[c, i, b] * z[c, (k, j), b]
+        dz[c, (k, j), b]  = sum_i attention[k, i, j] * dpre[c, i, b]
+        g_conv[k, m, c]   = sum_{j, b} dz[c, (k, j), b] * xs[m, j, b]
+
+    the first a product broadcast over the filters and summed over them,
+    the second a product broadcast over the filters written over z, the
+    third one 2-D product. Each gradient is re-laid out once into its
+    parameter's shape. The gradients are views into `buffers`, a fresh set
+    when None.
     """
     k, n, s, c = model.shape.heads, model.shape.nodes, model.shape.signal_dim, model.shape.filters
+    q = model.shape.num_classes
     batch = len(labels)
     buf = StepBuffers(model.shape, batch) if buffers is None else buffers
-    probs, (aggregates, pre, flat) = forward_batch(model, signals, buf)
-    loss = cross_entropy(probs, labels)
-    dlogits = buf.get("dlogits", *probs.shape)
+    probs, (xs, z, hidden) = forward_batch(model, signals, buf)
+    rows = buf.get("rows", batch)
+    picked = probs[rows, labels]
+    with np.errstate(divide="ignore"):
+        loss = float(-np.mean(np.log(picked, out=picked)))
+    dlogits = buf.get("dlogits", batch, q)
     np.copyto(dlogits, probs)
-    dlogits[np.arange(batch), labels] -= 1.0
+    dlogits[rows, labels] -= 1.0
     dlogits /= batch
-    g_head = np.matmul(flat.T, dlogits, out=buf.get("g_head", *model.head.shape))
-    dpre = buf.get("dpre", batch * n, c)
-    np.matmul(dlogits, model.head.T, out=dpre.reshape(batch, n * c))
-    dpre *= np.greater(pre, 0.0, out=buf.get("positive", *pre.shape))
-    g_conv = np.matmul(aggregates.T, dpre, out=buf.get("g_conv", k * s, c))
-    # dagg over mixed and dagg_by_head over the aggregates, both read for the last time above
-    dagg = np.matmul(dpre, model.conv.reshape(k * s, c).T, out=buf.get("mixed", batch * n, k * s))
-    dagg_by_head = buf.get("aggregates", k * n, batch * s)
-    np.copyto(
-        dagg_by_head.reshape(k, n, batch, s), dagg.reshape(batch, n, k, s).transpose(2, 1, 0, 3)
+    # the head and attention as forward_batch re-laid them out into `buf`
+    head = buf.get("head", c, n, q)
+    g = np.matmul(hidden.reshape(c * n, batch), dlogits, out=buf.get("g_scratch", c * n, q))
+    g_head = buf.get("g_head", n, c, q)
+    np.copyto(g_head, g.reshape(c, n, q).transpose(1, 0, 2))
+    dpre = buf.get("dpre", c, n, batch)
+    np.matmul(head.reshape(c * n, q), dlogits.T, out=dpre.reshape(c * n, batch))
+    # dpre *= (pre > 0) through a 0/1 float copy of the mask: a ufunc on the
+    # bool mask casts through numpy's 64 KiB buffer, and copyto(where=) is
+    # about ten times slower than the multiply on a mask this irregular
+    positive = np.greater(hidden, 0.0, out=buf.get("positive", c, n, batch))
+    relu_grad = buf.get("relu_grad", c, n, batch)
+    np.copyto(relu_grad, positive)
+    dpre *= relu_grad
+    g_by_filter = buf.get("g_by_filter", c, n, k * n)
+    np.matmul(dpre, z.transpose(0, 2, 1), out=g_by_filter)
+    g = np.sum(g_by_filter, axis=0, out=buf.get("g_scratch", n, k * n))
+    g_attn = buf.get("g_attn", k, n, n)
+    np.copyto(g_attn, g.reshape(n, k, n).transpose(1, 0, 2))
+    attention = buf.get("attention", n, k * n)
+    dz = np.matmul(attention.T, dpre, out=z)
+    g = np.matmul(
+        xs.reshape(s, n * batch), dz.reshape(c * k, n * batch).T, out=buf.get("g_scratch", s, c * k)
     )
-    g_attn = buf.get("g_attn", k * n, n)
-    np.matmul(dagg_by_head, signals.reshape(batch * s, n), out=g_attn)
-    return loss, (g_attn.reshape(k, n, n), g_conv.reshape(k, s, c), g_head)
+    g_conv = buf.get("g_conv", k, s, c)
+    np.copyto(g_conv, g.reshape(s, c, k).transpose(2, 0, 1))
+    return loss, (g_attn, g_conv, g_head.reshape(n * c, q))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,9 @@ cells run, so an alpha sweep or a chains-vs-plain trend is just another
 variant list. One baseline is trained per seed and shared by every
 (rate, variant) cell at that seed, so differences between cells come from
 pruning alone. Runs whose mask trims to nothing are reported with accuracy
-unavailable instead of crashing, and pruner saturation is captured as a row
-status.
+unavailable instead of crashing, and pruner saturation and a diverged
+fine-tune are captured as row statuses. A diverging baseline still ends the
+grid with DivergenceError.
 
 The table schema is `ResultRow`: its field names are the CSV columns and
 the JSON keys. Every JSON input (a config, `runs.json`, the CLI's
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import gcn
 from .data import load_dataset, synth_dataset
-from .errors import BudgetError, DomainError, SaturationError
+from .errors import BudgetError, DivergenceError, DomainError, SaturationError
 from .gcn import GcnModel, GcnShape, TrainConfig, as_layered, evaluate, init_model, train
 from .network import LayeredNetwork, _atomic_write, _read_json, full_mask, load_mask, save_mask
 from .pruner import PruneSpec, prune
@@ -285,7 +286,11 @@ def _run_cell(base: _Baseline, rate: float, variant: Variant, mask_dir: str | No
 
 
 def _prune_and_tune(base: _Baseline, rate: float, variant: Variant):
-    """(status, mask, accuracy) of one cell; mask is None when pruning failed."""
+    """(status, mask, accuracy) of one cell; mask is None when pruning failed.
+
+    A fine-tune whose loss turns non-finite gives status "diverged" with its
+    mask kept and no accuracy; the rest of the grid still runs.
+    """
     if rate == 0:
         # nothing is pruned; the baseline stands as-is
         return "ok", full_mask(base.view), base.accuracy
@@ -297,7 +302,10 @@ def _prune_and_tune(base: _Baseline, rate: float, variant: Variant):
         return "budget", None, None
     if trim_to_consistent(mask).kept_count == 0:
         return "disconnected", mask, None
-    tuned, _ = train(base.model, base.train_set, base.finetune, mask)
+    try:
+        tuned, _ = train(base.model, base.train_set, base.finetune, mask)
+    except DivergenceError:
+        return "diverged", mask, None
     return "ok", mask, evaluate(tuned, base.test_set, mask)
 
 

@@ -510,6 +510,23 @@ class TestExitCodes:
         )
         assert code == 4
 
+    def test_diverged_baseline_ends_ablate_with_exit_4(self, tmp_path, monkeypatch):
+        # a diverged fine-tune is a row status; a diverged baseline has no grid to keep
+        import tcprune.harness as harness_mod
+        from tcprune.errors import DivergenceError
+
+        def exploding_train(model, data, cfg, mask=None):
+            raise DivergenceError(0)
+
+        monkeypatch.setattr(harness_mod, "train", exploding_train)
+        code = run_cli(
+            "ablate", "--synthetic", SYNTH, *MODEL_FLAGS,
+            "--rates", "0.9", "--seeds", "0", "--epochs", "1",
+            "--finetune-epochs", "1", "--out", str(tmp_path / "run"),
+        )
+        assert code == 4
+        assert not (tmp_path / "run" / "runs.json").exists()
+
 
 
 class TestReadme:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,6 +176,60 @@ class TestGradients:
             assert loss == want_loss
             for g, w in zip(grads, want):
                 assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    @given(
+        dims=st.tuples(
+            st.integers(1, 4), st.integers(1, 7), st.integers(1, 7), st.integers(1, 4),
+            st.integers(2, 5),
+        ),
+        batch=st.integers(1, 9),
+        spare=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_contraction_order_property(self, dims, batch, spare, seed):
+        # signal_dim and nodes are drawn independently; an oversized buffer
+        # set, dirtied by a larger batch first, must not change a bit
+        shape = GcnShape(*dims)
+        rng = np.random.default_rng(seed)
+        model = init_model(shape, seed=seed)
+        size = batch + spare
+        signals = rng.standard_normal((size, shape.signal_dim, shape.nodes))
+        labels = rng.integers(0, shape.num_classes, size)
+        x, y = signals[:batch], labels[:batch]
+        probs, loss, grads = einsum_loss_and_grads(model, x, y)
+        got_probs = forward_batch(model, x)[0]
+        got_loss, got_grads = loss_and_grads(model, x, y)
+        assert got_loss == pytest.approx(loss, rel=1e-12, abs=0.0)
+        for got, want in zip((got_probs, *got_grads), (probs, *grads)):
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        buffers = StepBuffers(shape, size)
+        loss_and_grads(model, signals, labels, buffers)
+        assert forward_batch(model, x, buffers)[0].tobytes() == got_probs.tobytes()
+        again_loss, again = loss_and_grads(model, x, y, buffers)
+        assert again_loss == got_loss
+        for g, w in zip(again, got_grads):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    def test_buffered_step_allocates_under_16_kib(self):
+        # the default grid's model at batch 200: one activation-sized
+        # temporary (200 * 15 * 16 doubles) is 384,000 bytes, numpy's
+        # casting buffer 64 KiB
+        shape = GcnShape(4, 15, 15, 16, 4)
+        rng = np.random.default_rng(0)
+        model = init_model(shape, seed=0)
+        signals = rng.standard_normal((200, shape.signal_dim, shape.nodes))
+        labels = rng.integers(0, shape.num_classes, 200)
+        buffers = StepBuffers(shape, 200)
+        loss_and_grads(model, signals, labels, buffers)
+        tracemalloc.start()
+        try:
+            loss_and_grads(model, signals, labels, buffers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
 
 
 class TestTraining:

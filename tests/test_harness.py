@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tcprune.errors import DomainError
+from tcprune.errors import DivergenceError, DomainError
 from tcprune.harness import (
     DEFAULT_VARIANTS,
     CSV_HEADER,
@@ -155,6 +155,34 @@ class TestStatusHandling:
             assert row.acc_mean is None
             assert row.kept_params == 1.0
             assert row.ac_percent == 0.0
+
+    def test_one_diverged_finetune_keeps_the_rest_of_the_grid(self, tmp_path, monkeypatch):
+        import tcprune.harness as harness_mod
+
+        real_train = harness_mod.train
+        finetunes = []
+
+        def train_diverging_once(model, data, cfg, mask=None):
+            if mask is not None:
+                finetunes.append(mask)
+                if len(finetunes) == 2:
+                    raise DivergenceError(0)
+            return real_train(model, data, cfg, mask)
+
+        monkeypatch.setattr(harness_mod, "train", train_diverging_once)
+        cfg = tiny_config(rates=(0.5, 0.9), seeds=(0, 1), output=str(tmp_path))
+        rows = run_ablation(cfg)
+        runs = json.loads((tmp_path / "runs.json").read_text())
+        assert len(runs) == 2 * 4 * 2 and len(rows) == 2 * 4
+        diverged = [r for r in runs if r["status"] == "diverged"]
+        assert len(diverged) == 1 and len(finetunes) > 2
+        (cell,) = diverged
+        assert cell["accuracy"] is None and cell["kept"] is not None
+        assert (tmp_path / "masks" / cell["mask_file"]).is_file()
+        assert all(r["accuracy"] is not None for r in runs if r["status"] == "ok")
+        assert (tmp_path / "results.csv").read_text().count("\n") == 1 + len(rows)
+        # report re-verifies every mask, the diverged cell's included
+        assert report_from_artifacts(str(tmp_path)) == rows
 
     def test_alpha_sweep_requires_alphas(self):
         with pytest.raises(DomainError):
