@@ -123,6 +123,53 @@ def _choice_cdf(row_scores: np.ndarray) -> np.ndarray:
     return cdf
 
 
+def _chain_draws(
+    rng: np.random.Generator, d0: int, size: int, depth: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The starts and step draws of `size` chains, rebuilt from raw words.
+
+    They equal `rng.integers(d0)` then `rng.random(out=row)` per chain, and
+    so does the generator's state afterwards. `random` turns one 64-bit
+    word w into (w >> 11) * 2**-53. `integers(d0)` draws nothing when
+    d0 == 1. Otherwise it takes a 32-bit half: the half the PCG64 state
+    holds (`has_uint32`, `uinteger`), or else the low half of a fresh word,
+    whose high half it holds for the next start. Lemire's method maps the
+    half x to (x * d0) >> 32 and rejects x when the low 32 bits of x * d0
+    fall below 2**32 % d0. A block with a rejection is redrawn with the
+    per-chain calls; so is every block when d0 > 2**32, where numpy takes
+    64-bit words and the threshold 2**32 rejects every half here.
+    """
+    bitgen = rng.bit_generator
+    before = bitgen.state
+    held = before["has_uint32"]
+    index = np.arange(size)
+    # chains whose start takes a fresh word: every other one, from the
+    # first that finds no held half
+    fresh = (d0 > 1) & (index >= held) & ((index - held) % 2 == 0)
+    first = index * depth + np.cumsum(fresh) - fresh  # each chain's first word
+    words = bitgen.random_raw(size * depth + np.count_nonzero(fresh))
+    draws = (words[(first + fresh)[:, None] + np.arange(depth)] >> 11) * 2.0**-53
+    if d0 == 1:
+        return np.zeros(size, dtype=np.intp), draws
+    taken = words[first[fresh]]
+    halves = np.stack((taken & 0xFFFFFFFF, taken >> 32), axis=1).ravel()
+    if held:
+        halves = np.concatenate(([np.uint64(before["uinteger"])], halves))
+    scaled = halves[:size] * np.uint64(d0)
+    if ((scaled & 0xFFFFFFFF) < 2**32 % d0).any():
+        bitgen.state = before
+        starts = np.empty(size, dtype=np.intp)
+        for c in range(size):
+            starts[c] = rng.integers(d0)
+            rng.random(out=draws[c])
+        return starts, draws
+    after = bitgen.state
+    after["has_uint32"] = int(halves.size > size)
+    after["uinteger"] = int(halves[-1])  # numpy leaves a used half in place
+    bitgen.state = after
+    return (scaled >> 32).astype(np.intp), draws
+
+
 def _visits(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A block's visits grouped by row: their stable sort by row, the rows
     visited, and where each row's visits start in that sort."""
@@ -230,10 +277,11 @@ def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, Chain
     sweep. Per block and layer, a
     deterministic step costs a stable sort of the block's rows plus a
     stable argsort of each row on its first visit; a stochastic step costs
-    one Python-level search per visited row, over the row's cached CDF,
-    plus one `rng.integers(d0)` and one `rng.random(L)` call per chain. The
-    stochastic random stream is exactly the one of `rng.integers(d0)` per
-    chain start and `rng.choice(width, p=softmax(row))` per step.
+    one Python-level search per visited row, over the row's cached CDF;
+    the block's starts and draws come from one `random_raw` call (see
+    `_chain_draws`). The stochastic random stream is exactly the one of
+    `rng.integers(d0)` per chain start and `rng.choice(width,
+    p=softmax(row))` per step.
     """
     if not spec.tc:
         raise DomainError("chain pruning requires spec.tc == True")
@@ -266,11 +314,7 @@ def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, Chain
         path = np.empty((size, depth + 1), dtype=np.intp)
         new = np.empty((size, depth), dtype=bool)
         if spec.stochastic:
-            starts, draws = [0] * size, np.empty((size, depth))
-            for c in range(size):
-                starts[c] = rng.integers(d0)
-                rng.random(out=draws[c])
-            path[:, 0] = starts
+            path[:, 0], draws = _chain_draws(rng, d0, size, depth)
             for t, s in enumerate(scores):
                 path[:, t + 1], new[:, t] = _sampled_steps(
                     s, cdfs[t], masks[t], path[:, t], draws[:, t]

@@ -7,7 +7,8 @@ connections of layers l+1..L. A mask is topologically consistent when every
 kept connection is both, i.e. lies on a complete input-to-output path.
 
 Both are properties of neurons: `_neuron_flags` computes them in one forward
-and one backward sweep, and a connection takes the flags of its end neurons.
+and one backward sweep of boolean products, and a connection takes the flags
+of its end neurons.
 """
 
 from __future__ import annotations
@@ -25,13 +26,14 @@ def _neuron_flags(mask: MaskTensor) -> tuple[list[np.ndarray], list[np.ndarray]]
 
     reached[d][i] == some input neuron reaches neuron i at depth d;
     reaches_out[d][i] == neuron i at depth d reaches some output neuron.
+    A boolean product is an OR of ANDs, so each sweep step is one `@`.
     """
     reached = [np.ones(mask.dims[0], dtype=bool)]
     for m in mask.masks:
-        reached.append(m[reached[-1], :].any(axis=0))
+        reached.append(reached[-1] @ m)
     reaches_out = [np.ones(mask.dims[-1], dtype=bool)]
     for m in reversed(mask.masks):
-        reaches_out.insert(0, m[:, reaches_out[0]].any(axis=1))
+        reaches_out.insert(0, m @ reaches_out[0])
     return reached, reaches_out
 
 
@@ -41,13 +43,20 @@ def _on_complete_paths(mask: MaskTensor, reached, reaches_out) -> list[np.ndarra
             for l, m in enumerate(mask.masks)]
 
 
+def _repeated(flags: np.ndarray, shape: tuple[int, int], strides: tuple[int, int]) -> np.ndarray:
+    """A read-only view of `flags` repeated along the zero-stride axis."""
+    view = np.ndarray(shape, dtype=bool, buffer=flags, strides=strides)
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True)
 class ConsistencyReport:
     """Per-neuron reachability plus aggregate counts over kept connections.
 
     `reached` and `reaches_out` hold one vector per depth 0..L (see
     `_neuron_flags`). The per-connection flags of layer l + 1 are read-only
-    broadcast views of them: `per_layer_accessible[l][i, j]` is
+    zero-stride views of them: `per_layer_accessible[l][i, j]` is
     `reached[l][i]` and `per_layer_coaccessible[l][i, j]` is
     `reaches_out[l + 1][j]`.
     """
@@ -60,12 +69,12 @@ class ConsistencyReport:
 
     @property
     def per_layer_accessible(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.broadcast_to(a[:, None], (a.size, b.size))
+        return tuple(_repeated(a, (a.size, b.size), (a.strides[0], 0))
                      for a, b in zip(self.reached, self.reaches_out[1:]))
 
     @property
     def per_layer_coaccessible(self) -> tuple[np.ndarray, ...]:
-        return tuple(np.broadcast_to(b[None, :], (a.size, b.size))
+        return tuple(_repeated(b, (a.size, b.size), (0, b.strides[0]))
                      for a, b in zip(self.reached, self.reaches_out[1:]))
 
 
@@ -77,7 +86,7 @@ def consistency_report(mask: MaskTensor) -> ConsistencyReport:
     """
     reached, reaches_out = _neuron_flags(mask)
     kept = mask.kept_count
-    consistent = sum(int(k.sum()) for k in _on_complete_paths(mask, reached, reaches_out))
+    consistent = int(sum(np.count_nonzero(k) for k in _on_complete_paths(mask, reached, reaches_out)))
     pct = 100.0 * consistent / kept if kept > 0 else None
     return ConsistencyReport(tuple(reached), tuple(reaches_out), kept, consistent, pct)
 

@@ -95,6 +95,30 @@ def dfs_consistent_set(mask: MaskTensor) -> list[np.ndarray]:
     return out
 
 
+def fancy_index_report(mask: MaskTensor) -> dict:
+    """Everything a ConsistencyReport exposes, by fancy-index `any` sweeps,
+    an and-sum count and `np.broadcast_to` views."""
+    reached = [np.ones(mask.dims[0], dtype=bool)]
+    for m in mask.masks:
+        reached.append(m[reached[-1], :].any(axis=0))
+    reaches_out = [np.ones(mask.dims[-1], dtype=bool)]
+    for m in reversed(mask.masks):
+        reaches_out.insert(0, m[:, reaches_out[0]].any(axis=1))
+    pairs = list(zip(reached, reaches_out[1:]))
+    kept = sum(int(m.sum()) for m in mask.masks)
+    consistent = sum(int((m & a[:, None] & b[None, :]).sum())
+                     for m, (a, b) in zip(mask.masks, pairs))
+    return {
+        "reached": reached,
+        "reaches_out": reaches_out,
+        "kept_count": kept,
+        "consistent_count": consistent,
+        "ac_percentage": 100.0 * consistent / kept if kept > 0 else None,
+        "per_layer_accessible": [np.broadcast_to(a[:, None], (a.size, b.size)) for a, b in pairs],
+        "per_layer_coaccessible": [np.broadcast_to(b[None, :], (a.size, b.size)) for a, b in pairs],
+    }
+
+
 # ---------------------------------------------------------------------------
 # Top-k by a full stable sort
 

@@ -16,6 +16,7 @@ from tcprune.network import LayeredNetwork, budget, total_connections
 from tcprune.pruner import (
     ChainTrace,
     PruneSpec,
+    _chain_draws,
     _top_k,
     prune,
     standard_mp,
@@ -522,6 +523,44 @@ class TestBlockLoop:
         assert all(type(t) is ChainTrace and type(t.path[0]) is int for t in listed)
         with pytest.raises(ValueError):
             traces.paths[0, 0] = 1
+
+
+def sequential_draws(rng, d0: int, size: int, depth: int):
+    starts, draws = np.empty(size, dtype=np.intp), np.empty((size, depth))
+    for c in range(size):
+        starts[c] = rng.integers(d0)
+        rng.random(out=draws[c])
+    return starts, draws
+
+
+class TestChainDraws:
+    """Bulk starts and draws against numpy's per-chain calls: this pins the
+    generator internals `_chain_draws` rebuilds, buffered half included."""
+
+    # 2**32 % (2**31 + 1) == 2**31 - 1, so about half of its halves reject;
+    # above 2**32 every block takes the per-chain calls
+    @pytest.mark.parametrize(
+        "d0", [1, 2, 15, 256, 1000, 2**31 + 1, 2**32 - 1, 2**32, 2**32 + 1]
+    )
+    @pytest.mark.parametrize("held", [False, True])
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_matches_sequential_calls(self, d0, held, depth):
+        bulk, plain = np.random.default_rng(31), np.random.default_rng(31)
+        if held:
+            # an odd number of 32-bit draws leaves a high half buffered
+            bulk.integers(7), plain.integers(7)
+            assert bulk.bit_generator.state["has_uint32"] == 1
+        for size in (1, 3, 2, 7, 8):
+            got_starts, got_draws = _chain_draws(bulk, d0, size, depth)
+            want_starts, want_draws = sequential_draws(plain, d0, size, depth)
+            assert got_starts.dtype == np.intp and got_starts.shape == (size,)
+            assert np.array_equal(got_starts, want_starts)
+            assert got_draws.shape == (size, depth)
+            assert np.array_equal(got_draws, want_draws)
+            assert bulk.bit_generator.state == plain.bit_generator.state
+        assert bulk.integers(d0) == plain.integers(d0)
+        assert bulk.random() == plain.random()
+        assert bulk.integers(1000) == plain.integers(1000)
 
 
 class TestPruneDispatch:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_mask_tensor
-from oracles import dfs_connection_flags, dfs_consistent_set
+from oracles import dfs_connection_flags, dfs_consistent_set, fancy_index_report
 from tcprune.network import MaskTensor
 from tcprune.topology import consistency_report, report_to_json, trim_to_consistent
 
@@ -93,6 +93,27 @@ class TestConsistencyReport:
             want = dfs_consistent_set(mask)
             got = sum(int(w.sum()) for w in want)
             assert report.consistent_count == got
+
+    @given(seed=st.integers(0, 100_000))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fancy_index_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        depth = int(rng.integers(1, 6))
+        dims = tuple(rng.integers(1, 7, size=depth + 1))
+        mask = random_mask_tensor(rng, dims, density=float(rng.uniform(0.0, 0.9)))
+        report = consistency_report(mask)
+        want = fancy_index_report(mask)
+        for name in ("kept_count", "consistent_count", "ac_percentage"):
+            assert getattr(report, name) == want[name]
+            assert type(getattr(report, name)) is type(want[name])
+        for name in ("reached", "reaches_out", "per_layer_accessible", "per_layer_coaccessible"):
+            got = getattr(report, name)
+            assert len(got) == len(want[name])
+            for g, w in zip(got, want[name]):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                assert np.array_equal(g, w)
+        for views in (report.per_layer_accessible, report.per_layer_coaccessible):
+            assert not any(v.flags.writeable for v in views)
 
     def test_json_sentinel(self):
         empty = mask_from_lists([[0]], [[0]])
