@@ -15,7 +15,12 @@ overflows, while log-sum-exp with a per-entry max shift is exact about the
 dominating path and never produces a silent Inf. A shared positive rescale
 never changes within-layer argmax decisions, and neither does the log map.
 Each step loops over its reduction index, so it needs O(d_l * d_out)
-memory; the step against the identity base is exact and skipped.
+memory; the step against the identity base is exact and skipped. A large
+step splits its rows across the CPUs the process may use, one thread per
+block of about 2**15 output entries or more; smaller blocks lose more to
+interpreter-lock hand-offs than the extra core gains. Each entry is
+computed the same way whatever the split, so tables do not depend on the
+number of threads.
 
 The edge score of connection (l, i -> j) is |W[l](i, j)| * max_k D[l](j, k);
 for the last layer the identity base makes this plain |W[L](i, j)|.
@@ -24,6 +29,8 @@ log_score_matrix gives the log of every edge score of one layer at once.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,9 +39,54 @@ from .errors import DomainError
 from .network import LayeredNetwork
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one (Linux), else every CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _lse_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """out[i,k] = log sum_j exp(a[i,j] + b[j,k]), with -inf acting as log 0;
-    the terms are added in place, one j at a time, in the order of j."""
+    """out[i,k] = log sum_j exp(a[i,j] + b[j,k]), with -inf acting as log 0.
+
+    Large outputs split their rows into contiguous blocks, one thread each
+    and at most one per usable CPU (numpy's ufuncs release the GIL). A block
+    holds about 2**15 entries or more: with smaller blocks the GIL hand-offs
+    of the per-j loop cost more than the extra core gains. Every entry takes
+    the same operations in the same j order whatever the split, so the
+    result is bit-identical to one block. An exception in any block is
+    raised here once every block has finished.
+    """
+    rows = a.shape[0]
+    blocks = min(_usable_cpus(), rows, rows * b.shape[1] >> 15)
+    if blocks <= 1:
+        return _lse_rows(a, b)
+    parts = np.array_split(a, blocks)
+    results: list = [None] * blocks
+
+    def run(i: int) -> None:
+        try:
+            results[i] = _lse_rows(parts[i], b)
+        except BaseException as exc:  # re-raised in the caller's thread
+            results[i] = exc
+
+    workers = [threading.Thread(target=run, args=(i,)) for i in range(1, blocks)]
+    for w in workers:
+        w.start()
+    run(0)
+    for w in workers:
+        w.join()
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return np.concatenate(results)
+
+
+def _lse_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """_lse_matmul on one block of rows: the terms are added in place, one j
+    at a time, in the order of j. It sets its own errstate, because numpy's
+    error state does not carry over into a worker thread."""
     term = np.empty((a.shape[0], b.shape[1]))
     mx = np.full_like(term, -np.inf)
     for j in range(b.shape[0]):

@@ -1,4 +1,6 @@
+import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import random_network
 from oracles import broadcast_build_table, brute_edge_score, path_norm_table
+from tcprune import surrogate
 from tcprune.errors import DomainError
 from tcprune.linalg import row_normalize
 from tcprune.network import LayeredNetwork
@@ -164,6 +167,114 @@ class TestAgainstBroadcastOracle:
             got = build_table(net, alpha).log_downstream
             for g, w in zip(got, broadcast_build_table(net, alpha)):
                 assert np.all(np.abs(g - w) <= 1e-15 * np.abs(w))
+
+
+def _spy_blocks(monkeypatch, fail_in_worker=None):
+    """Record the row count of every block _lse_rows computes; optionally
+    raise in the block run by a worker thread (True) or by the thread that
+    called _lse_matmul, named "caller" (False)."""
+    seen = []
+    plain = surrogate._lse_rows
+
+    def spy(a, b):
+        seen.append(a.shape[0])
+        in_worker = threading.current_thread().name != "caller"
+        if fail_in_worker is not None and in_worker == fail_in_worker:
+            raise ValueError("block failed")
+        return plain(a, b)
+
+    monkeypatch.setattr(surrogate, "_lse_rows", spy)
+    return seen
+
+
+class TestRowBlocks:
+    @given(
+        seed=st.integers(0, 10_000),
+        cpus=st.sampled_from([1, 2, 3, 8]),
+        d_out=st.sampled_from([1, 3, 10, 256, 2**15 + 1, 2**16 + 3]),
+        blocks=st.integers(1, 9),
+        nudge=st.integers(-1, 1),
+        inner=st.integers(1, 4),
+        inf_row=st.booleans(),
+        inf_col=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_split_is_bit_identical_to_one_block(
+        self, seed, cpus, d_out, blocks, nudge, inner, inf_row, inf_col
+    ):
+        # rows * d_out lands just under, on or over blocks * 2**15; the
+        # widest outputs have fewer rows than blocks
+        rows = max(1, -(-(blocks << 15) // d_out) + nudge)
+        rng = np.random.default_rng(seed)
+        a = 3.0 * rng.standard_normal((rows, inner))
+        b = 3.0 * rng.standard_normal((inner, d_out))
+        a[rng.random(a.shape) < 0.2] = -np.inf
+        if inf_row:
+            a[rng.integers(rows)] = -np.inf
+        if inf_col:
+            b[:, rng.integers(d_out)] = -np.inf
+        want = surrogate._lse_rows(a, b)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(surrogate, "_usable_cpus", lambda: cpus)
+            got = surrogate._lse_matmul(a, b)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_gate(self, monkeypatch):
+        seen = _spy_blocks(monkeypatch)
+        monkeypatch.setattr(surrogate, "_usable_cpus", lambda: 8)
+        rng = np.random.default_rng(0)
+        for (rows, inner, d_out), want in (
+            ((256, 256, 256), [128, 128]),
+            ((60, 240, 4), [60]),
+            ((512, 512, 10), [512]),
+            ((3, 2, 2**16), [1, 1, 1]),
+        ):
+            seen.clear()
+            surrogate._lse_matmul(
+                rng.standard_normal((rows, inner)), rng.standard_normal((inner, d_out))
+            )
+            assert sorted(seen) == want
+
+    def test_usable_cpus_without_affinity(self, monkeypatch):
+        assert surrogate._usable_cpus() >= 1
+        monkeypatch.delattr(surrogate.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(surrogate.os, "cpu_count", lambda: None)
+        assert surrogate._usable_cpus() == 1
+
+    @pytest.mark.parametrize("fail_in_worker", [True, False])
+    def test_block_error_reaches_caller(self, monkeypatch, fail_in_worker):
+        seen = _spy_blocks(monkeypatch, fail_in_worker)
+        monkeypatch.setattr(surrogate, "_usable_cpus", lambda: 2)
+        net = random_network(np.random.default_rng(0), (2, 256, 256, 256))
+        raised = []
+
+        def call():
+            try:
+                build_table(net, 0.5)
+            except ValueError as exc:
+                raised.append(exc)
+
+        before = threading.active_count()
+        caller = threading.Thread(target=call, name="caller")
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert [str(e) for e in raised] == ["block failed"]
+        assert seen == [128, 128]
+        assert threading.active_count() == before
+
+    def test_each_block_sets_its_own_errstate(self, monkeypatch):
+        seen = _spy_blocks(monkeypatch)
+        monkeypatch.setattr(surrogate, "_usable_cpus", lambda: 2)
+        rng = np.random.default_rng(0)
+        w = random_network(rng, (2, 256, 256, 256)).weights
+        net = LayeredNetwork((w[0], np.zeros_like(w[1]), w[2]), ("identity",) * 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = build_table(net, 0.1)
+        assert seen == [128, 128]
+        assert np.isneginf(table.log_downstream[0]).all()
 
 
 def score(net, layer, i, j, table=None) -> float:
