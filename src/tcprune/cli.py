@@ -41,14 +41,15 @@ from .harness import (
     report_from_artifacts,
     run_ablation,
 )
-from .network import load_mask, load_network, save_mask
+from .network import _no_constant, load_mask, load_network, save_mask
 from .pruner import PruneSpec, prune
 from .topology import consistency_report, report_to_json
 
 
 def _parse_kv(text: str | None) -> SyntheticSpec:
     """Parse "a=1,b=2" into a SyntheticSpec; each value is read as JSON, and
-    a pair that is not key=<JSON>, or repeats a key, raises DomainError naming it."""
+    a pair that is not key=<JSON> (NaN and Infinity are not), or repeats a
+    key, raises DomainError naming it."""
     payload = {}
     for pair in text.split(",") if text else ():
         key, _, value = pair.partition("=")
@@ -56,8 +57,8 @@ def _parse_kv(text: str | None) -> SyntheticSpec:
         if key in payload:
             raise DomainError(f"--synthetic: repeated key {key!r}")
         try:
-            payload[key] = json.loads(value)
-        except json.JSONDecodeError as exc:
+            payload[key] = json.loads(value, parse_constant=_no_constant)
+        except (json.JSONDecodeError, DomainError) as exc:
             raise DomainError(f"--synthetic: {pair!r} is not key=<JSON>: {exc}") from exc
     return _build(SyntheticSpec, payload, "--synthetic")
 

@@ -282,7 +282,9 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
-            raise DomainError("epochs and batch_size must be positive")
+            raise DomainError(
+                f"epochs and batch_size must be positive, got {self.epochs} and {self.batch_size}"
+            )
         if not 0.0 <= self.momentum < 1.0:
             raise DomainError(f"momentum must be in [0, 1), got {self.momentum}")
         if not 0.0 < self.lr_decay < 1.0:

@@ -104,7 +104,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.rates or not self.variants or not self.seeds:
             raise DomainError("need at least one rate, one variant, and one seed")
-        # every cell's spec is checked before anything trains
+        # every cell's spec and the training settings are checked before
+        # anything trains
+        self.training
         for rate in self.rates:
             for variant in self.variants:
                 _spec(rate, variant, self.seeds[0])
@@ -123,6 +125,17 @@ class ExperimentConfig:
         if self.finetune_epochs is not None:
             return self.finetune_epochs
         return max(1, self.epochs // 4)
+
+    @property
+    def training(self) -> tuple[TrainConfig, TrainConfig]:
+        """The baseline's and the fine-tunes' training settings, at seed 0;
+        TrainConfig rejects a bad one."""
+        baseline = TrainConfig(
+            self.epochs, self.batch_size, self.initial_lr, self.momentum, self.lr_decay
+        )
+        if self.finetune_budget < 1:
+            raise DomainError(f"finetune_epochs must be positive, got {self.finetune_epochs}")
+        return baseline, dataclasses.replace(baseline, epochs=self.finetune_budget)
 
 
 def _as_printed(x: float | None) -> float | None:
@@ -230,13 +243,7 @@ class _Baseline:
 def _run_grid(cfg: ExperimentConfig) -> list[RunRecord]:
     train_set, test_set = _load_split(cfg)
     shape = _shape_for(cfg, train_set)
-    base_cfg = TrainConfig(
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        initial_lr=cfg.initial_lr,
-        momentum=cfg.momentum,
-        lr_decay=cfg.lr_decay,
-    )
+    base_cfg, tune_cfg = cfg.training
     records: list[RunRecord] = []
     mask_dir = None
     if cfg.output:
@@ -250,7 +257,7 @@ def _run_grid(cfg: ExperimentConfig) -> list[RunRecord]:
         )
         accuracy = evaluate(model, test_set)
         view = as_layered(model)
-        finetune = dataclasses.replace(base_cfg, epochs=cfg.finetune_budget, seed=seed)
+        finetune = dataclasses.replace(tune_cfg, seed=seed)
         base = _Baseline(seed, model, accuracy, view, finetune, train_set, test_set)
         for rate in cfg.rates:
             for variant in cfg.variants:

@@ -258,22 +258,29 @@ def _read_fields(path) -> list[list[str]]:
         raise DomainError(f"{path}: {exc}") from exc
 
 
+def _no_constant(name: str):
+    """The `parse_constant` hook of every JSON read: Python's json accepts
+    NaN, Infinity and -Infinity, which are not JSON numbers."""
+    raise DomainError(f"{name} is not a JSON number")
+
+
 def _read_json(path):
     """The parsed contents of an ASCII JSON file; a non-ASCII byte, malformed
-    JSON or a key repeated in one object raises DomainError naming the file."""
+    JSON, a NaN or Infinity constant or a key repeated in one object raises
+    DomainError naming the file."""
 
     def unique(pairs):
         obj = {}
         for key, value in pairs:
             if key in obj:
-                raise DomainError(f"{path}: repeated key {key!r}")
+                raise DomainError(f"repeated key {key!r}")
             obj[key] = value
         return obj
 
     try:
         with open(path, "r", encoding="ascii") as fh:
-            return json.load(fh, object_pairs_hook=unique)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            return json.load(fh, object_pairs_hook=unique, parse_constant=_no_constant)
+    except (UnicodeDecodeError, json.JSONDecodeError, DomainError) as exc:
         raise DomainError(f"{path}: {exc}") from exc
 
 

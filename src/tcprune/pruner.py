@@ -6,6 +6,9 @@ can leave kept connections dangling. tc_mp instead grows the mask from
 complete input-to-output chains, so its output is topologically consistent
 by construction. It selects them a block of chains at a time, each layer of
 a block in a few array operations, with the result of one chain at a time.
+Each call first builds one table per layer, read by every block: each
+row's column order by (-score, col) when deterministic, each row's softmax
+CDF when stochastic.
 """
 
 from __future__ import annotations
@@ -109,18 +112,18 @@ def stochastic_mp(net: LayeredNetwork, rate: float, seed: int) -> MaskTensor:
     return _top_k(net, keys, max_kept)
 
 
-def _choice_cdf(row_scores: np.ndarray) -> np.ndarray:
-    """The CDF Generator.choice builds from a row's softmax probabilities."""
-    mx = row_scores.max()
-    if mx == -np.inf:
-        # every forward neighbor has zero magnitude; fall back to uniform
-        probs = np.full(row_scores.size, 1.0 / row_scores.size)
-    else:
-        weights = np.exp(row_scores - mx)
-        probs = weights / weights.sum()
-    cdf = probs.cumsum()
-    cdf /= cdf[-1]
-    return cdf
+def _choice_cdfs(scores: np.ndarray) -> np.ndarray:
+    """Each row's CDF as Generator.choice builds it from the row's softmax
+    probabilities, uniform for a row that scores -inf throughout."""
+    mx = scores.max(axis=1, keepdims=True)
+    flat = mx[:, 0] == -np.inf  # every forward neighbor has zero magnitude
+    mx[flat] = 0.0
+    cdfs = np.exp(scores - mx)
+    cdfs[flat] = 1.0
+    cdfs /= cdfs.sum(axis=1, keepdims=True)
+    np.cumsum(cdfs, axis=1, out=cdfs)
+    cdfs /= cdfs[:, -1:]
+    return cdfs
 
 
 def _chain_draws(
@@ -170,17 +173,8 @@ def _chain_draws(
     return (scaled >> 32).astype(np.intp), draws
 
 
-def _visits(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A block's visits grouped by row: their stable sort by row, the rows
-    visited, and where each row's visits start in that sort."""
-    by_row = np.argsort(rows, kind="stable")
-    sorted_rows = rows[by_row]
-    starts = np.flatnonzero(np.concatenate(([True], sorted_rows[1:] != sorted_rows[:-1])))
-    return by_row, sorted_rows[starts], starts
-
-
 def _ranked_steps(
-    scores: np.ndarray, order: np.ndarray, ordered: np.ndarray, fresh: np.ndarray, rows: np.ndarray
+    order: np.ndarray, fresh: np.ndarray, rows: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Argmax next columns of a block's visits to `rows`, and which set a new bit.
 
@@ -188,45 +182,44 @@ def _ranked_steps(
     start neuron's best chain repeats. A row's mask bits are set only by the
     chains passing through it, and each pass sets the column chosen here, so
     the set bits of a row are exactly the first `fresh[row]` entries of its
-    order by (-score, col), argsorted on the row's first visit. The r-th
-    visit of a row in the block therefore takes entry fresh[row] + r, the
-    highest-scoring unselected column (lowest index among ties), until the
-    row is full; then the row's overall best column repeats.
+    `order` by (-score, col). The r-th visit of a row in the block therefore
+    takes entry fresh[row] + r, the highest-scoring unselected column
+    (lowest index among ties), until the row is full; then the row's overall
+    best column repeats.
     """
-    by_row, visited, starts = _visits(rows)
-    todo = visited[~ordered[visited]]
-    order[todo] = np.argsort(-scores[todo], axis=1, kind="stable")
-    ordered[todo] = True
+    by_row = np.argsort(rows, kind="stable")
+    sorted_rows = rows[by_row]
+    index = np.arange(rows.size)
+    first = np.concatenate(([True], sorted_rows[1:] != sorted_rows[:-1]))
     rank = np.empty_like(rows)
-    rank[by_row] = np.arange(rows.size) - np.repeat(starts, np.diff(np.append(starts, rows.size)))
+    rank[by_row] = index - np.maximum.accumulate(np.where(first, index, 0))
     pos = fresh[rows] + rank
-    new = pos < scores.shape[1]
+    new = pos < order.shape[1]
     return order[rows, np.where(new, pos, 0)], new
 
 
 def _sampled_steps(
-    scores: np.ndarray, cdfs: list, bits: np.ndarray, rows: np.ndarray, draws: np.ndarray
+    cdfs: np.ndarray, bits: np.ndarray, rows: np.ndarray, draws: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sampled next columns of a block's visits to `rows`, and which set a new bit.
 
-    Visit c takes the column at which draws[c] falls in the row's softmax
-    CDF, found by a right-sided search, which is what `Generator.choice`
-    returns for the same draw; a row's CDF is built on its first visit and
-    kept. A column sets a new bit when its bit was unset before the block
-    and no earlier visit in the block took it.
+    Visit c takes the number of entries of its row's CDF that are <= draws[c],
+    which is the right-sided search `Generator.choice` does for the same
+    draw. A CDF never decreases, so that count is found by one bisection over
+    all visits at once, each probe raising a count by a power of two when the
+    entry it reads is <= the draw; its last entry is exactly 1.0, above every
+    draw, so a probe past the row reads it and fails. A column sets a new bit
+    when its bit was unset before the block and no earlier visit in the
+    block took it.
     """
-    by_row, visited, starts = _visits(rows)
-    picked = np.empty_like(rows)
-    sorted_draws = draws[by_row]
-    bounds = np.append(starts, rows.size).tolist()
-    for row, lo, hi in zip(visited.tolist(), bounds, bounds[1:]):
-        cdf = cdfs[row]
-        if cdf is None:
-            cdf = cdfs[row] = _choice_cdf(scores[row])
-        picked[lo:hi] = cdf.searchsorted(sorted_draws[lo:hi], side="right")
-    cols = np.empty_like(rows)
-    cols[by_row] = picked
-    at = rows * scores.shape[1] + cols
+    width = cdfs.shape[1]
+    entries = cdfs.reshape(-1)
+    before_row = rows * width - 1  # probe p reads entry p - 1 of the visit's row
+    cols = np.zeros_like(rows)
+    for shift in reversed(range(width.bit_length())):
+        probe = cols + (1 << shift)
+        cols = np.where(entries[before_row + np.minimum(probe, width)] <= draws, probe, cols)
+    at = before_row + 1 + cols
     _, first = np.unique(at, return_index=True)
     new = np.zeros(rows.size, dtype=bool)
     new[first] = ~bits.reshape(-1)[at[first]]
@@ -274,14 +267,15 @@ def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, Chain
     random stream equal those of selecting one chain at a time. A block
     holds max(d0, ceil(remaining budget / L)) chains: no more than are
     still needed, since a chain sets at most L bits, or one round-robin
-    sweep. Per block and layer, a
-    deterministic step costs a stable sort of the block's rows plus a
-    stable argsort of each row on its first visit; a stochastic step costs
-    one Python-level search per visited row, over the row's cached CDF;
-    the block's starts and draws come from one `random_raw` call (see
-    `_chain_draws`). The stochastic random stream is exactly the one of
-    `rng.integers(d0)` per chain start and `rng.choice(width,
-    p=softmax(row))` per step.
+    sweep. The call starts with one table per layer, the size of the
+    layer's scores: a stable argsort of every row (deterministic) or every
+    row's CDF (stochastic). Per block and layer, a deterministic step then
+    costs a stable sort of the block's rows, and a stochastic step one
+    bisection of log2(width) array passes over the block's visits plus a
+    sort of their slots; the block's starts and draws come from one
+    `random_raw` call (see `_chain_draws`). The stochastic random stream is
+    exactly the one of `rng.integers(d0)` per chain start and
+    `rng.choice(width, p=softmax(row))` per step.
     """
     if not spec.tc:
         raise DomainError("chain pruning requires spec.tc == True")
@@ -296,10 +290,9 @@ def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, Chain
     masks = [np.zeros(w.shape, dtype=bool) for w in net.weights]
     rng = np.random.default_rng(spec.seed)
     if spec.stochastic:
-        cdfs = [[None] * s.shape[0] for s in scores]
+        cdfs = [_choice_cdfs(s) for s in scores]
     else:
-        orders = [np.empty(s.shape, dtype=np.intp) for s in scores]
-        ordered = [np.zeros(s.shape[0], dtype=bool) for s in scores]
+        orders = [np.argsort(-s, axis=1, kind="stable") for s in scores]
         fresh = [np.zeros(s.shape[0], dtype=np.intp) for s in scores]
     # Deterministic selection repeats verbatim after one full round-robin
     # sweep with no new bits; stochastic selection gets a generous allowance
@@ -315,16 +308,12 @@ def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, Chain
         new = np.empty((size, depth), dtype=bool)
         if spec.stochastic:
             path[:, 0], draws = _chain_draws(rng, d0, size, depth)
-            for t, s in enumerate(scores):
-                path[:, t + 1], new[:, t] = _sampled_steps(
-                    s, cdfs[t], masks[t], path[:, t], draws[:, t]
-                )
+            for t, cdf in enumerate(cdfs):
+                path[:, t + 1], new[:, t] = _sampled_steps(cdf, masks[t], path[:, t], draws[:, t])
         else:
             path[:, 0] = np.arange(chains, chains + size) % d0
-            for t, s in enumerate(scores):
-                path[:, t + 1], new[:, t] = _ranked_steps(
-                    s, orders[t], ordered[t], fresh[t], path[:, t]
-                )
+            for t, order in enumerate(orders):
+                path[:, t + 1], new[:, t] = _ranked_steps(order, fresh[t], path[:, t])
         gain = new.sum(axis=1)
         reached = kept + np.cumsum(gain)
         index = np.arange(size)

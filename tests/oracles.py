@@ -3,8 +3,8 @@
 Everything here is deliberately written the dumb way: explicit Python loops,
 graph searches, and path enumeration. None of it shares code with the
 package internals it verifies; where an oracle calls the package, it is for
-a part it does not check (the chain-loop oracle takes its scores and row
-CDFs from the package, the training oracle its gradients).
+a part it does not check (the chain-loop oracle takes its scores from the
+package, the training oracle its gradients).
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 from tcprune.errors import SaturationError
 from tcprune.gcn import GcnModel, loss_and_grads, view_mask_to_param_masks
 from tcprune.network import ACTIVATIONS, LayeredNetwork, MaskTensor, budget
-from tcprune.pruner import _choice_cdf
 from tcprune.surrogate import build_table, log_score_matrix
 
 
@@ -257,6 +256,20 @@ def greedy_chain_oracle(net: LayeredNetwork, max_kept: int, scoring: str = "loca
 # Chain selection one chain and one step at a time
 
 
+def choice_cdf(row_scores: np.ndarray) -> np.ndarray:
+    """The CDF Generator.choice builds from one row's softmax probabilities,
+    uniform when the whole row scores -inf."""
+    mx = row_scores.max()
+    if mx == -np.inf:
+        probs = np.full(row_scores.size, 1.0 / row_scores.size)
+    else:
+        weights = np.exp(row_scores - mx)
+        probs = weights / weights.sum()
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def sequential_tc_mp_trace(net: LayeredNetwork, spec) -> tuple[list[np.ndarray], list]:
     """tc_mp_trace as a plain loop: one chain at a time, one step per layer.
 
@@ -280,7 +293,7 @@ def sequential_tc_mp_trace(net: LayeredNetwork, spec) -> tuple[list[np.ndarray],
     def choose(t: int, row: int) -> int:
         if spec.stochastic:
             if cdfs[t][row] is None:
-                cdfs[t][row] = _choice_cdf(scores[t][row]).tolist()
+                cdfs[t][row] = choice_cdf(scores[t][row]).tolist()
             return bisect_right(cdfs[t][row], rng.random())
         p = fresh[t][row]
         if p == scores[t].shape[1]:

@@ -70,6 +70,16 @@ def trained_model(tmp_path):
     return path
 
 
+def nan_model(trained, tmp_path) -> Path:
+    """A copy of the model file `trained` whose first head weight is NaN."""
+    payload = json.loads(trained.read_text())
+    payload["head"][0][0] = float("nan")
+    path = tmp_path / "nan_model.json"
+    path.write_text(json.dumps(payload))
+    assert "NaN" in path.read_text()
+    return path
+
+
 class TestTrain:
     def test_writes_model(self, trained_model):
         model = load_model(trained_model)
@@ -157,6 +167,13 @@ class TestPrune:
                        "--out", str(tmp_path / "mask.txt"))
         assert code == 2
 
+    def test_non_finite_weight_is_config_error(self, trained_model, tmp_path, capsys):
+        model = nan_model(trained_model, tmp_path)
+        code = run_cli("prune", "--model", str(model), "--rate", "0.5",
+                       "--out", str(tmp_path / "mask.txt"))
+        assert code == 2
+        assert f"{model}: NaN is not a JSON number" in capsys.readouterr().err
+
     def test_bad_rate_is_config_error(self, trained_model, tmp_path):
         code = run_cli(
             "prune", "--model", str(trained_model), "--rate", "1.5",
@@ -179,6 +196,19 @@ class TestFinetune:
         )
         assert code == 0
         assert load_model(out).shape.nodes == 3
+
+    def test_non_finite_weight_is_config_error(self, trained_model, tmp_path, capsys):
+        mask_path = tmp_path / "mask.txt"
+        assert run_cli("prune", "--model", str(trained_model), "--rate", "0.5",
+                       "--out", str(mask_path)) == 0
+        model = nan_model(trained_model, tmp_path)
+        code = run_cli(
+            "finetune", "--model", str(model), "--mask", str(mask_path),
+            "--synthetic", SYNTH, "--epochs", "1", "--out", str(tmp_path / "t.json"),
+        )
+        assert code == 2
+        assert f"{model}: NaN is not a JSON number" in capsys.readouterr().err
+        assert not (tmp_path / "t.json").exists()
 
     def test_missing_mask_is_io_error(self, trained_model, tmp_path):
         code = run_cli(
@@ -335,6 +365,30 @@ class TestAblate:
         assert capsys.readouterr().err.startswith("error: --synthetic: repeated key 'seed'")
         assert train_calls == []
 
+    def test_zero_finetune_budget_is_rejected_before_training(
+        self, tmp_path, train_calls, capsys
+    ):
+        out_dir = tmp_path / "run"
+        assert run_cli("ablate", "--finetune-epochs", "0", "--out", str(out_dir)) == 2
+        assert "finetune_epochs must be positive" in capsys.readouterr().err
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**CONFIG, "finetune_epochs": 0}))
+        assert run_cli("ablate", "--config", str(cfg_path)) == 2
+        assert "finetune_epochs must be positive" in capsys.readouterr().err
+        assert train_calls == []
+        assert not (out_dir / "masks").exists()
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constant_is_config_error(self, tmp_path, train_calls, capsys, constant):
+        cfg_path = tmp_path / "cfg.json"
+        text = json.dumps({**CONFIG, "synthetic": {**CONFIG["synthetic"], "noise": 0.5}})
+        cfg_path.write_text(text.replace("0.5", constant))
+        assert run_cli("ablate", "--config", str(cfg_path)) == 2
+        assert f"{cfg_path}: {constant} is not a JSON number" in capsys.readouterr().err
+        assert run_cli("ablate", "--synthetic", f"noise={constant}") == 2
+        assert f"is not key=<JSON>: {constant} is not a JSON number" in capsys.readouterr().err
+        assert train_calls == []
+
     def test_grid_without_layered_view_is_rejected_before_training(
         self, tmp_path, train_calls, capsys
     ):
@@ -439,9 +493,10 @@ class TestReport:
             [{**RUN, "rate": "0.9"}],
             [{**RUN, "kept": 1.5}],
             [RUN, [0.9, True]],
+            [{**RUN, "wall_s": float("nan")}],
         ],
         ids=["list-of-numbers", "object", "unknown-key", "missing-key", "rate-string",
-             "kept-float", "entry-list"],
+             "kept-float", "entry-list", "wall-s-nan"],
     )
     def test_malformed_runs_file_is_config_error(self, tmp_path, data):
         (tmp_path / "runs.json").write_text(json.dumps(data))

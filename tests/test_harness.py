@@ -326,6 +326,29 @@ class TestConfig:
         with pytest.raises(DomainError):
             ExperimentConfig(rates=())
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("finetune_epochs", 0), ("finetune_epochs", -3), ("epochs", 0), ("batch_size", 0),
+         ("momentum", 1.0), ("lr_decay", 0.0), ("initial_lr", 0.0)],
+    )
+    def test_bad_training_setting_is_rejected(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            tiny_config(**{field: value})
+
+    def test_training_settings(self):
+        cfg = tiny_config(epochs=8, finetune_epochs=None, batch_size=7, momentum=0.5)
+        baseline, finetune = cfg.training
+        assert (baseline.epochs, finetune.epochs) == (8, 2)
+        assert baseline.batch_size == finetune.batch_size == 7
+        assert baseline.momentum == finetune.momentum == 0.5
+        assert dataclasses.replace(cfg, finetune_epochs=5).training[1].epochs == 5
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constant_is_domain_error(self, tmp_path, constant):
+        text = '{"rates": [0.9], "synthetic": {"noise": %s}}' % constant
+        with pytest.raises(DomainError, match=f"cfg.json: {constant} is not a JSON number"):
+            load_config(config_file(tmp_path, text))
+
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.name)
     def test_shipped_config_round_trips(self, tmp_path, path):
         cfg = load_config(path)

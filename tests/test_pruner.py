@@ -7,6 +7,7 @@ from conftest import random_network
 from oracles import (
     OracleSaturation,
     argsort_top_k,
+    choice_cdf,
     greedy_chain_oracle,
     sequential_tc_mp_trace,
     stochastic_chain_oracle,
@@ -17,6 +18,8 @@ from tcprune.pruner import (
     ChainTrace,
     PruneSpec,
     _chain_draws,
+    _choice_cdfs,
+    _sampled_steps,
     _top_k,
     prune,
     standard_mp,
@@ -561,6 +564,60 @@ class TestChainDraws:
         assert bulk.integers(d0) == plain.integers(d0)
         assert bulk.random() == plain.random()
         assert bulk.integers(1000) == plain.integers(1000)
+
+
+def random_scores(seed: int, rows: int, width: int, scale: float, holes: bool) -> np.ndarray:
+    """Log scores with, when `holes`, some -inf entries and a row that is -inf throughout."""
+    rng = np.random.default_rng(seed)
+    scores = rng.standard_normal((rows, width)) * scale
+    if holes:
+        scores[rng.random((rows, width)) < 0.4] = -np.inf
+        scores[rng.integers(rows)] = -np.inf
+    return scores
+
+
+class TestChainTables:
+    """The per-layer CDF table and its bisection against the per-row builder
+    and numpy's right-sided search."""
+
+    # widths cross numpy's pairwise-sum blocks of 8 and 128 entries
+    @given(
+        seed=st.integers(0, 2**16),
+        rows=st.integers(1, 4),
+        width=st.integers(1, 300),
+        scale=st.sampled_from([1.0, 30.0, 700.0, 1e6]),
+        holes=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cdfs_match_per_row_oracle(self, seed, rows, width, scale, holes):
+        scores = random_scores(seed, rows, width, scale, holes)
+        got = _choice_cdfs(scores)
+        assert np.array_equal(got, np.stack([choice_cdf(row) for row in scores]))
+        assert (got[:, -1] == 1.0).all() and (np.diff(got, axis=1) >= 0).all()
+
+    @given(
+        seed=st.integers(0, 2**16),
+        height=st.integers(1, 4),
+        width=st.sampled_from([1, 2, 3, 5, 7, 8, 9, 100, 127, 128, 129, 255, 300]),
+        holes=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_bisection_is_right_sided_search(self, seed, height, width, holes):
+        cdfs = _choice_cdfs(random_scores(seed, height, width, 3.0, holes))
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(height, size=64)
+        draws = rng.integers(0, 2**53, size=64) * 2.0**-53
+        # draws on CDF entries, flat segments included, and both extremes
+        draws[:32] = np.minimum(cdfs[rows[:32], rng.integers(width, size=32)], 1.0 - 2.0**-53)
+        draws[32:34] = 0.0, 1.0 - 2.0**-53
+        bits = rng.random((height, width)) < 0.3
+        cols, new = _sampled_steps(cdfs, bits, rows, draws)
+        want = [np.searchsorted(cdfs[r], d, side="right") for r, d in zip(rows, draws)]
+        assert np.array_equal(cols, want)
+        taken = set()
+        for r, c, n in zip(rows.tolist(), cols.tolist(), new.tolist()):
+            assert n == (not bits[r, c] and (r, c) not in taken)
+            taken.add((r, c))
 
 
 class TestPruneDispatch:
