@@ -148,11 +148,12 @@ def _experiment_config(args) -> ExperimentConfig:
 def _print_rows(rows) -> None:
     for row in rows:
         alpha = "" if row.alpha is None else f" alpha={row.alpha:g}"
+        kept = "NA" if row.kept_params is None else f"{row.kept_params:g}"
         acc = "NA" if row.acc_mean is None else f"{row.acc_mean:.4f}"
         ac = "NA" if row.ac_percent is None else f"{row.ac_percent:.2f}"
         print(
             f"rate={row.rate:g} tc={row.tc} stochastic={row.stochastic} "
-            f"scoring={row.scoring}{alpha} kept={row.kept_params} ac%={ac} acc={acc}"
+            f"scoring={row.scoring}{alpha} kept={kept} ac%={ac} acc={acc}"
         )
 
 

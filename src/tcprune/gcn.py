@@ -16,10 +16,12 @@ batch innermost. Past one copy of the batch's signals, no array of
 activation size is re-laid out, only the parameters and their gradients
 (see forward_batch and loss_and_grads). Each train call makes one
 StepBuffers set, sized for its largest batch, and every forward pass,
-backward pass and update of the call writes into it, so a training step
-allocates no array of activation size and its speed does not depend on how
-the allocator lays out the heap; what it still allocates (the label pick
-and numpy's iterator buffers for the softmax's broadcasts) is a few KiB at
+backward pass and update of the call writes into it (the backward pass
+writes over the probabilities and hidden activations it no longer reads),
+so a training step allocates no array of activation size and its speed
+does not depend on how the allocator lays out the heap; what it still
+allocates (the label pick, numpy's iterator buffers for the softmax's
+broadcasts and the ReLU mask's bool-to-float cast) is about 12 KiB at
 batch 200.
 
 as_layered exposes the three parameter groups as one dense 3-layer network
@@ -123,11 +125,12 @@ class StepBuffers:
     functions return are views into these arrays, valid until the set's next
     use; a smaller batch uses the leading part of each array. Per sample the
     set holds the signals by channel xs (signal_dim * nodes doubles), the
-    filtered signals z (filters * heads * nodes; the backward pass writes dz
-    over them) and three filters * nodes arrays: hidden, dpre and the ReLU's
-    0/1 gradient. The parameter-sized arrays hold the parameters re-laid out
-    filters first and the gradients; `rows` is 0, 1, ..., batch - 1, the row
-    index of the label pick.
+    filtered signals z (filters * heads * nodes), hidden and dpre (filters *
+    nodes each) and probs (num_classes); the backward pass writes dz over z,
+    the ReLU's 0.0/1.0 gradient over hidden and the loss gradient over probs.
+    The parameter-sized arrays hold the parameters re-laid out filters first
+    and the gradients; `rows` is 0, 1, ..., batch - 1, the row index of the
+    label pick.
     """
 
     def __init__(self, shape: GcnShape, batch: int):
@@ -139,12 +142,9 @@ class StepBuffers:
             "hidden": c * n,
             "probs": q,
             "row": 1,
-            "dlogits": q,
             "dpre": c * n,
-            "relu_grad": c * n,
         }
         self._arrays = {name: np.empty(batch * size) for name, size in per_sample.items()}
-        self._arrays["positive"] = np.empty(batch * c * n, dtype=bool)
         self._arrays["rows"] = np.arange(batch)
         self._arrays.update(
             attention=np.empty(n * k * n),
@@ -234,8 +234,8 @@ def loss_and_grads(
     picked = probs[rows, labels]
     with np.errstate(divide="ignore"):
         loss = float(-np.mean(np.log(picked, out=picked)))
-    dlogits = buf.get("dlogits", batch, q)
-    np.copyto(dlogits, probs)
+    # the loss gradient over the logits, written over probs
+    dlogits = probs
     dlogits[rows, labels] -= 1.0
     dlogits /= batch
     # the head and attention as forward_batch re-laid them out into `buf`
@@ -245,13 +245,8 @@ def loss_and_grads(
     np.copyto(g_head, g.reshape(c, n, q).transpose(1, 0, 2))
     dpre = buf.get("dpre", c, n, batch)
     np.matmul(head.reshape(c * n, q), dlogits.T, out=dpre.reshape(c * n, batch))
-    # dpre *= (pre > 0) through a 0/1 float copy of the mask: a ufunc on the
-    # bool mask casts through numpy's 64 KiB buffer, and copyto(where=) is
-    # about ten times slower than the multiply on a mask this irregular
-    positive = np.greater(hidden, 0.0, out=buf.get("positive", c, n, batch))
-    relu_grad = buf.get("relu_grad", c, n, batch)
-    np.copyto(relu_grad, positive)
-    dpre *= relu_grad
+    # relu'(pre) as 0.0/1.0, written over hidden, which nothing reads after g_head
+    dpre *= np.greater(hidden, 0.0, out=hidden)
     g_by_filter = buf.get("g_by_filter", c, n, k * n)
     np.matmul(dpre, z.transpose(0, 2, 1), out=g_by_filter)
     g = np.sum(g_by_filter, axis=0, out=buf.get("g_scratch", n, k * n))
@@ -339,19 +334,21 @@ def train(
     """Momentum SGD on cross-entropy over `data`, the (signals, labels) of
     dataset_arrays; returns (trained copy, per-epoch loss).
 
-    Every parameter group carries keep bits (all True without a view mask).
-    Dropped parameters start at +0.0 and their gradients are zeroed every
-    step, so their velocities and values stay exactly +0.0. One StepBuffers
-    set, sized for the largest batch, serves every step of the call, so a
-    step allocates no array.
+    Every parameter group carries 0.0/1.0 keep weights (all 1.0 without a
+    view mask), scaled by the learning rate once per epoch, so a step's
+    update is v = momentum * v - g * (lr * keep); p += v. Dropped parameters
+    start at +0.0; for a finite gradient g * 0.0 is +-0.0 and
+    +0.0 - (+-0.0) == +0.0, so their velocities and values stay exactly +0.0.
+    One StepBuffers set, sized for the largest batch, serves every step of
+    the call, so a step allocates no array.
     The learning rate adapts per epoch: when |loss(t-1) - loss(t)| grew
     compared to the previous epoch the rate is multiplied by lr_decay,
     otherwise divided; it is clamped to [1e-8, 1].
     """
     signals, labels = _checked(data, model.shape)
     bits, params = _masked(model, mask)
+    keep = [b.astype(np.float64) for b in bits]
     velocity = [np.zeros_like(p) for p in params]
-    steps = [np.empty_like(p) for p in params]
     batch = min(cfg.batch_size, len(labels))
     buffers = StepBuffers(model.shape, batch)
     batch_signals = np.empty((batch,) + signals.shape[1:])
@@ -363,6 +360,7 @@ def train(
     tuned = GcnModel(model.shape, *params)
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(labels))
+        lr_keep = [lr * k for k in keep]
         epoch_loss = 0.0
         for lo in range(0, len(order), cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
@@ -370,13 +368,11 @@ def train(
             y = np.take(labels, idx, out=batch_labels[: len(idx)], mode="clip")
             loss, grads = loss_and_grads(tuned, x, y, buffers)
             epoch_loss += loss * len(idx)
-            for p, v, t, g, b in zip(params, velocity, steps, grads, bits):
-                # t = lr * where(b, g, 0.0), without a temporary
-                np.copyto(t, 0.0)
-                np.copyto(t, g, where=b)
-                t *= lr
+            # the gradients are views into `buffers`, rewritten every step
+            for p, v, g, k in zip(params, velocity, grads, lr_keep):
+                g *= k
                 v *= cfg.momentum
-                v -= t
+                v -= g
                 p += v
         epoch_loss /= len(labels)
         if not np.isfinite(epoch_loss):

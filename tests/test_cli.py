@@ -259,6 +259,22 @@ class TestAblate:
         assert run_cli("report", "--artifacts", str(out_dir), "--table-out", str(table)) == 0
         assert table.read_text() == (out_dir / "results.csv").read_text()
 
+    def test_absent_values_print_as_na(self, tmp_path, capsys):
+        # at rate 0.99 the tiny view's chain cells exhaust their budget
+        out_dir = tmp_path / "run"
+        assert run_cli(
+            "ablate", "--synthetic", SYNTH, *MODEL_FLAGS,
+            "--rates", "0.5,0.99", "--seeds", "0", "--epochs", "3",
+            "--finetune-epochs", "1", "--out", str(out_dir),
+        ) == 0
+        assert run_cli("report", "--artifacts", str(out_dir)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        statuses = [run["status"] for run in json.loads((out_dir / "runs.json").read_text())]
+        assert "budget" in statuses
+        assert any(line.endswith("kept=NA ac%=NA acc=NA") for line in lines)
+        assert any(" kept=33 ac%=" in line for line in lines)
+        assert not [line for line in lines if "None" in line]
+
     @pytest.mark.parametrize(
         "data",
         [

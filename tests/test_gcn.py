@@ -55,6 +55,16 @@ def random_view_mask(model, rng, keep=0.5):
     return MaskTensor(tuple(rng.random(w.shape) < keep for w in as_layered(model).weights))
 
 
+def drop_filter_and_head_row(mask, shape):
+    """`mask` that also drops conv filter column 0 in every head and head
+    row 3 (node 1, filter 1), so the step meets exact zeros in pre, hidden
+    and the dropped gradients."""
+    m1, m2, m3 = (m.copy() for m in mask.masks)
+    m2.reshape(shape.heads, shape.nodes, shape.nodes, shape.filters)[..., 0] = False
+    m3[3] = False
+    return MaskTensor((m1, m2, m3))
+
+
 def numeric_gradient(model, arr, signals, labels, step=1e-5):
     grad = np.zeros_like(arr)
     it = np.nditer(arr, flags=["multi_index"])
@@ -233,7 +243,7 @@ class TestGradients:
 
 
 class TestTraining:
-    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("masked", [False, True, "dead_filter_and_head_row"])
     def test_matches_allocating_reference_loop(self, masked):
         # batches of 7, 7 and 6: the short last batch reuses the same buffers
         rng = np.random.default_rng(11)
@@ -241,6 +251,8 @@ class TestTraining:
         labels = rng.integers(0, TINY.num_classes, 20)
         model = init_model(TINY, seed=5)
         mask = random_view_mask(model, rng) if masked else None
+        if masked == "dead_filter_and_head_row":
+            mask = drop_filter_and_head_row(mask, TINY)
         cfg = TrainConfig(epochs=6, batch_size=7, seed=2)
         trained, losses = train(model, (signals, labels), cfg, mask)
         want_params, want_losses = allocating_train(model, (signals, labels), cfg, mask)
