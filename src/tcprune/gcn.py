@@ -15,14 +15,15 @@ the result with A[k], and lays every activation out filters first with the
 batch innermost. Past one copy of the batch's signals, no array of
 activation size is re-laid out, only the parameters and their gradients
 (see forward_batch and loss_and_grads). Each train call makes one
-StepBuffers set, sized for its largest batch, and every forward pass,
-backward pass and update of the call writes into it (the backward pass
-writes over the probabilities and hidden activations it no longer reads),
-so a training step allocates no array of activation size and its speed
-does not depend on how the allocator lays out the heap; what it still
-allocates (the label pick, numpy's iterator buffers for the softmax's
-broadcasts and the ReLU mask's bool-to-float cast) is about 12 KiB at
-batch 200.
+StepBuffers set, sized for its largest batch, or takes the caller's (an
+ablation grid shares one set across its train and evaluate calls), and
+every forward pass, backward pass and update of the call writes into it
+(the backward pass writes over the probabilities and hidden activations it
+no longer reads), so a training step allocates no array of activation size
+and its speed does not depend on how the allocator lays out the heap;
+what it still allocates (the label pick, numpy's iterator buffers for the
+softmax's broadcasts and the ReLU mask's bool-to-float cast) is about
+12 KiB at batch 200.
 
 as_layered exposes the three parameter groups as one dense 3-layer network
 so the mask machinery can prune the model. The view requires
@@ -121,13 +122,14 @@ class StepBuffers:
     to `batch` samples, so that a training step allocates no array of
     activation size.
 
-    train makes one set per call and reuses it for every step. What the two
-    functions return are views into these arrays, valid until the set's next
-    use; a smaller batch uses the leading part of each array. Per sample the
-    set holds the signals by channel xs (signal_dim * nodes doubles), the
-    filtered signals z (filters * heads * nodes), hidden and dpre (filters *
-    nodes each) and probs (num_classes); the backward pass writes dz over z,
-    the ReLU's 0.0/1.0 gradient over hidden and the loss gradient over probs.
+    train makes one set per call, unless given one, and reuses it for every
+    step. What the two functions return are views into these arrays, valid
+    until the set's next use; a smaller batch uses the leading part of each
+    array. Per sample the set holds the signals by channel xs (signal_dim *
+    nodes doubles), the filtered signals z (filters * heads * nodes), hidden
+    and dpre (filters * nodes each) and probs (num_classes); the backward
+    pass writes dz over z, the ReLU's 0.0/1.0 gradient over hidden and the
+    loss gradient over probs.
     The parameter-sized arrays hold the parameters re-laid out filters first
     and the gradients; `rows` is 0, 1, ..., batch - 1, the row index of the
     label pick.
@@ -330,6 +332,7 @@ def train(
     data: tuple[np.ndarray, np.ndarray],
     cfg: TrainConfig,
     mask: MaskTensor | None = None,
+    buffers: StepBuffers | None = None,
 ) -> tuple[GcnModel, list[float]]:
     """Momentum SGD on cross-entropy over `data`, the (signals, labels) of
     dataset_arrays; returns (trained copy, per-epoch loss).
@@ -339,8 +342,11 @@ def train(
     update is v = momentum * v - g * (lr * keep); p += v. Dropped parameters
     start at +0.0; for a finite gradient g * 0.0 is +-0.0 and
     +0.0 - (+-0.0) == +0.0, so their velocities and values stay exactly +0.0.
-    One StepBuffers set, sized for the largest batch, serves every step of
-    the call, so a step allocates no array.
+    One StepBuffers set serves every step of the call, so a step allocates
+    no array: `buffers` when given, which must hold the call's largest
+    batch, min(cfg.batch_size, len(labels)), or else a fresh set of that
+    size. Every step rewrites the part of the set it reads, so a shared set
+    gives the same bits as a fresh one.
     The learning rate adapts per epoch: when |loss(t-1) - loss(t)| grew
     compared to the previous epoch the rate is multiplied by lr_decay,
     otherwise divided; it is clamped to [1e-8, 1].
@@ -350,7 +356,8 @@ def train(
     keep = [b.astype(np.float64) for b in bits]
     velocity = [np.zeros_like(p) for p in params]
     batch = min(cfg.batch_size, len(labels))
-    buffers = StepBuffers(model.shape, batch)
+    if buffers is None:
+        buffers = StepBuffers(model.shape, batch)
     batch_signals = np.empty((batch,) + signals.shape[1:])
     batch_labels = np.empty(batch, dtype=labels.dtype)
     rng = np.random.default_rng(cfg.seed)
@@ -390,16 +397,19 @@ def evaluate(
     model: GcnModel,
     data: tuple[np.ndarray, np.ndarray],
     mask: MaskTensor | None = None,
+    buffers: StepBuffers | None = None,
 ) -> float:
     """Balanced accuracy on `data`, the (signals, labels) of dataset_arrays:
     per-class accuracy averaged over the classes present.
 
-    With a view mask, the parameters it drops are zeroed first.
+    With a view mask, the parameters it drops are zeroed first. One forward
+    pass covers all of `data`, in `buffers` when given, which must then hold
+    len(labels) samples, or else in a fresh StepBuffers set.
     """
     signals, labels = _checked(data, model.shape)
     _, params = _masked(model, mask)
     model = GcnModel(model.shape, *params)
-    probs, _ = forward_batch(model, signals)
+    probs, _ = forward_batch(model, signals, buffers)
     preds = probs.argmax(axis=1)
     per_class = [np.mean(preds[labels == cls] == cls) for cls in np.unique(labels)]
     return float(np.mean(per_class))

@@ -30,7 +30,16 @@ import numpy as np
 from . import gcn
 from .data import load_dataset, synth_dataset
 from .errors import BudgetError, DivergenceError, DomainError, SaturationError
-from .gcn import GcnModel, GcnShape, TrainConfig, as_layered, evaluate, init_model, train
+from .gcn import (
+    GcnModel,
+    GcnShape,
+    StepBuffers,
+    TrainConfig,
+    as_layered,
+    evaluate,
+    init_model,
+    train,
+)
 from .network import LayeredNetwork, _atomic_write, _read_json, full_mask, load_mask, save_mask
 from .pruner import PruneSpec, prune
 from .topology import consistency_report, trim_to_consistent
@@ -238,12 +247,17 @@ class _Baseline:
     finetune: TrainConfig
     train_set: tuple[np.ndarray, np.ndarray]
     test_set: tuple[np.ndarray, np.ndarray]
+    buffers: StepBuffers
 
 
 def _run_grid(cfg: ExperimentConfig) -> list[RunRecord]:
     train_set, test_set = _load_split(cfg)
     shape = _shape_for(cfg, train_set)
     base_cfg, tune_cfg = cfg.training
+    # one set for every train and evaluate call of the grid, sized for the
+    # largest batch of any, so none allocates its own
+    train_batch = min(max(base_cfg.batch_size, tune_cfg.batch_size), len(train_set[1]))
+    buffers = StepBuffers(shape, max(train_batch, len(test_set[1])))
     records: list[RunRecord] = []
     mask_dir = None
     if cfg.output:
@@ -254,11 +268,12 @@ def _run_grid(cfg: ExperimentConfig) -> list[RunRecord]:
             init_model(shape, seed, cfg.model.head_scale),
             train_set,
             dataclasses.replace(base_cfg, seed=seed),
+            buffers=buffers,
         )
-        accuracy = evaluate(model, test_set)
+        accuracy = evaluate(model, test_set, buffers=buffers)
         view = as_layered(model)
         finetune = dataclasses.replace(tune_cfg, seed=seed)
-        base = _Baseline(seed, model, accuracy, view, finetune, train_set, test_set)
+        base = _Baseline(seed, model, accuracy, view, finetune, train_set, test_set, buffers)
         for rate in cfg.rates:
             for variant in cfg.variants:
                 records.append(_run_cell(base, rate, variant, mask_dir))
@@ -310,10 +325,10 @@ def _prune_and_tune(base: _Baseline, rate: float, variant: Variant):
     if trim_to_consistent(mask).kept_count == 0:
         return "disconnected", mask, None
     try:
-        tuned, _ = train(base.model, base.train_set, base.finetune, mask)
+        tuned, _ = train(base.model, base.train_set, base.finetune, mask, buffers=base.buffers)
     except DivergenceError:
         return "diverged", mask, None
-    return "ok", mask, evaluate(tuned, base.test_set, mask)
+    return "ok", mask, evaluate(tuned, base.test_set, mask, buffers=base.buffers)
 
 
 def aggregate(records: list[RunRecord]) -> list[ResultRow]:

@@ -6,9 +6,10 @@ can leave kept connections dangling. tc_mp instead grows the mask from
 complete input-to-output chains, so its output is topologically consistent
 by construction. It selects them a block of chains at a time, each layer of
 a block in a few array operations, with the result of one chain at a time.
-Each call first builds one table per layer, read by every block: each
-row's column order by (-score, col) when deterministic, each row's softmax
-CDF when stochastic.
+Every block reads one table per layer. When stochastic, the call builds each
+row's softmax CDF up front. When deterministic, the table holds the first
+entries of each row's column order by (-score, col), as many as the blocks
+so far have read, and is rebuilt longer when a block reads past it.
 """
 
 from __future__ import annotations
@@ -173,19 +174,45 @@ def _chain_draws(
     return (scaled >> 32).astype(np.intp), draws
 
 
+def _order_prefix(scores: np.ndarray, k: int) -> np.ndarray:
+    """The first k entries of each row's column order by (-score, col):
+    `np.argsort(-scores, axis=1, kind="stable")[:, :k]`, without sorting
+    whole rows.
+
+    A partition gives each row its k best columns, which a plain sort then
+    orders by score. That order is the stable one unless ties are involved,
+    so a row is redone with the full stable argsort when two of its k scores
+    are equal, or when its k-th score has a tie the partition left out.
+    """
+    width = scores.shape[1]
+    if k >= width:
+        return np.argsort(-scores, axis=1, kind="stable")
+    part = np.argpartition(scores, width - k, axis=1)[:, width - k :]
+    sub = np.take_along_axis(scores, part, axis=1)
+    by_score = np.argsort(-sub, axis=1)
+    sub = np.take_along_axis(sub, by_score, axis=1)
+    prefix = np.take_along_axis(part, by_score, axis=1)
+    tied = (sub[:, 1:] == sub[:, :-1]).any(axis=1)
+    tied |= np.count_nonzero(scores >= sub[:, -1:], axis=1) > k
+    if tied.any():
+        prefix[tied] = np.argsort(-scores[tied], axis=1, kind="stable")[:, :k]
+    return prefix
+
+
 def _ranked_steps(
-    order: np.ndarray, fresh: np.ndarray, rows: np.ndarray
+    fresh: np.ndarray, rows: np.ndarray, width: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Argmax next columns of a block's visits to `rows`, and which set a new bit.
+    """Positions in their rows' column order of a block's argmax visits to
+    `rows`, and which set a new bit.
 
     Preferring connections not selected yet keeps the budget filling once a
     start neuron's best chain repeats. A row's mask bits are set only by the
     chains passing through it, and each pass sets the column chosen here, so
     the set bits of a row are exactly the first `fresh[row]` entries of its
-    `order` by (-score, col). The r-th visit of a row in the block therefore
-    takes entry fresh[row] + r, the highest-scoring unselected column
-    (lowest index among ties), until the row is full; then the row's overall
-    best column repeats.
+    order by (-score, col). The r-th visit of a row in the block therefore
+    takes position fresh[row] + r, the highest-scoring unselected column
+    (lowest index among ties), until the row's `width` columns are all set;
+    then it takes position 0, the row's overall best column.
     """
     by_row = np.argsort(rows, kind="stable")
     sorted_rows = rows[by_row]
@@ -194,8 +221,8 @@ def _ranked_steps(
     rank = np.empty_like(rows)
     rank[by_row] = index - np.maximum.accumulate(np.where(first, index, 0))
     pos = fresh[rows] + rank
-    new = pos < order.shape[1]
-    return order[rows, np.where(new, pos, 0)], new
+    new = pos < width
+    return np.where(new, pos, 0), new
 
 
 def _sampled_steps(
@@ -267,15 +294,18 @@ def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, Chain
     random stream equal those of selecting one chain at a time. A block
     holds max(d0, ceil(remaining budget / L)) chains: no more than are
     still needed, since a chain sets at most L bits, or one round-robin
-    sweep. The call starts with one table per layer, the size of the
-    layer's scores: a stable argsort of every row (deterministic) or every
-    row's CDF (stochastic). Per block and layer, a deterministic step then
-    costs a stable sort of the block's rows, and a stochastic step one
-    bisection of log2(width) array passes over the block's visits plus a
-    sort of their slots; the block's starts and draws come from one
-    `random_raw` call (see `_chain_draws`). The stochastic random stream is
-    exactly the one of `rng.integers(d0)` per chain start and
-    `rng.choice(width, p=softmax(row))` per step.
+    sweep. A stochastic call starts with every row's CDF, one table the size
+    of each layer's scores. A deterministic call reads, per layer, each row's
+    order prefix: empty at first, and rebuilt by `_order_prefix` to twice
+    the entries a block reads when the block reads past its end. Each
+    rebuild more than doubles the prefix, so a layer is built at most
+    1 + log2(width) times; on the bench's nets, once. Per block and layer, a
+    deterministic step then costs a stable sort of the block's rows, and a
+    stochastic step one bisection of log2(width) array passes over the
+    block's visits plus a sort of their slots; the block's starts and draws
+    come from one `random_raw` call (see `_chain_draws`). The stochastic
+    random stream is exactly the one of `rng.integers(d0)` per chain start
+    and `rng.choice(width, p=softmax(row))` per step.
     """
     if not spec.tc:
         raise DomainError("chain pruning requires spec.tc == True")
@@ -292,7 +322,8 @@ def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, Chain
     if spec.stochastic:
         cdfs = [_choice_cdfs(s) for s in scores]
     else:
-        orders = [np.argsort(-s, axis=1, kind="stable") for s in scores]
+        # each layer's order prefix, rebuilt longer when a block reads past it
+        orders = [np.empty((s.shape[0], 0), dtype=np.intp) for s in scores]
         fresh = [np.zeros(s.shape[0], dtype=np.intp) for s in scores]
     # Deterministic selection repeats verbatim after one full round-robin
     # sweep with no new bits; stochastic selection gets a generous allowance
@@ -312,8 +343,12 @@ def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, Chain
                 path[:, t + 1], new[:, t] = _sampled_steps(cdf, masks[t], path[:, t], draws[:, t])
         else:
             path[:, 0] = np.arange(chains, chains + size) % d0
-            for t, order in enumerate(orders):
-                path[:, t + 1], new[:, t] = _ranked_steps(order, fresh[t], path[:, t])
+            for t, s in enumerate(scores):
+                pos, new[:, t] = _ranked_steps(fresh[t], path[:, t], s.shape[1])
+                needed = int(pos.max()) + 1
+                if needed > orders[t].shape[1]:
+                    orders[t] = _order_prefix(s, 2 * needed)
+                path[:, t + 1] = orders[t][path[:, t], pos]
         gain = new.sum(axis=1)
         reached = kept + np.cumsum(gain)
         index = np.arange(size)

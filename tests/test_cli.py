@@ -586,7 +586,7 @@ class TestExitCodes:
         import tcprune.harness as harness_mod
         from tcprune.errors import DivergenceError
 
-        def exploding_train(model, data, cfg, mask=None):
+        def exploding_train(model, data, cfg, mask=None, buffers=None):
             raise DivergenceError(0)
 
         monkeypatch.setattr(harness_mod, "train", exploding_train)

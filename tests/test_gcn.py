@@ -260,6 +260,32 @@ class TestTraining:
         for got, want in zip((trained.attention, trained.conv, trained.head), want_params):
             assert got.tobytes() == want.tobytes()
 
+    def test_shared_buffers_match_fresh_sets(self):
+        # a grid's baseline, fine-tune and evaluations share one set sized
+        # for the largest batch
+        rng = np.random.default_rng(13)
+        signals = rng.standard_normal((20, TINY.signal_dim, TINY.nodes))
+        data = (signals, rng.integers(0, TINY.num_classes, 20))
+        model = init_model(TINY, seed=6)
+        mask = random_view_mask(model, rng)
+        base_cfg = TrainConfig(epochs=4, batch_size=9, seed=1)
+        tune_cfg = TrainConfig(epochs=3, batch_size=6, seed=2)
+        buffers = StepBuffers(TINY, 9)
+        shared_base = train(model, data, base_cfg, buffers=buffers)
+        shared_tune = train(shared_base[0], data, tune_cfg, mask, buffers)
+        fresh_base = train(model, data, base_cfg)
+        fresh_tune = train(fresh_base[0], data, tune_cfg, mask)
+
+        def bits(result):
+            trained, losses = result
+            return losses, [p.tobytes() for p in (trained.attention, trained.conv, trained.head)]
+
+        assert bits(shared_base) == bits(fresh_base)
+        assert bits(shared_tune) == bits(fresh_tune)
+        tuned = fresh_tune[0]
+        shared_acc = evaluate(tuned, data, mask, StepBuffers(TINY, 30))
+        assert shared_acc == evaluate(tuned, data, mask)
+
     def test_zero_learning_rate_changes_nothing(self, rng):
         dataset = synth_arrays(2, 4, 3, 6, seed=0)
         shape = GcnShape(heads=2, nodes=3, signal_dim=3, filters=2, num_classes=2)

@@ -95,8 +95,8 @@ class TestRunAblation:
         hashes = []
         original_train = harness_mod.train
 
-        def spy_train(model, dataset, cfg, mask=None):
-            out = original_train(model, dataset, cfg, mask)
+        def spy_train(model, dataset, cfg, mask=None, buffers=None):
+            out = original_train(model, dataset, cfg, mask, buffers)
             hashes.append(
                 (model.attention.tobytes(), model.conv.tobytes(), model.head.tobytes())
             )
@@ -107,6 +107,29 @@ class TestRunAblation:
         # first call trains the baseline; later calls fine-tune from it and
         # must observe the identical baseline bytes every time
         assert len(set(hashes[1:])) <= 1
+
+    def test_grid_shares_one_step_buffer_set(self, monkeypatch):
+        import tcprune.harness as harness_mod
+
+        sets = {"train": [], "evaluate": []}
+
+        def spy(name):
+            original = getattr(harness_mod, name)
+
+            def call(model, data, *args, buffers=None):
+                sets[name].append(buffers)
+                return original(model, data, *args, buffers=buffers)
+
+            return call
+
+        for name in sets:
+            monkeypatch.setattr(harness_mod, name, spy(name))
+        run_ablation(tiny_config(rates=(0.5, 0.9), seeds=(0, 1)))
+        # two baselines, their fine-tunes and evaluations, all on one set
+        shared = sets["train"][0]
+        assert shared is not None and len(sets["train"]) > 2
+        assert all(b is shared for calls in sets.values() for b in calls)
+        assert len(sets["evaluate"]) == len(sets["train"])
 
 
 def sweep_variants(alphas):
@@ -162,12 +185,12 @@ class TestStatusHandling:
         real_train = harness_mod.train
         finetunes = []
 
-        def train_diverging_once(model, data, cfg, mask=None):
+        def train_diverging_once(model, data, cfg, mask=None, buffers=None):
             if mask is not None:
                 finetunes.append(mask)
                 if len(finetunes) == 2:
                     raise DivergenceError(0)
-            return real_train(model, data, cfg, mask)
+            return real_train(model, data, cfg, mask, buffers)
 
         monkeypatch.setattr(harness_mod, "train", train_diverging_once)
         cfg = tiny_config(rates=(0.5, 0.9), seeds=(0, 1), output=str(tmp_path))

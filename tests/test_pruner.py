@@ -13,12 +13,14 @@ from oracles import (
     stochastic_chain_oracle,
 )
 from tcprune.errors import BudgetError, DegenerateDistributionError, DomainError, SaturationError
+from tcprune import pruner
 from tcprune.network import LayeredNetwork, budget, total_connections
 from tcprune.pruner import (
     ChainTrace,
     PruneSpec,
     _chain_draws,
     _choice_cdfs,
+    _order_prefix,
     _sampled_steps,
     _top_k,
     prune,
@@ -410,6 +412,18 @@ def tied_net(seed: int) -> LayeredNetwork:
     return LayeredNetwork(weights, ("identity",) * depth)
 
 
+def wide_tied_net(seed: int, dims: tuple[int, ...]) -> LayeredNetwork:
+    """Weights in -2..2 with three zero rows drawn per layer: every row's
+    scores take at most three values, so its order rests on column ties."""
+    rng = np.random.default_rng(seed)
+    weights = []
+    for a, b in zip(dims, dims[1:]):
+        w = rng.integers(-2, 3, size=(a, b)).astype(float)
+        w[rng.integers(a, size=3)] = 0.0
+        weights.append(w)
+    return LayeredNetwork(tuple(weights), ("identity",) * len(weights))
+
+
 def blocks_of(gains: list[int], net: LayeredNetwork, max_kept: int) -> list[tuple[int, int]]:
     """(first chain, size) of each block tc_mp_trace runs, replayed from the
     chains' gains: max(d0, ceil(remaining budget / L)) chains a block."""
@@ -515,6 +529,39 @@ class TestBlockLoop:
         chains, saturated = assert_matches_sequential(net, spec)
         assert not saturated and len(chains) > 64
 
+    # Deterministic chains through wide rows that tie throughout, at budgets
+    # that fill them only partly. A narrow middle layer fills its rows early,
+    # so later blocks read further into the wide rows before it than the
+    # first block did, and their order prefixes widen.
+    @pytest.mark.parametrize(
+        "seed, dims, share, scoring, widens",
+        [
+            (0, (64, 300, 4, 96), 0.1, "local", True),
+            (1, (200, 150, 3, 80), 0.05, "global", True),
+            (2, (96, 256, 6, 64), 0.2, "local", True),
+            (0, (80, 200, 120), 0.05, "global", False),
+            (1, (64, 300, 300), 0.1, "local", False),
+            (2, (150, 96, 200, 64), 0.02, "local", False),
+        ],
+    )
+    def test_wide_tied_nets(self, monkeypatch, seed, dims, share, scoring, widens):
+        builds = {}  # (k, width) of each prefix build, per layer
+
+        def spy(scores, k):
+            builds.setdefault(id(scores), []).append((k, scores.shape[1]))
+            return _order_prefix(scores, k)
+
+        monkeypatch.setattr(pruner, "_order_prefix", spy)
+        net = wide_tied_net(seed, dims)
+        total = total_connections(net)
+        spec = PruneSpec(rate=rate_for_kept(total, int(share * total)), scoring=scoring)
+        _, saturated = assert_matches_sequential(net, spec)
+        assert not saturated
+        assert any(k < width for layer in builds.values() for k, width in layer)
+        widened = [layer for layer in builds.values() if len(layer) > 1]
+        assert bool(widened) == widens
+        assert all(k < width for layer in widened for k, width in layer)
+
     def test_traces_sequence(self, rng):
         net = random_network(rng, (3, 4, 2))
         _, traces = tc_mp_trace(net, PruneSpec(rate=0.3, tc=True))
@@ -574,6 +621,35 @@ def random_scores(seed: int, rows: int, width: int, scale: float, holes: bool) -
         scores[rng.random((rows, width)) < 0.4] = -np.inf
         scores[rng.integers(rows)] = -np.inf
     return scores
+
+
+class TestOrderPrefix:
+    """Order prefixes against the stable argsort of whole rows."""
+
+    # few distinct values make ties inside the prefix and across its end;
+    # 10**6 values leave most prefixes untied
+    @given(
+        seed=st.integers(0, 2**16),
+        rows=st.integers(1, 5),
+        width=st.integers(1, 300),
+        levels=st.sampled_from([1, 2, 5, 10**6]),
+        holes=st.sampled_from([0.0, 0.1, 0.6]),
+        dead_row=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_stable_argsort(self, seed, rows, width, levels, holes, dead_row):
+        rng = np.random.default_rng(seed)
+        scores = rng.integers(-levels, levels + 1, size=(rows, width)).astype(float)
+        zeros = scores == 0.0
+        scores[zeros] = rng.choice([0.0, -0.0], size=np.count_nonzero(zeros))
+        scores[rng.random((rows, width)) < holes] = -np.inf
+        if dead_row:
+            scores[rng.integers(rows)] = -np.inf
+        want = np.argsort(-scores, axis=1, kind="stable")
+        for k in range(1, width + 1):
+            got = _order_prefix(scores, k)
+            assert got.dtype == np.intp
+            assert np.array_equal(got, want[:, :k])
 
 
 class TestChainTables:
