@@ -131,8 +131,9 @@ class StepBuffers:
     pass writes dz over z, the ReLU's 0.0/1.0 gradient over hidden and the
     loss gradient over probs.
     The parameter-sized arrays hold the parameters re-laid out filters first
-    and the gradients; `rows` is 0, 1, ..., batch - 1, the row index of the
-    label pick.
+    and the gradients, g_by_filter and g_by_node the attention gradient per
+    filter and the filter-bank gradient per node before they are summed;
+    `rows` is 0, 1, ..., batch - 1, the row index of the label pick.
     """
 
     def __init__(self, shape: GcnShape, batch: int):
@@ -153,6 +154,7 @@ class StepBuffers:
             conv=np.empty(c * k * s),
             head=np.empty(c * n * q),
             g_by_filter=np.empty(c * n * k * n),
+            g_by_node=np.empty(n * s * c * k),
             g_scratch=np.empty(max(n * k * n, c * k * s, c * n * q)),
             g_attn=np.empty(k * n * n),
             g_conv=np.empty(k * s * c),
@@ -223,9 +225,11 @@ def loss_and_grads(
 
     the first a product broadcast over the filters and summed over them,
     the second a product broadcast over the filters written over z, the
-    third one 2-D product. Each gradient is re-laid out once into its
-    parameter's shape. The gradients are views into `buffers`, a fresh set
-    when None.
+    third a product broadcast over the nodes and summed over them (one 2-D
+    product over nodes and batch together rounded differently under
+    different BLAS thread counts). Each gradient is re-laid out once into
+    its parameter's shape. The gradients are views into `buffers`, a fresh
+    set when None.
     """
     k, n, s, c = model.shape.heads, model.shape.nodes, model.shape.signal_dim, model.shape.filters
     q = model.shape.num_classes
@@ -256,9 +260,9 @@ def loss_and_grads(
     np.copyto(g_attn, g.reshape(n, k, n).transpose(1, 0, 2))
     attention = buf.get("attention", n, k * n)
     dz = np.matmul(attention.T, dpre, out=z)
-    g = np.matmul(
-        xs.reshape(s, n * batch), dz.reshape(c * k, n * batch).T, out=buf.get("g_scratch", s, c * k)
-    )
+    g_by_node = buf.get("g_by_node", n, s, c * k)
+    np.matmul(xs.transpose(1, 0, 2), dz.reshape(c * k, n, batch).transpose(1, 2, 0), out=g_by_node)
+    g = np.sum(g_by_node, axis=0, out=buf.get("g_scratch", s, c * k))
     g_conv = buf.get("g_conv", k, s, c)
     np.copyto(g_conv, g.reshape(s, c, k).transpose(2, 0, 1))
     return loss, (g_attn, g_conv, g_head.reshape(n * c, q))

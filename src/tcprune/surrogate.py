@@ -11,16 +11,13 @@ alpha = 1 gives the plain product of absolute weight matrices (the sum over
 all downstream paths); as alpha -> 0 each entry approaches the single
 largest path product. The recursion runs in log space: the entrywise power
 1/alpha can reach 1000, where any linear-domain evaluation under- or
-overflows, while log-sum-exp with a per-entry max shift is exact about the
-dominating path and never produces a silent Inf. A shared positive rescale
-never changes within-layer argmax decisions, and neither does the log map.
-Each step loops over its reduction index, so it needs O(d_l * d_out)
-memory; the step against the identity base is exact and skipped. A large
-step splits its rows across the CPUs the process may use, one thread per
-block of about 2**15 output entries or more; smaller blocks lose more to
-interpreter-lock hand-offs than the extra core gains. Each entry is
-computed the same way whatever the split, so tables do not depend on the
-number of threads.
+overflows, while log-sum-exp with max shifts keeps every term in [0, 1]
+and never produces a silent Inf. A shared positive rescale never changes
+within-layer argmax decisions, and neither does the log map. Each step is
+one matrix product of its two sides, each shifted by its own maxima, so it
+needs memory of the size of its operands, not a (d_l, d_{l+1}, d_out)
+temporary; a row whose sums underflow is redone exactly by a loop over the
+reduction index. The step against the identity base is exact and skipped.
 
 The edge score of connection (l, i -> j) is |W[l](i, j)| * max_k D[l](j, k);
 for the last layer the identity base makes this plain |W[L](i, j)|.
@@ -29,8 +26,6 @@ log_score_matrix gives the log of every edge score of one layer at once.
 
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,54 +34,41 @@ from .errors import DomainError
 from .network import LayeredNetwork
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the platform
-    has one (Linux), else every CPU of the machine."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _lse_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """out[i,k] = log sum_j exp(a[i,j] + b[j,k]), with -inf acting as log 0.
 
-    Large outputs split their rows into contiguous blocks, one thread each
-    and at most one per usable CPU (numpy's ufuncs release the GIL). A block
-    holds about 2**15 entries or more: with smaller blocks the GIL hand-offs
-    of the per-j loop cost more than the extra core gains. Every entry takes
-    the same operations in the same j order whatever the split, so the
-    result is bit-identical to one block. An exception in any block is
-    raised here once every block has finished.
+    With ra each row's max of a and cb each column's max of b (0 where
+    that is -inf), the step is one matrix product:
+
+        out = log(exp(a - ra) @ exp(b - cb)) + ra + cb
+
+    Every factor lies in [0, 1], so each sum has the relative rounding
+    error of a sum of non-negative terms and can lose its value only by
+    underflow. An all -inf row of a or column of b sums to exactly 0, which
+    is right; any other row with a sum below 2**-960 is redone by _lse_rows.
     """
-    rows = a.shape[0]
-    blocks = min(_usable_cpus(), rows, rows * b.shape[1] >> 15)
-    if blocks <= 1:
-        return _lse_rows(a, b)
-    parts = np.array_split(a, blocks)
-    results: list = [None] * blocks
-
-    def run(i: int) -> None:
-        try:
-            results[i] = _lse_rows(parts[i], b)
-        except BaseException as exc:  # re-raised in the caller's thread
-            results[i] = exc
-
-    workers = [threading.Thread(target=run, args=(i,)) for i in range(1, blocks)]
-    for w in workers:
-        w.start()
-    run(0)
-    for w in workers:
-        w.join()
-    for result in results:
-        if isinstance(result, BaseException):
-            raise result
-    return np.concatenate(results)
+    row_max = a.max(axis=1, keepdims=True)
+    col_max = b.max(axis=0, keepdims=True)
+    ra = np.where(np.isneginf(row_max), 0.0, row_max)
+    cb = np.where(np.isneginf(col_max), 0.0, col_max)
+    total = np.exp(a - ra) @ np.exp(b - cb)
+    live_cols = np.isfinite(col_max[0])
+    redo = np.isfinite(row_max[:, 0]) & (total[:, live_cols] < 2.0**-960).any(axis=1)
+    with np.errstate(divide="ignore"):
+        out = np.log(total, out=total)
+    out += ra
+    out += cb
+    if redo.any():
+        out[redo] = _lse_rows(a[redo], b)
+    return out
 
 
 def _lse_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """_lse_matmul on one block of rows: the terms are added in place, one j
-    at a time, in the order of j. It sets its own errstate, because numpy's
-    error state does not carry over into a worker thread."""
+    """_lse_matmul term by term, exact about each entry's largest term: a
+    first pass over j finds each entry's max, a second adds the shifted
+    terms in place, one j at a time, in the order of j. It is the fallback
+    for rows whose product sums underflow, and the reference it is tested
+    against."""
     term = np.empty((a.shape[0], b.shape[1]))
     mx = np.full_like(term, -np.inf)
     for j in range(b.shape[0]):

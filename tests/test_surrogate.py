@@ -1,4 +1,3 @@
-import threading
 import tracemalloc
 import warnings
 
@@ -13,7 +12,7 @@ from tcprune import surrogate
 from tcprune.errors import DomainError
 from tcprune.linalg import row_normalize
 from tcprune.network import LayeredNetwork
-from tcprune.surrogate import build_table, log_score_matrix
+from tcprune.surrogate import _log_abs, build_table, log_score_matrix
 
 
 def abs_chain_product(net, layer):
@@ -134,6 +133,9 @@ class TestBuildTable:
         assert peak < 16 * 2**20
 
 
+EPS = np.finfo(float).eps
+
+
 class TestAgainstBroadcastOracle:
     @given(
         seed=st.integers(0, 10_000),
@@ -154,11 +156,25 @@ class TestAgainstBroadcastOracle:
             for w in random_network(rng, (*hidden, d_out)).weights
         )
         net = LayeredNetwork(weights, ("identity",) * len(weights))
-        got = build_table(net, 1.0 / inv_alpha).log_downstream
         want = broadcast_build_table(net, 1.0 / inv_alpha)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
+        # the per-j loop adds the terms as the oracle does, bit for bit
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(surrogate, "_lse_matmul", surrogate._lse_rows)
+            exact = build_table(net, 1.0 / inv_alpha).log_downstream
+        assert len(exact) == len(want)
+        for g, w in zip(exact, want):
             assert np.array_equal(g, w)
+        # each shifted-product step is within TestShiftedProduct's bound, in
+        # which |x|, |ra| and |cb| times alpha are log magnitudes of a table or
+        # a weight, so at most m each; the steps' errors add up
+        got = build_table(net, 1.0 / inv_alpha).log_downstream
+        logs = np.concatenate([t[np.isfinite(t)] for t in (*want, *map(_log_abs, weights))])
+        m = np.abs(logs).max(initial=0.0)
+        tol = 2 * sum(net.dims) * EPS * (1.0 + 3.0 * m)
+        for g, w in zip(got, want):
+            assert np.array_equal(np.isneginf(g), np.isneginf(w))
+            live = np.isfinite(w)
+            assert np.all(np.abs(g[live] - w[live]) <= tol)
 
     def test_single_output_within_float_rounding(self, rng):
         # with d_out == 1 the broadcast sum over j is numpy's pairwise sum
@@ -169,111 +185,80 @@ class TestAgainstBroadcastOracle:
                 assert np.all(np.abs(g - w) <= 1e-15 * np.abs(w))
 
 
-def _spy_blocks(monkeypatch, fail_in_worker=None):
-    """Record the row count of every block _lse_rows computes; optionally
-    raise in the block run by a worker thread (True) or by the thread that
-    called _lse_matmul, named "caller" (False)."""
-    seen = []
-    plain = surrogate._lse_rows
-
-    def spy(a, b):
-        seen.append(a.shape[0])
-        in_worker = threading.current_thread().name != "caller"
-        if fail_in_worker is not None and in_worker == fail_in_worker:
-            raise ValueError("block failed")
-        return plain(a, b)
-
-    monkeypatch.setattr(surrogate, "_lse_rows", spy)
-    return seen
-
-
-class TestRowBlocks:
+class TestShiftedProduct:
     @given(
         seed=st.integers(0, 10_000),
-        cpus=st.sampled_from([1, 2, 3, 8]),
-        d_out=st.sampled_from([1, 3, 10, 256, 2**15 + 1, 2**16 + 3]),
-        blocks=st.integers(1, 9),
-        nudge=st.integers(-1, 1),
-        inner=st.integers(1, 4),
+        rows=st.integers(1, 40),
+        inner=st.integers(1, 300),
+        cols=st.integers(1, 40),
+        log_sd=st.sampled_from([0.3, 1.0, 3.0, 20.0]),
+        inv_alpha=st.floats(1.0, 1000.0),
+        hole_frac=st.floats(0.0, 0.9),
         inf_row=st.booleans(),
         inf_col=st.booleans(),
     )
-    @settings(max_examples=60, deadline=None)
-    def test_split_is_bit_identical_to_one_block(
-        self, seed, cpus, d_out, blocks, nudge, inner, inf_row, inf_col
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_j_loop(
+        self, seed, rows, inner, cols, log_sd, inv_alpha, hole_frac, inf_row, inf_col
     ):
-        # rows * d_out lands just under, on or over blocks * 2**15; the
-        # widest outputs have fewer rows than blocks
-        rows = max(1, -(-(blocks << 15) // d_out) + nudge)
+        # |out - ref| <= 2 d eps (1 + |x| + |ra| + |cb|): shifts that cancel
+        # in x keep their absolute rounding
         rng = np.random.default_rng(seed)
-        a = 3.0 * rng.standard_normal((rows, inner))
-        b = 3.0 * rng.standard_normal((inner, d_out))
-        a[rng.random(a.shape) < 0.2] = -np.inf
+        a = log_sd * inv_alpha * rng.standard_normal((rows, inner))
+        b = log_sd * inv_alpha * rng.standard_normal((inner, cols))
+        a[rng.random(a.shape) < hole_frac] = -np.inf
+        b[rng.random(b.shape) < hole_frac] = -np.inf
         if inf_row:
             a[rng.integers(rows)] = -np.inf
         if inf_col:
-            b[:, rng.integers(d_out)] = -np.inf
+            b[:, rng.integers(cols)] = -np.inf
+        got = surrogate._lse_matmul(a, b)
         want = surrogate._lse_rows(a, b)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(surrogate, "_usable_cpus", lambda: cpus)
-            got = surrogate._lse_matmul(a, b)
         assert got.shape == want.shape
+        assert np.array_equal(np.isneginf(got), np.isneginf(want))
+        assert not np.isnan(got).any()
+        # a finite entry has a finite row max ra and column max cb
+        ra, cb = a.max(axis=1, keepdims=True), b.max(axis=0, keepdims=True)
+        live = np.isfinite(want)
+        size = (np.abs(want) + np.abs(ra) + np.abs(cb))[live]
+        assert np.all(np.abs(got[live] - want[live]) <= 2 * inner * EPS * (1.0 + size))
+
+    def test_underflowing_row_is_redone_exactly(self):
+        # each term is exp(-800) on its shifted side and exp(0) on the other:
+        # the product sums to 0, the exact value is -800 + log 2
+        a = np.array([[0.0, -800.0], [0.0, 0.0]])
+        b = np.array([[-800.0, 0.0], [0.0, 0.0]])
+        got = surrogate._lse_matmul(a, b)
+        assert got[0, 0] == surrogate._lse_rows(a[:1], b)[0, 0]
+        assert got[0, 0] == pytest.approx(-800.0 + np.log(2.0), rel=1e-15)
+        assert np.allclose(got[1], [0.0, np.log(2.0)])
+
+    def test_heavy_tailed_weights_fall_back_on_every_row(self, monkeypatch):
+        # log|w| with standard deviation 20 at alpha 0.02: every row has an
+        # entry whose shifted product sum underflows
+        rng = np.random.default_rng(0)
+        a = 20.0 * rng.standard_normal((256, 256)) / 0.02
+        b = 20.0 * rng.standard_normal((256, 256)) / 0.02
+        want = surrogate._lse_rows(a, b)
+        redone = []
+        plain = surrogate._lse_rows
+
+        def spy(a, b):
+            redone.append(a.shape[0])
+            return plain(a, b)
+
+        monkeypatch.setattr(surrogate, "_lse_rows", spy)
+        got = surrogate._lse_matmul(a, b)
+        assert redone == [256]
         assert got.tobytes() == want.tobytes()
 
-    def test_gate(self, monkeypatch):
-        seen = _spy_blocks(monkeypatch)
-        monkeypatch.setattr(surrogate, "_usable_cpus", lambda: 8)
-        rng = np.random.default_rng(0)
-        for (rows, inner, d_out), want in (
-            ((256, 256, 256), [128, 128]),
-            ((60, 240, 4), [60]),
-            ((512, 512, 10), [512]),
-            ((3, 2, 2**16), [1, 1, 1]),
-        ):
-            seen.clear()
-            surrogate._lse_matmul(
-                rng.standard_normal((rows, inner)), rng.standard_normal((inner, d_out))
-            )
-            assert sorted(seen) == want
-
-    def test_usable_cpus_without_affinity(self, monkeypatch):
-        assert surrogate._usable_cpus() >= 1
-        monkeypatch.delattr(surrogate.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(surrogate.os, "cpu_count", lambda: None)
-        assert surrogate._usable_cpus() == 1
-
-    @pytest.mark.parametrize("fail_in_worker", [True, False])
-    def test_block_error_reaches_caller(self, monkeypatch, fail_in_worker):
-        seen = _spy_blocks(monkeypatch, fail_in_worker)
-        monkeypatch.setattr(surrogate, "_usable_cpus", lambda: 2)
-        net = random_network(np.random.default_rng(0), (2, 256, 256, 256))
-        raised = []
-
-        def call():
-            try:
-                build_table(net, 0.5)
-            except ValueError as exc:
-                raised.append(exc)
-
-        before = threading.active_count()
-        caller = threading.Thread(target=call, name="caller")
-        caller.start()
-        caller.join(timeout=60)
-        assert not caller.is_alive()
-        assert [str(e) for e in raised] == ["block failed"]
-        assert seen == [128, 128]
-        assert threading.active_count() == before
-
-    def test_each_block_sets_its_own_errstate(self, monkeypatch):
-        seen = _spy_blocks(monkeypatch)
-        monkeypatch.setattr(surrogate, "_usable_cpus", lambda: 2)
+    def test_zero_layer_gives_all_neg_inf_without_warning(self):
         rng = np.random.default_rng(0)
         w = random_network(rng, (2, 256, 256, 256)).weights
         net = LayeredNetwork((w[0], np.zeros_like(w[1]), w[2]), ("identity",) * 3)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             table = build_table(net, 0.1)
-        assert seen == [128, 128]
         assert np.isneginf(table.log_downstream[0]).all()
 
 
