@@ -82,8 +82,8 @@ def cmd_train(args) -> int:
     signals, labels = data
     classes = int(labels.max()) + 1
     shape = GcnShape(args.heads, signals.shape[2], 3 * args.chunks, args.filters, classes)
-    model = init_model(shape, args.seed, args.head_scale)
-    model, losses = train(model, data, TrainConfig(epochs=args.epochs, seed=args.seed))
+    cfg = TrainConfig(epochs=args.epochs, seed=args.seed)
+    model, losses = train(init_model(shape, args.seed, args.head_scale), data, cfg)
     save_model(model, args.out)
     acc = evaluate(model, data)
     print(f"trained {args.epochs} epochs, final loss {losses[-1]:.6f}, train accuracy {acc:.4f}")
@@ -181,9 +181,10 @@ class _GridFlag(argparse.Action):
         namespace.grid_flags = (*namespace.grid_flags, self.option_strings[0])
 
 
-def _add_data_flags(p, action="store") -> None:
-    p.add_argument("--dataset", action=action,
-                   help="directory of seq_*.txt sequence files")
+def _add_data_flags(
+    p, action="store", dataset_help="directory of seq_*.txt sequence files"
+) -> None:
+    p.add_argument("--dataset", action=action, help=dataset_help)
     p.add_argument("--synthetic", action=action,
                    help="synthetic generator overrides, e.g. classes=4,per_class_train=50")
 
@@ -231,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="run a rate x variant grid")
     p.add_argument("--config", help="experiment config JSON; excludes the grid flags")
-    _add_data_flags(p, _GridFlag)
+    _add_data_flags(p, _GridFlag, "directory whose train/ and test/ subdirectories hold "
+                    "the splits' seq_*.txt sequence files")
     _add_model_flags(p, _GridFlag)
     p.add_argument("--rates", action=_GridFlag, default="0.5,0.9,0.99")
     p.add_argument("--seeds", action=_GridFlag, default="0")

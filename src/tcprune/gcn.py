@@ -15,15 +15,17 @@ the result with A[k], and lays every activation out filters first with the
 batch innermost. Past one copy of the batch's signals, no array of
 activation size is re-laid out, only the parameters and their gradients
 (see forward_batch and loss_and_grads). Each train call makes one
-StepBuffers set, sized for its largest batch, or takes the caller's (an
-ablation grid shares one set across its train and evaluate calls), and
-every forward pass, backward pass and update of the call writes into it
-(the backward pass writes over the probabilities and hidden activations it
-no longer reads), so a training step allocates no array of activation size
-and its speed does not depend on how the allocator lays out the heap;
-what it still allocates (the label pick, numpy's iterator buffers for the
+StepBuffers set or takes the caller's (an ablation grid shares one set
+across its train and evaluate calls); the set allocates each named array
+at its first use and grows it only when a larger batch comes, and every
+forward pass, backward pass and update of the call writes into it (the
+backward pass writes over the probabilities and hidden activations it no
+longer reads). So once the set has seen the call's largest batch, a
+training step allocates no array of activation size and its speed does not
+depend on how the allocator lays out the heap; what it still allocates
+(the label pick and its row index, numpy's iterator buffers for the
 softmax's broadcasts and the ReLU mask's bool-to-float cast) is about
-12 KiB at batch 200.
+14 KiB at batch 200.
 
 as_layered exposes the three parameter groups as one dense 3-layer network
 so the mask machinery can prune the model. The view requires
@@ -39,6 +41,7 @@ view mask itself.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -69,9 +72,17 @@ class GcnShape:
         return self.signal_dim // 3
 
     @property
-    def parameter_count(self) -> int:
+    def param_shapes(self) -> tuple[tuple[int, ...], ...]:
+        """The (attention, conv, head) shapes."""
         k, n, s, c, q = (self.heads, self.nodes, self.signal_dim, self.filters, self.num_classes)
-        return k * n * n + k * s * c + n * c * q
+        return (k, n, n), (k, s, c), (n * c, q)
+
+    @property
+    def parameter_count(self) -> int:
+        return sum(math.prod(p) for p in self.param_shapes)
+
+
+_ARRAY_KEYS = ("attention", "conv", "head")
 
 
 @dataclass(frozen=True)
@@ -82,35 +93,21 @@ class GcnModel:
     head: np.ndarray  # (nodes * filters, num_classes)
 
     def __post_init__(self):
-        k, n, s, c, q = (
-            self.shape.heads,
-            self.shape.nodes,
-            self.shape.signal_dim,
-            self.shape.filters,
-            self.shape.num_classes,
-        )
-        attention = np.asarray(self.attention, dtype=np.float64)
-        conv = np.asarray(self.conv, dtype=np.float64)
-        head = np.asarray(self.head, dtype=np.float64)
-        if attention.shape != (k, n, n):
-            raise ShapeError(f"attention shape {attention.shape} != {(k, n, n)}")
-        if conv.shape != (k, s, c):
-            raise ShapeError(f"conv shape {conv.shape} != {(k, s, c)}")
-        if head.shape != (n * c, q):
-            raise ShapeError(f"head shape {head.shape} != {(n * c, q)}")
-        object.__setattr__(self, "attention", attention)
-        object.__setattr__(self, "conv", conv)
-        object.__setattr__(self, "head", head)
+        for key, want in zip(_ARRAY_KEYS, self.shape.param_shapes):
+            array = np.asarray(getattr(self, key), dtype=np.float64)
+            if array.shape != want:
+                raise ShapeError(f"{key} shape {array.shape} != {want}")
+            object.__setattr__(self, key, array)
 
 
 def init_model(shape: GcnShape, seed: int, head_scale: float = 1.0) -> GcnModel:
     """Random init; scales keep pre-activations O(1) at these sizes."""
     rng = np.random.default_rng(seed)
-    k, n, s, c, q = (shape.heads, shape.nodes, shape.signal_dim, shape.filters, shape.num_classes)
-    attention = rng.standard_normal((k, n, n)) / np.sqrt(n)
-    conv = rng.standard_normal((k, s, c)) / np.sqrt(s)
-    head = head_scale * rng.standard_normal((n * c, q)) / np.sqrt(n * c)
-    return GcnModel(shape, attention, conv, head)
+    params = (
+        scale * rng.standard_normal(p) / np.sqrt(p[-2])
+        for p, scale in zip(shape.param_shapes, (1.0, 1.0, head_scale))
+    )
+    return GcnModel(shape, *params)
 
 
 # ---------------------------------------------------------------------------
@@ -118,52 +115,30 @@ def init_model(shape: GcnShape, seed: int, head_scale: float = 1.0) -> GcnModel:
 
 
 class StepBuffers:
-    """Scratch arrays for forward_batch and loss_and_grads on batches of up
-    to `batch` samples, so that a training step allocates no array of
-    activation size.
+    """Named scratch arrays for forward_batch and loss_and_grads, so that a
+    training step allocates no array of activation size.
 
-    train makes one set per call, unless given one, and reuses it for every
-    step. What the two functions return are views into these arrays, valid
-    until the set's next use; a smaller batch uses the leading part of each
-    array. Per sample the set holds the signals by channel xs (signal_dim *
-    nodes doubles), the filtered signals z (filters * heads * nodes), hidden
-    and dpre (filters * nodes each) and probs (num_classes); the backward
-    pass writes dz over z, the ReLU's 0.0/1.0 gradient over hidden and the
-    loss gradient over probs.
-    The parameter-sized arrays hold the parameters re-laid out filters first
-    and the gradients, g_by_filter and g_by_node the attention gradient per
-    filter and the filter-bank gradient per node before they are summed;
-    `rows` is 0, 1, ..., batch - 1, the row index of the label pick.
+    get(name, *shape) allocates array `name` on its first use and again only
+    when a later use needs a larger one; a smaller use reads its leading
+    part. A set thus grows to the largest batch it has served, and train
+    reuses one set for every step of a call. What the two functions return
+    are views into the set, valid until its next use. The backward pass
+    writes dz over z, the ReLU's 0.0/1.0 gradient over hidden and the loss
+    gradient over probs; g_by_filter and g_by_node hold the attention
+    gradient per filter and the filter-bank gradient per node before they
+    are summed into g_scratch.
     """
 
-    def __init__(self, shape: GcnShape, batch: int):
-        k, n, s, c = shape.heads, shape.nodes, shape.signal_dim, shape.filters
-        q = shape.num_classes
-        per_sample = {
-            "xs": s * n,
-            "z": c * k * n,
-            "hidden": c * n,
-            "probs": q,
-            "row": 1,
-            "dpre": c * n,
-        }
-        self._arrays = {name: np.empty(batch * size) for name, size in per_sample.items()}
-        self._arrays["rows"] = np.arange(batch)
-        self._arrays.update(
-            attention=np.empty(n * k * n),
-            conv=np.empty(c * k * s),
-            head=np.empty(c * n * q),
-            g_by_filter=np.empty(c * n * k * n),
-            g_by_node=np.empty(n * s * c * k),
-            g_scratch=np.empty(max(n * k * n, c * k * s, c * n * q)),
-            g_attn=np.empty(k * n * n),
-            g_conv=np.empty(k * s * c),
-            g_head=np.empty(n * c * q),
-        )
+    def __init__(self):
+        self._arrays: dict[str, np.ndarray] = {}
 
     def get(self, name: str, *shape: int) -> np.ndarray:
-        """The leading part of array `name`, shaped `shape`."""
-        return self._arrays[name][: math.prod(shape)].reshape(shape)
+        """The leading part of float64 array `name`, shaped `shape`."""
+        size = math.prod(shape)
+        array = self._arrays.get(name)
+        if array is None or array.size < size:
+            array = self._arrays[name] = np.empty(size)
+        return array[:size].reshape(shape)
 
 
 def forward_batch(model: GcnModel, signals: np.ndarray, buffers: StepBuffers | None = None):
@@ -189,7 +164,7 @@ def forward_batch(model: GcnModel, signals: np.ndarray, buffers: StepBuffers | N
     if signals.ndim != 3 or signals.shape[1:] != (s, n):
         raise ShapeError(f"signals shape {signals.shape} != (batch, {s}, {n})")
     b = len(signals)
-    buf = StepBuffers(model.shape, b) if buffers is None else buffers
+    buf = StepBuffers() if buffers is None else buffers
     conv = buf.get("conv", c, k, s)
     np.copyto(conv, model.conv.transpose(2, 0, 1))
     attention = buf.get("attention", n, k, n)
@@ -234,9 +209,9 @@ def loss_and_grads(
     k, n, s, c = model.shape.heads, model.shape.nodes, model.shape.signal_dim, model.shape.filters
     q = model.shape.num_classes
     batch = len(labels)
-    buf = StepBuffers(model.shape, batch) if buffers is None else buffers
+    buf = StepBuffers() if buffers is None else buffers
     probs, (xs, z, hidden) = forward_batch(model, signals, buf)
-    rows = buf.get("rows", batch)
+    rows = np.arange(batch)
     picked = probs[rows, labels]
     with np.errstate(divide="ignore"):
         loss = float(-np.mean(np.log(picked, out=picked)))
@@ -292,6 +267,8 @@ class TrainConfig:
             raise DomainError(f"lr_decay must be in (0, 1), got {self.lr_decay}")
         if self.initial_lr <= 0:
             raise DomainError("initial_lr must be positive")
+        if self.seed < 0:
+            raise DomainError(f"seed must be non-negative, got {self.seed}")
 
 
 _LR_MIN, _LR_MAX = 1e-8, 1.0
@@ -346,11 +323,10 @@ def train(
     update is v = momentum * v - g * (lr * keep); p += v. Dropped parameters
     start at +0.0; for a finite gradient g * 0.0 is +-0.0 and
     +0.0 - (+-0.0) == +0.0, so their velocities and values stay exactly +0.0.
-    One StepBuffers set serves every step of the call, so a step allocates
-    no array: `buffers` when given, which must hold the call's largest
-    batch, min(cfg.batch_size, len(labels)), or else a fresh set of that
-    size. Every step rewrites the part of the set it reads, so a shared set
-    gives the same bits as a fresh one.
+    One StepBuffers set serves every step of the call, so past the first
+    step a step allocates no array of activation size: `buffers` when given,
+    or else a fresh set. Every step rewrites the part of the set it reads,
+    so a shared set, of whatever size, gives the same bits as a fresh one.
     The learning rate adapts per epoch: when |loss(t-1) - loss(t)| grew
     compared to the previous epoch the rate is multiplied by lr_decay,
     otherwise divided; it is clamped to [1e-8, 1].
@@ -360,8 +336,7 @@ def train(
     keep = [b.astype(np.float64) for b in bits]
     velocity = [np.zeros_like(p) for p in params]
     batch = min(cfg.batch_size, len(labels))
-    if buffers is None:
-        buffers = StepBuffers(model.shape, batch)
+    buffers = StepBuffers() if buffers is None else buffers
     batch_signals = np.empty((batch,) + signals.shape[1:])
     batch_labels = np.empty(batch, dtype=labels.dtype)
     rng = np.random.default_rng(cfg.seed)
@@ -407,8 +382,8 @@ def evaluate(
     per-class accuracy averaged over the classes present.
 
     With a view mask, the parameters it drops are zeroed first. One forward
-    pass covers all of `data`, in `buffers` when given, which must then hold
-    len(labels) samples, or else in a fresh StepBuffers set.
+    pass covers all of `data`, in `buffers` when given, or else in a fresh
+    StepBuffers set.
     """
     signals, labels = _checked(data, model.shape)
     _, params = _masked(model, mask)
@@ -476,8 +451,7 @@ def view_mask_to_param_masks(
 # Model persistence (JSON)
 
 
-_SHAPE_KEYS = ("heads", "nodes", "signal_dim", "filters", "num_classes")
-_ARRAY_KEYS = ("attention", "conv", "head")
+_SHAPE_KEYS = tuple(f.name for f in dataclasses.fields(GcnShape))
 
 
 def save_model(model: GcnModel, path) -> None:

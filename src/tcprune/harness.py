@@ -63,6 +63,8 @@ class SyntheticSpec:
         counts = (self.classes, self.per_class_train, self.per_class_test, self.joints, self.frames)
         if min(counts) < 1:
             raise DomainError(f"synthetic counts must be positive, got {self}")
+        if self.seed < 0:
+            raise DomainError(f"synthetic seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -113,6 +115,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.rates or not self.variants or not self.seeds:
             raise DomainError("need at least one rate, one variant, and one seed")
+        if min(self.seeds) < 0:
+            raise DomainError(f"seeds must be non-negative, got {list(self.seeds)}")
         # every cell's spec and the training settings are checked before
         # anything trains
         self.training
@@ -194,7 +198,9 @@ CSV_HEADER = ",".join(f.name for f in dataclasses.fields(ResultRow))
 
 
 def _load_split(cfg: ExperimentConfig):
-    """The train and test splits, each chunked once to (signals, labels)."""
+    """The train and test splits, each chunked once to (signals, labels). A
+    test label the train split lacks raises DomainError here, before
+    anything trains: the model's classes come from the train split."""
     if cfg.dataset_path is not None:
         train_set = load_dataset(os.path.join(cfg.dataset_path, "train"))
         test_set = load_dataset(os.path.join(cfg.dataset_path, "test"))
@@ -214,7 +220,12 @@ def _load_split(cfg: ExperimentConfig):
             test_set.extend(block[s.per_class_train :])
     # called through the module, so a wrapper patched onto it sees every call
     chunks = cfg.model.chunks
-    return gcn.dataset_arrays(train_set, chunks), gcn.dataset_arrays(test_set, chunks)
+    train_arrays = gcn.dataset_arrays(train_set, chunks)
+    test_arrays = gcn.dataset_arrays(test_set, chunks)
+    lacking = np.setdiff1d(test_arrays[1], train_arrays[1])
+    if lacking.size:
+        raise DomainError(f"the test split holds label {lacking[0]}, which the train split lacks")
+    return train_arrays, test_arrays
 
 
 def _shape_for(cfg: ExperimentConfig, train_set) -> GcnShape:
@@ -254,10 +265,9 @@ def _run_grid(cfg: ExperimentConfig) -> list[RunRecord]:
     train_set, test_set = _load_split(cfg)
     shape = _shape_for(cfg, train_set)
     base_cfg, tune_cfg = cfg.training
-    # one set for every train and evaluate call of the grid, sized for the
-    # largest batch of any, so none allocates its own
-    train_batch = min(max(base_cfg.batch_size, tune_cfg.batch_size), len(train_set[1]))
-    buffers = StepBuffers(shape, max(train_batch, len(test_set[1])))
+    # one set for every train and evaluate call of the grid, so none
+    # allocates its own
+    buffers = StepBuffers()
     records: list[RunRecord] = []
     mask_dir = None
     if cfg.output:

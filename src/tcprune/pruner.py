@@ -43,6 +43,8 @@ class PruneSpec:
             raise DomainError(f"unknown scoring {self.scoring!r}")
         if self.scoring == "global" and not 0.0 < self.alpha <= 1.0:
             raise DomainError(f"global scoring needs 1/alpha >= 1, got alpha={self.alpha}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be non-negative, got {self.seed}")
 
 
 class ChainTrace(NamedTuple):

@@ -97,6 +97,14 @@ class TestTrain:
 
 
 class TestTrainDataset:
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        code = run_cli("train", "--synthetic", SYNTH, *MODEL_FLAGS, "--seed", "-1",
+                       "--epochs", "1", "--out", str(out))
+        assert code == 2
+        assert "seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_truncated_sequence_file_is_config_error(self, tmp_path):
         data = tmp_path / "D"
         data.mkdir()
@@ -421,6 +429,26 @@ class TestAblate:
         code = run_cli("ablate", "--dataset", str(tmp_path / "D"), "--heads", "1",
                        "--filters", "1", "--chunks", "1", "--epochs", "1")
         assert code == 2
+
+    def test_test_label_the_train_split_lacks_is_rejected_before_training(
+        self, tmp_path, train_calls, capsys
+    ):
+        from tcprune.data import save_dataset, synth_dataset
+
+        save_dataset(synth_dataset(2, 3, 3, 6, seed=5), tmp_path / "D" / "train")
+        save_dataset(synth_dataset(3, 3, 3, 6, seed=5), tmp_path / "D" / "test")
+        code = run_cli("ablate", "--dataset", str(tmp_path / "D"), "--heads", "1",
+                       "--filters", "1", "--chunks", "1", "--epochs", "1")
+        assert code == 2
+        assert "test split holds label 2, which the train split lacks" in capsys.readouterr().err
+        assert train_calls == []
+
+    def test_negative_seed_is_rejected_before_training(self, tmp_path, train_calls, capsys):
+        out_dir = tmp_path / "run"
+        assert run_cli("ablate", "--seeds", "0,-1", "--out", str(out_dir)) == 2
+        assert "seeds must be non-negative, got [0, -1]" in capsys.readouterr().err
+        assert train_calls == []
+        assert not (out_dir / "masks").exists()
 
     def test_alphas_flag_is_rejected(self):
         with pytest.raises(SystemExit) as exc:

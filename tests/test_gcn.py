@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -78,6 +79,40 @@ def numeric_gradient(model, arr, signals, labels, step=1e-5):
         arr[idx] = orig
         grad[idx] = (up - down) / (2 * step)
     return grad
+
+
+class TestInit:
+    def test_init_bits_are_pinned(self):
+        # sha256 over (attention, conv, head) of every draw below, taken when
+        # init_model drew each group with its own expression
+        digest = hashlib.sha256()
+        for dims in [(4, 15, 15, 16, 4), (2, 5, 6, 3, 3), (3, 7, 4, 5, 2), (1, 1, 1, 1, 1)]:
+            for seed in (0, 1, 7, 123):
+                for head_scale in (1.0, 0.3):
+                    model = init_model(GcnShape(*dims), seed, head_scale)
+                    for p in (model.attention, model.conv, model.head):
+                        digest.update(p.tobytes())
+        want = "150cf232d74045a2d80738f5dce99068db81a3aaa23200d24988c218b8cd822c"
+        assert digest.hexdigest() == want
+
+    def test_param_shapes(self):
+        k, n, s, c, q = dims = (2, 5, 6, 3, 4)
+        shape = GcnShape(*dims)
+        assert shape.param_shapes == ((k, n, n), (k, s, c), (n * c, q))
+        model = init_model(shape, seed=0)
+        assert tuple(p.shape for p in (model.attention, model.conv, model.head)) == (
+            shape.param_shapes
+        )
+
+    @pytest.mark.parametrize("group", [0, 1, 2])
+    def test_wrong_group_shape_rejected(self, group):
+        model = init_model(TINY, seed=0)
+        arrays = [model.attention, model.conv, model.head]
+        name = ("attention", "conv", "head")[group]
+        arrays[group] = arrays[group][:1]
+        with pytest.raises(ShapeError) as exc:
+            GcnModel(TINY, *arrays)
+        assert str(exc.value) == f"{name} shape {arrays[group].shape} != {TINY.param_shapes[group]}"
 
 
 class TestForward:
@@ -170,22 +205,24 @@ class TestGradients:
 
 
     def test_reused_buffers_match_fresh_calls(self):
-        # the gradients are views into the buffers, which the next call overwrites
+        # the gradients are views into the buffers, which the next call
+        # overwrites; the second set is first used at batch 3 and grows at 8
         shape = GcnShape(2, 5, 6, 3, 3)
         rng = np.random.default_rng(7)
         model = init_model(shape, seed=7)
         signals = rng.standard_normal((11, shape.signal_dim, shape.nodes))
         labels = rng.integers(0, shape.num_classes, 11)
-        buffers = StepBuffers(shape, 8)
-        got = []
-        for lo, hi in ((0, 8), (8, 11), (3, 11)):
-            loss, grads = loss_and_grads(model, signals[lo:hi], labels[lo:hi], buffers)
-            got.append((lo, hi, loss, [g.copy() for g in grads]))
-        for lo, hi, loss, grads in got:
-            want_loss, want = loss_and_grads(model, signals[lo:hi], labels[lo:hi])
-            assert loss == want_loss
-            for g, w in zip(grads, want):
-                assert g.shape == w.shape and g.tobytes() == w.tobytes()
+        for slices in (((0, 8), (8, 11), (3, 11)), ((8, 11), (0, 8), (3, 11))):
+            buffers = StepBuffers()
+            got = []
+            for lo, hi in slices:
+                loss, grads = loss_and_grads(model, signals[lo:hi], labels[lo:hi], buffers)
+                got.append((lo, hi, loss, [g.copy() for g in grads]))
+            for lo, hi, loss, grads in got:
+                want_loss, want = loss_and_grads(model, signals[lo:hi], labels[lo:hi])
+                assert loss == want_loss
+                for g, w in zip(grads, want):
+                    assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
     @given(
         dims=st.tuples(
@@ -214,7 +251,7 @@ class TestGradients:
         for got, want in zip((got_probs, *got_grads), (probs, *grads)):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-        buffers = StepBuffers(shape, size)
+        buffers = StepBuffers()
         loss_and_grads(model, signals, labels, buffers)
         assert forward_batch(model, x, buffers)[0].tobytes() == got_probs.tobytes()
         again_loss, again = loss_and_grads(model, x, y, buffers)
@@ -231,7 +268,7 @@ class TestGradients:
         model = init_model(shape, seed=0)
         signals = rng.standard_normal((200, shape.signal_dim, shape.nodes))
         labels = rng.integers(0, shape.num_classes, 200)
-        buffers = StepBuffers(shape, 200)
+        buffers = StepBuffers()
         loss_and_grads(model, signals, labels, buffers)
         tracemalloc.start()
         try:
@@ -261,8 +298,7 @@ class TestTraining:
             assert got.tobytes() == want.tobytes()
 
     def test_shared_buffers_match_fresh_sets(self):
-        # a grid's baseline, fine-tune and evaluations share one set sized
-        # for the largest batch
+        # a grid's baseline, fine-tune and evaluations share one set
         rng = np.random.default_rng(13)
         signals = rng.standard_normal((20, TINY.signal_dim, TINY.nodes))
         data = (signals, rng.integers(0, TINY.num_classes, 20))
@@ -270,7 +306,7 @@ class TestTraining:
         mask = random_view_mask(model, rng)
         base_cfg = TrainConfig(epochs=4, batch_size=9, seed=1)
         tune_cfg = TrainConfig(epochs=3, batch_size=6, seed=2)
-        buffers = StepBuffers(TINY, 9)
+        buffers = StepBuffers()
         shared_base = train(model, data, base_cfg, buffers=buffers)
         shared_tune = train(shared_base[0], data, tune_cfg, mask, buffers)
         fresh_base = train(model, data, base_cfg)
@@ -283,7 +319,7 @@ class TestTraining:
         assert bits(shared_base) == bits(fresh_base)
         assert bits(shared_tune) == bits(fresh_tune)
         tuned = fresh_tune[0]
-        shared_acc = evaluate(tuned, data, mask, StepBuffers(TINY, 30))
+        shared_acc = evaluate(tuned, data, mask, StepBuffers())
         assert shared_acc == evaluate(tuned, data, mask)
 
     def test_zero_learning_rate_changes_nothing(self, rng):
@@ -346,6 +382,10 @@ class TestTraining:
         with pytest.raises(DivergenceError) as exc:
             train(broken, dataset, TrainConfig(epochs=3, seed=0))
         assert exc.value.epoch == 0
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
+            TrainConfig(epochs=1, seed=-1)
 
     def test_empty_dataset_rejected(self):
         empty = (np.zeros((0, TINY.signal_dim, TINY.nodes)), np.zeros(0, dtype=np.intp))

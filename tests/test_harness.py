@@ -345,6 +345,14 @@ class TestConfig:
         with pytest.raises(DomainError, match="cfg.json: .*out of float range"):
             load_config(config_file(tmp_path, '{"rates": [%d]}' % 10**400))
 
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(DomainError, match=re.escape("seeds must be non-negative, got [0, -1]")):
+            tiny_config(seeds=(0, -1))
+
+    def test_negative_synthetic_seed_is_rejected(self):
+        with pytest.raises(DomainError, match="synthetic seed must be non-negative, got -2"):
+            dataclasses.replace(TINY_SYNTH, seed=-2)
+
     def test_requires_nonempty_grid(self):
         with pytest.raises(DomainError):
             ExperimentConfig(rates=())

@@ -717,6 +717,10 @@ class TestPruneDispatch:
         with pytest.raises(DomainError):
             PruneSpec(rate=0.5, scoring="global", alpha=2.0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed must be non-negative, got -1"):
+            PruneSpec(0.5, seed=-1)
+
 
 class TestDegradationTrend:
     def test_standard_mp_consistency_degrades_with_rate(self):
