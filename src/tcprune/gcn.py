@@ -15,17 +15,17 @@ the result with A[k], and lays every activation out filters first with the
 batch innermost. Past one copy of the batch's signals, no array of
 activation size is re-laid out, only the parameters and their gradients
 (see forward_batch and loss_and_grads). Each train call makes one
-StepBuffers set or takes the caller's (an ablation grid shares one set
-across its train and evaluate calls); the set allocates each named array
-at its first use and grows it only when a larger batch comes, and every
-forward pass, backward pass and update of the call writes into it (the
-backward pass writes over the probabilities and hidden activations it no
-longer reads). So once the set has seen the call's largest batch, a
-training step allocates no array of activation size and its speed does not
-depend on how the allocator lays out the heap; what it still allocates
-(the label pick and its row index, numpy's iterator buffers for the
-softmax's broadcasts and the ReLU mask's bool-to-float cast) is about
-14 KiB at batch 200.
+StepBuffers set or takes the caller's (each worker of an ablation grid
+keeps one set for all its train and evaluate calls); the set allocates
+each named array at its first use and grows it only when a larger batch
+comes, and every forward pass, backward pass and update of the call
+writes into it (the backward pass writes over the probabilities and
+hidden activations it no longer reads). So once the set has seen the
+call's largest batch, a training step allocates no array of activation
+size and its speed does not depend on how the allocator lays out the
+heap; what it still allocates (the label pick and its row index, numpy's
+iterator buffers for the softmax's broadcasts and the ReLU mask's
+bool-to-float cast) is about 14 KiB at batch 200.
 
 as_layered exposes the three parameter groups as one dense 3-layer network
 so the mask machinery can prune the model. The view requires

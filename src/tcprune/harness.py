@@ -5,10 +5,12 @@ fine-tune the survivors, and emit result tables as CSV or JSON.
 cells run, so an alpha sweep or a chains-vs-plain trend is just another
 variant list. One baseline is trained per seed and shared by every
 (rate, variant) cell at that seed, so differences between cells come from
-pruning alone. Runs whose mask trims to nothing are reported with accuracy
-unavailable instead of crashing, and pruner saturation and a diverged
-fine-tune are captured as row statuses. A diverging baseline still ends the
-grid with DivergenceError.
+pruning alone. A seed's cells run on one worker thread per usable CPU with
+numpy's OpenBLAS held at one thread, and their records keep grid order, so
+the outputs are those of a serial run. Runs whose mask trims to nothing
+are reported with accuracy unavailable instead of crashing, and pruner
+saturation and a diverged fine-tune are captured as row statuses. A
+diverging baseline still ends the grid with DivergenceError.
 
 The table schema is `ResultRow`: its field names are the CSV columns and
 the JSON keys. Every JSON input (a config, `runs.json`, the CLI's
@@ -18,16 +20,19 @@ each value against the field types the dataclasses declare.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import dataclasses
 import json
 import os
+import threading
 import time
 import typing
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import gcn
+from . import blas, gcn
 from .data import load_dataset, synth_dataset
 from .errors import BudgetError, DivergenceError, DomainError, SaturationError
 from .gcn import (
@@ -258,16 +263,27 @@ class _Baseline:
     finetune: TrainConfig
     train_set: tuple[np.ndarray, np.ndarray]
     test_set: tuple[np.ndarray, np.ndarray]
-    buffers: StepBuffers
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
 
 
 def _run_grid(cfg: ExperimentConfig) -> list[RunRecord]:
     train_set, test_set = _load_split(cfg)
     shape = _shape_for(cfg, train_set)
     base_cfg, tune_cfg = cfg.training
-    # one set for every train and evaluate call of the grid, so none
-    # allocates its own
-    buffers = StepBuffers()
+    cells = [(rate, variant) for rate in cfg.rates for variant in cfg.variants]
+    # one worker per usable CPU, each with its own StepBuffers set for its
+    # train and evaluate calls; the baselines use the first worker's set.
+    # Without a handle on numpy's OpenBLAS, whose threads would contend with
+    # the workers, the cells run one at a time on one set.
+    workers = min(_usable_cpus(), len(cells))
+    openblas = blas.openblas() if workers > 1 else None
+    buffer_sets = [StepBuffers() for _ in range(workers if openblas else 1)]
     records: list[RunRecord] = []
     mask_dir = None
     if cfg.output:
@@ -278,22 +294,62 @@ def _run_grid(cfg: ExperimentConfig) -> list[RunRecord]:
             init_model(shape, seed, cfg.model.head_scale),
             train_set,
             dataclasses.replace(base_cfg, seed=seed),
-            buffers=buffers,
+            buffers=buffer_sets[0],
         )
-        accuracy = evaluate(model, test_set, buffers=buffers)
+        accuracy = evaluate(model, test_set, buffers=buffer_sets[0])
         view = as_layered(model)
         finetune = dataclasses.replace(tune_cfg, seed=seed)
-        base = _Baseline(seed, model, accuracy, view, finetune, train_set, test_set, buffers)
-        for rate in cfg.rates:
-            for variant in cfg.variants:
-                records.append(_run_cell(base, rate, variant, mask_dir))
+        base = _Baseline(seed, model, accuracy, view, finetune, train_set, test_set)
+        with openblas.one_thread() if len(buffer_sets) > 1 else contextlib.nullcontext():
+            records += _run_cells(base, cells, mask_dir, buffer_sets)
     return records
 
 
-def _run_cell(base: _Baseline, rate: float, variant: Variant, mask_dir: str | None) -> RunRecord:
+def _run_cells(base: _Baseline, cells, mask_dir: str | None, buffer_sets) -> list[RunRecord]:
+    """The records of one seed's `cells`, in their order, from one worker
+    per buffer set; with one set the calling thread runs them in order.
+    The calling thread is the first worker, and each takes the next cell
+    from one shared queue, so quick cells do not unbalance them. A cell's
+    unexpected exception empties the queue, and the first one is raised
+    once every worker has stopped."""
+    records: list = [None] * len(cells)
+    pending = collections.deque(range(len(cells)))
+    errors: list[BaseException] = []
+
+    def work(buffers: StepBuffers) -> None:
+        try:
+            while True:
+                try:
+                    i = pending.popleft()
+                except IndexError:
+                    return
+                records[i] = _run_cell(base, *cells[i], mask_dir, buffers)
+        except BaseException as exc:
+            pending.clear()
+            errors.append(exc)
+
+    started: list[threading.Thread] = []
+    try:
+        for buffers in buffer_sets[1:]:
+            thread = threading.Thread(target=work, args=(buffers,))
+            thread.start()
+            started.append(thread)
+        work(buffer_sets[0])
+    finally:
+        pending.clear()
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return records
+
+
+def _run_cell(
+    base: _Baseline, rate: float, variant: Variant, mask_dir: str | None, buffers: StepBuffers
+) -> RunRecord:
     """Prune the baseline, fine-tune and evaluate the survivors, save the mask."""
     t0 = time.perf_counter()
-    status, mask, acc = _prune_and_tune(base, rate, variant)
+    status, mask, acc = _prune_and_tune(base, rate, variant, buffers)
     kept = ac = mask_file = None
     if mask is not None:
         rep = consistency_report(mask)
@@ -317,7 +373,7 @@ def _run_cell(base: _Baseline, rate: float, variant: Variant, mask_dir: str | No
     )
 
 
-def _prune_and_tune(base: _Baseline, rate: float, variant: Variant):
+def _prune_and_tune(base: _Baseline, rate: float, variant: Variant, buffers: StepBuffers):
     """(status, mask, accuracy) of one cell; mask is None when pruning failed.
 
     A fine-tune whose loss turns non-finite gives status "diverged" with its
@@ -335,10 +391,10 @@ def _prune_and_tune(base: _Baseline, rate: float, variant: Variant):
     if trim_to_consistent(mask).kept_count == 0:
         return "disconnected", mask, None
     try:
-        tuned, _ = train(base.model, base.train_set, base.finetune, mask, buffers=base.buffers)
+        tuned, _ = train(base.model, base.train_set, base.finetune, mask, buffers=buffers)
     except DivergenceError:
         return "diverged", mask, None
-    return "ok", mask, evaluate(tuned, base.test_set, mask, buffers=base.buffers)
+    return "ok", mask, evaluate(tuned, base.test_set, mask, buffers=buffers)
 
 
 def aggregate(records: list[RunRecord]) -> list[ResultRow]:

@@ -2,14 +2,16 @@
 
 The same script runs in two fresh interpreters, one with
 OPENBLAS_NUM_THREADS=1 and one with 2 (the variable is read when numpy
-loads, so it cannot be changed inside this process), and both print one
-sha256 of every result.
+loads), and both print one sha256 of every result. The count an ablation
+grid sets inside its process, through tcprune.blas, is tested last.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import tcprune
 
@@ -55,3 +57,26 @@ def test_tables_and_training_bit_identical_under_one_and_two_threads():
     one, two = _digest(1), _digest(2)
     assert len(one) == 64
     assert one == two
+
+
+def test_openblas_thread_count_round_trip():
+    from tcprune import blas
+
+    handle = blas.openblas()
+    if handle is None:
+        pytest.skip("numpy has no bundled OpenBLAS")
+    before = handle.threads()
+    assert before >= 1
+    try:
+        handle.set_threads(1)
+        assert handle.threads() == 1
+        handle.set_threads(before)
+        assert handle.threads() == before
+        with handle.one_thread():
+            assert handle.threads() == 1
+        assert handle.threads() == before
+        with pytest.raises(RuntimeError), handle.one_thread():
+            raise RuntimeError
+        assert handle.threads() == before
+    finally:
+        handle.set_threads(before)

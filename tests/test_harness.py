@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import re
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -108,28 +110,129 @@ class TestRunAblation:
         # must observe the identical baseline bytes every time
         assert len(set(hashes[1:])) <= 1
 
-    def test_grid_shares_one_step_buffer_set(self, monkeypatch):
+    def test_grid_step_buffer_sets(self, monkeypatch):
         import tcprune.harness as harness_mod
 
-        sets = {"train": [], "evaluate": []}
+        # per thread, in call order: (name, mask or None, buffers)
+        calls: dict[int, list] = {}
 
         def spy(name):
             original = getattr(harness_mod, name)
 
             def call(model, data, *args, buffers=None):
-                sets[name].append(buffers)
+                # a baseline passes no mask: train(cfg) and evaluate()
+                mask = args[-1] if len(args) == (2 if name == "train" else 1) else None
+                calls.setdefault(threading.get_ident(), []).append((name, mask, buffers))
                 return original(model, data, *args, buffers=buffers)
 
             return call
 
-        for name in sets:
+        for name in ("train", "evaluate"):
             monkeypatch.setattr(harness_mod, name, spy(name))
-        run_ablation(tiny_config(rates=(0.5, 0.9), seeds=(0, 1)))
-        # two baselines, their fine-tunes and evaluations, all on one set
-        shared = sets["train"][0]
-        assert shared is not None and len(sets["train"]) > 2
-        assert all(b is shared for calls in sets.values() for b in calls)
-        assert len(sets["evaluate"]) == len(sets["train"])
+        cfg = tiny_config(rates=(0.5, 0.9), seeds=(0, 1))
+        run_ablation(cfg)
+        every = [c for seq in calls.values() for c in seq]
+        cells = len(cfg.rates) * len(cfg.variants)
+        sets = {id(b) for _, _, b in every}
+        assert None not in (b for _, _, b in every)
+        assert len(sets) <= min(harness_mod._usable_cpus(), cells)
+        # two baselines, each trained and evaluated on one set
+        baseline_sets = {id(b) for _, mask, b in every if mask is None}
+        assert len(baseline_sets) == 1 and sum(m is None for _, m, _ in every) == 4
+        # each fine-tune's evaluate follows it on its thread, on its set
+        evaluated = 0
+        for seq in calls.values():
+            for before, (name, mask, buffers) in zip(seq, seq[1:]):
+                if name == "evaluate" and mask is not None:
+                    assert before[0] == "train" and before[1] is mask and before[2] is buffers
+                    evaluated += 1
+        assert evaluated > 2
+
+
+def run_diverging_grid(out: Path) -> None:
+    """A two-seed grid with output whose (0.9, tc, deterministic, seed 1)
+    cell diverges in its fine-tune."""
+    import tcprune.harness as harness_mod
+
+    real_prune, real_train = harness_mod.prune, harness_mod.train
+    diverging = []  # kept alive, so `is` cannot match a later mask at its address
+
+    def prune(net, spec):
+        mask = real_prune(net, spec)
+        if (spec.rate, spec.tc, spec.stochastic, spec.seed) == (0.9, True, False, 1):
+            diverging.append(mask)
+        return mask
+
+    def train(model, data, cfg, mask=None, buffers=None):
+        if any(mask is m for m in diverging):
+            raise DivergenceError(0)
+        return real_train(model, data, cfg, mask, buffers)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness_mod, "prune", prune)
+        patch.setattr(harness_mod, "train", train)
+        run_ablation(tiny_config(rates=(0.5, 0.9), seeds=(0, 1), output=str(out)))
+    assert len(diverging) == 1
+
+
+class TestConcurrentCells:
+    @pytest.mark.parametrize("cpus", [None, 8], ids=["usable-cpus", "8-workers-stress"])
+    def test_outputs_match_serial_grid(self, tmp_path, monkeypatch, cpus):
+        import tcprune.harness as harness_mod
+        from tcprune import blas
+
+        interval = sys.getswitchinterval()
+        if cpus is not None:
+            # more workers than cores, switching often: a lost or repeated
+            # cell, or a record out of grid order, changes the outputs
+            monkeypatch.setattr(harness_mod, "_usable_cpus", lambda: cpus)
+            sys.setswitchinterval(1e-5)
+        try:
+            run_diverging_grid(tmp_path / "concurrent")
+        finally:
+            sys.setswitchinterval(interval)
+        # without a handle on the BLAS thread count the grid runs serially
+        monkeypatch.setattr(blas, "openblas", lambda: None)
+        run_diverging_grid(tmp_path / "serial")
+
+        def outputs(out: Path):
+            runs = json.loads((out / "runs.json").read_text())
+            for rec in runs:
+                del rec["wall_s"]
+            csv = [line.rsplit(",", 1)[0] for line in (out / "results.csv").read_text().splitlines()]
+            masks = {p.name: p.read_bytes() for p in (out / "masks").iterdir()}
+            return runs, csv, masks
+
+        concurrent, serial = outputs(tmp_path / "concurrent"), outputs(tmp_path / "serial")
+        assert [r["status"] for r in serial[0]].count("diverged") == 1
+        assert len(serial[2]) == 2 * 4 * 2
+        assert concurrent == serial
+
+    def test_unexpected_error_stops_every_worker(self, monkeypatch):
+        import tcprune.harness as harness_mod
+        from tcprune import blas
+
+        real_train = harness_mod.train
+        finetunes = []
+
+        def train(model, data, cfg, mask=None, buffers=None):
+            if mask is not None:
+                finetunes.append(mask)
+                if len(finetunes) == 3:
+                    raise RuntimeError("injected")
+            return real_train(model, data, cfg, mask, buffers)
+
+        monkeypatch.setattr(harness_mod, "train", train)
+        handle = blas.openblas()
+        threads_before = handle.threads() if handle else None
+        alive_before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="injected"):
+            run_ablation(tiny_config(rates=(0.5, 0.9), seeds=(0, 1)))
+        assert set(threading.enumerate()) == alive_before
+        if handle:
+            assert handle.threads() == threads_before
+        # the grid stops at the seed whose cell failed
+        assert 3 <= len(finetunes) < 2 * 4 * 2
 
 
 def sweep_variants(alphas):
