@@ -13,12 +13,10 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import os
 
 import numpy as np
-
-_UNSEARCHED = object()
-_handle = _UNSEARCHED
 
 
 class OpenBlas:
@@ -47,20 +45,17 @@ class OpenBlas:
             self.set_threads(before)
 
 
+@functools.cache
 def openblas() -> OpenBlas | None:
     """numpy's bundled OpenBLAS, looked up on the first call; None when
     numpy has none or it lacks the thread-count functions."""
-    global _handle
-    if _handle is _UNSEARCHED:
-        _handle = None
-        libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
-        names = sorted(os.listdir(libs)) if os.path.isdir(libs) else []
-        for name in names:
-            if not (name.startswith("libscipy_openblas64_") and name.endswith(".so")):
-                continue
-            try:
-                _handle = OpenBlas(ctypes.CDLL(os.path.join(libs, name)))
-                break
-            except (OSError, AttributeError):  # not loadable, or no such symbol
-                continue
-    return _handle
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    names = sorted(os.listdir(libs)) if os.path.isdir(libs) else []
+    for name in names:
+        if not (name.startswith("libscipy_openblas64_") and name.endswith(".so")):
+            continue
+        try:
+            return OpenBlas(ctypes.CDLL(os.path.join(libs, name)))
+        except (OSError, AttributeError):  # not loadable, or no such symbol
+            continue
+    return None

@@ -15,17 +15,17 @@ the result with A[k], and lays every activation out filters first with the
 batch innermost. Past one copy of the batch's signals, no array of
 activation size is re-laid out, only the parameters and their gradients
 (see forward_batch and loss_and_grads). Each train call makes one
-StepBuffers set or takes the caller's (each worker of an ablation grid
-keeps one set for all its train and evaluate calls); the set allocates
-each named array at its first use and grows it only when a larger batch
-comes, and every forward pass, backward pass and update of the call
-writes into it (the backward pass writes over the probabilities and
-hidden activations it no longer reads). So once the set has seen the
-call's largest batch, a training step allocates no array of activation
-size and its speed does not depend on how the allocator lays out the
-heap; what it still allocates (the label pick and its row index, numpy's
-iterator buffers for the softmax's broadcasts and the ReLU mask's
-bool-to-float cast) is about 14 KiB at batch 200.
+StepBuffers set of its own, shared with no other call, so calls on
+different threads do not disturb one another. The set allocates each
+named array at its first use and grows it only when a larger batch comes,
+and every forward pass, backward pass and update of the call writes into
+it (the backward pass writes over the probabilities and hidden
+activations it no longer reads). So once the set has seen the call's
+largest batch, a training step allocates no array of activation size and
+its speed does not depend on how the allocator lays out the heap; what
+it still allocates (the label pick and its row index, numpy's iterator
+buffers for the softmax's broadcasts and the ReLU mask's bool-to-float
+cast) is about 14 KiB at batch 200.
 
 as_layered exposes the three parameter groups as one dense 3-layer network
 so the mask machinery can prune the model. The view requires
@@ -120,11 +120,11 @@ class StepBuffers:
 
     get(name, *shape) allocates array `name` on its first use and again only
     when a later use needs a larger one; a smaller use reads its leading
-    part. A set thus grows to the largest batch it has served, and train
-    reuses one set for every step of a call. What the two functions return
-    are views into the set, valid until its next use. The backward pass
-    writes dz over z, the ReLU's 0.0/1.0 gradient over hidden and the loss
-    gradient over probs; g_by_filter and g_by_node hold the attention
+    part. A set thus grows to the largest batch it has served; each train
+    call makes one and reuses it for every step. What the two functions
+    return are views into the set, valid until its next use. The backward
+    pass writes dz over z, the ReLU's 0.0/1.0 gradient over hidden and the
+    loss gradient over probs; g_by_filter and g_by_node hold the attention
     gradient per filter and the filter-bank gradient per node before they
     are summed into g_scratch.
     """
@@ -313,7 +313,6 @@ def train(
     data: tuple[np.ndarray, np.ndarray],
     cfg: TrainConfig,
     mask: MaskTensor | None = None,
-    buffers: StepBuffers | None = None,
 ) -> tuple[GcnModel, list[float]]:
     """Momentum SGD on cross-entropy over `data`, the (signals, labels) of
     dataset_arrays; returns (trained copy, per-epoch loss).
@@ -323,10 +322,8 @@ def train(
     update is v = momentum * v - g * (lr * keep); p += v. Dropped parameters
     start at +0.0; for a finite gradient g * 0.0 is +-0.0 and
     +0.0 - (+-0.0) == +0.0, so their velocities and values stay exactly +0.0.
-    One StepBuffers set serves every step of the call, so past the first
-    step a step allocates no array of activation size: `buffers` when given,
-    or else a fresh set. Every step rewrites the part of the set it reads,
-    so a shared set, of whatever size, gives the same bits as a fresh one.
+    The call makes one StepBuffers set and every step reuses it, so past
+    the first step a step allocates no array of activation size.
     The learning rate adapts per epoch: when |loss(t-1) - loss(t)| grew
     compared to the previous epoch the rate is multiplied by lr_decay,
     otherwise divided; it is clamped to [1e-8, 1].
@@ -336,7 +333,7 @@ def train(
     keep = [b.astype(np.float64) for b in bits]
     velocity = [np.zeros_like(p) for p in params]
     batch = min(cfg.batch_size, len(labels))
-    buffers = StepBuffers() if buffers is None else buffers
+    buffers = StepBuffers()
     batch_signals = np.empty((batch,) + signals.shape[1:])
     batch_labels = np.empty(batch, dtype=labels.dtype)
     rng = np.random.default_rng(cfg.seed)
@@ -376,19 +373,17 @@ def evaluate(
     model: GcnModel,
     data: tuple[np.ndarray, np.ndarray],
     mask: MaskTensor | None = None,
-    buffers: StepBuffers | None = None,
 ) -> float:
     """Balanced accuracy on `data`, the (signals, labels) of dataset_arrays:
     per-class accuracy averaged over the classes present.
 
     With a view mask, the parameters it drops are zeroed first. One forward
-    pass covers all of `data`, in `buffers` when given, or else in a fresh
-    StepBuffers set.
+    pass covers all of `data`, in a fresh StepBuffers set.
     """
     signals, labels = _checked(data, model.shape)
     _, params = _masked(model, mask)
     model = GcnModel(model.shape, *params)
-    probs, _ = forward_batch(model, signals, buffers)
+    probs, _ = forward_batch(model, signals)
     preds = probs.argmax(axis=1)
     per_class = [np.mean(preds[labels == cls] == cls) for cls in np.unique(labels)]
     return float(np.mean(per_class))

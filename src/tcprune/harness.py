@@ -38,7 +38,6 @@ from .errors import BudgetError, DivergenceError, DomainError, SaturationError
 from .gcn import (
     GcnModel,
     GcnShape,
-    StepBuffers,
     TrainConfig,
     as_layered,
     evaluate,
@@ -277,37 +276,32 @@ def _run_grid(cfg: ExperimentConfig) -> list[RunRecord]:
     shape = _shape_for(cfg, train_set)
     base_cfg, tune_cfg = cfg.training
     cells = [(rate, variant) for rate in cfg.rates for variant in cfg.variants]
-    # one worker per usable CPU, each with its own StepBuffers set for its
-    # train and evaluate calls; the baselines use the first worker's set.
-    # Without a handle on numpy's OpenBLAS, whose threads would contend with
-    # the workers, the cells run one at a time on one set.
+    # one worker per usable CPU; without a handle on numpy's OpenBLAS, whose
+    # threads would contend with the workers, the cells run one at a time
     workers = min(_usable_cpus(), len(cells))
     openblas = blas.openblas() if workers > 1 else None
-    buffer_sets = [StepBuffers() for _ in range(workers if openblas else 1)]
+    if openblas is None:
+        workers = 1
     records: list[RunRecord] = []
     mask_dir = None
     if cfg.output:
         mask_dir = os.path.join(cfg.output, "masks")
         os.makedirs(mask_dir, exist_ok=True)
     for seed in cfg.seeds:
-        model, _ = train(
-            init_model(shape, seed, cfg.model.head_scale),
-            train_set,
-            dataclasses.replace(base_cfg, seed=seed),
-            buffers=buffer_sets[0],
-        )
-        accuracy = evaluate(model, test_set, buffers=buffer_sets[0])
+        init = init_model(shape, seed, cfg.model.head_scale)
+        model, _ = train(init, train_set, dataclasses.replace(base_cfg, seed=seed))
+        accuracy = evaluate(model, test_set)
         view = as_layered(model)
         finetune = dataclasses.replace(tune_cfg, seed=seed)
         base = _Baseline(seed, model, accuracy, view, finetune, train_set, test_set)
-        with openblas.one_thread() if len(buffer_sets) > 1 else contextlib.nullcontext():
-            records += _run_cells(base, cells, mask_dir, buffer_sets)
+        with openblas.one_thread() if workers > 1 else contextlib.nullcontext():
+            records += _run_cells(base, cells, mask_dir, workers)
     return records
 
 
-def _run_cells(base: _Baseline, cells, mask_dir: str | None, buffer_sets) -> list[RunRecord]:
-    """The records of one seed's `cells`, in their order, from one worker
-    per buffer set; with one set the calling thread runs them in order.
+def _run_cells(base: _Baseline, cells, mask_dir: str | None, workers: int) -> list[RunRecord]:
+    """The records of one seed's `cells`, in their order, from `workers`
+    threads; with one worker the calling thread runs them in order.
     The calling thread is the first worker, and each takes the next cell
     from one shared queue, so quick cells do not unbalance them. A cell's
     unexpected exception empties the queue, and the first one is raised
@@ -316,25 +310,25 @@ def _run_cells(base: _Baseline, cells, mask_dir: str | None, buffer_sets) -> lis
     pending = collections.deque(range(len(cells)))
     errors: list[BaseException] = []
 
-    def work(buffers: StepBuffers) -> None:
+    def work() -> None:
         try:
             while True:
                 try:
                     i = pending.popleft()
                 except IndexError:
                     return
-                records[i] = _run_cell(base, *cells[i], mask_dir, buffers)
+                records[i] = _run_cell(base, *cells[i], mask_dir)
         except BaseException as exc:
             pending.clear()
             errors.append(exc)
 
     started: list[threading.Thread] = []
     try:
-        for buffers in buffer_sets[1:]:
-            thread = threading.Thread(target=work, args=(buffers,))
+        for _ in range(workers - 1):
+            thread = threading.Thread(target=work)
             thread.start()
             started.append(thread)
-        work(buffer_sets[0])
+        work()
     finally:
         pending.clear()
         for thread in started:
@@ -344,12 +338,10 @@ def _run_cells(base: _Baseline, cells, mask_dir: str | None, buffer_sets) -> lis
     return records
 
 
-def _run_cell(
-    base: _Baseline, rate: float, variant: Variant, mask_dir: str | None, buffers: StepBuffers
-) -> RunRecord:
+def _run_cell(base: _Baseline, rate: float, variant: Variant, mask_dir: str | None) -> RunRecord:
     """Prune the baseline, fine-tune and evaluate the survivors, save the mask."""
     t0 = time.perf_counter()
-    status, mask, acc = _prune_and_tune(base, rate, variant, buffers)
+    status, mask, acc = _prune_and_tune(base, rate, variant)
     kept = ac = mask_file = None
     if mask is not None:
         rep = consistency_report(mask)
@@ -373,7 +365,7 @@ def _run_cell(
     )
 
 
-def _prune_and_tune(base: _Baseline, rate: float, variant: Variant, buffers: StepBuffers):
+def _prune_and_tune(base: _Baseline, rate: float, variant: Variant):
     """(status, mask, accuracy) of one cell; mask is None when pruning failed.
 
     A fine-tune whose loss turns non-finite gives status "diverged" with its
@@ -391,10 +383,10 @@ def _prune_and_tune(base: _Baseline, rate: float, variant: Variant, buffers: Ste
     if trim_to_consistent(mask).kept_count == 0:
         return "disconnected", mask, None
     try:
-        tuned, _ = train(base.model, base.train_set, base.finetune, mask, buffers=buffers)
+        tuned, _ = train(base.model, base.train_set, base.finetune, mask)
     except DivergenceError:
         return "diverged", mask, None
-    return "ok", mask, evaluate(tuned, base.test_set, mask, buffers=buffers)
+    return "ok", mask, evaluate(tuned, base.test_set, mask)
 
 
 def aggregate(records: list[RunRecord]) -> list[ResultRow]:
@@ -477,15 +469,20 @@ def report_from_artifacts(artifact_dir: str) -> list[ResultRow]:
     Every kept count and consistency percentage is recomputed from the mask
     files and must equal the recorded value exactly: the same computation
     on the same mask bits gives the same float, and JSON round-trips it.
+    A mask_file must be a bare file name, so no mask is read from outside
+    `artifact_dir`'s masks directory.
     """
     payload = _read_json(os.path.join(artifact_dir, "runs.json"))
     records = _build(tuple[RunRecord, ...], payload, "runs.json")
     for rec in records:
-        if rec.mask_file is not None:
-            rep = consistency_report(load_mask(os.path.join(artifact_dir, "masks", rec.mask_file)))
+        name = rec.mask_file
+        if name is not None:
+            if name in ("", ".", "..") or os.path.basename(name) != name:
+                raise DomainError(f"runs.json: mask_file {name!r} is not a bare file name")
+            rep = consistency_report(load_mask(os.path.join(artifact_dir, "masks", name)))
             if (rep.kept_count, rep.ac_percentage) != (rec.kept, rec.ac_percent):
                 raise DomainError(
-                    f"{rec.mask_file}: recomputed kept={rep.kept_count} "
+                    f"{name}: recomputed kept={rep.kept_count} "
                     f"ac_percent={rep.ac_percentage}, recorded {rec.kept} {rec.ac_percent}"
                 )
     return aggregate(list(records))

@@ -13,7 +13,8 @@ import pytest
 import tcprune
 from tcprune.cli import build_parser, main
 from tcprune.gcn import load_model
-from tcprune.network import load_mask
+from tcprune.network import MaskTensor, load_mask, save_mask
+from tcprune.topology import consistency_report
 
 SYNTH = (
     "classes=2,per_class_train=4,per_class_test=4,joints=3,frames=6,"
@@ -546,6 +547,21 @@ class TestReport:
         (tmp_path / "runs.json").write_text(json.dumps(data))
         assert run_cli("report", "--artifacts", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("relative", [True, False], ids=["parent-dirs", "absolute"])
+    def test_mask_file_outside_the_artifacts_is_config_error(self, tmp_path, relative, capsys):
+        # a valid mask that runs.json records truly, outside <artifacts>/masks
+        mask = MaskTensor((np.ones((2, 3), bool), np.ones((3, 1), bool)))
+        outside = tmp_path / "outside.txt"
+        save_mask(mask, outside)
+        rep = consistency_report(mask)
+        artifacts = tmp_path / "run"
+        (artifacts / "masks").mkdir(parents=True)
+        run = {**RUN, "status": "ok", "kept": rep.kept_count, "ac_percent": rep.ac_percentage,
+               "accuracy": 1.0, "mask_file": "../../outside.txt" if relative else str(outside)}
+        (artifacts / "runs.json").write_text(json.dumps([run]))
+        assert run_cli("report", "--artifacts", str(artifacts)) == 2
+        assert "runs.json: mask_file" in capsys.readouterr().err
+
     @staticmethod
     def report_to(table_out, artifacts, stdout, prefix=()):
         """`tcprune report` in a child process whose stdout is `stdout`,
@@ -614,7 +630,7 @@ class TestExitCodes:
         import tcprune.harness as harness_mod
         from tcprune.errors import DivergenceError
 
-        def exploding_train(model, data, cfg, mask=None, buffers=None):
+        def exploding_train(model, data, cfg, mask=None):
             raise DivergenceError(0)
 
         monkeypatch.setattr(harness_mod, "train", exploding_train)

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -297,30 +299,42 @@ class TestTraining:
         for got, want in zip((trained.attention, trained.conv, trained.head), want_params):
             assert got.tobytes() == want.tobytes()
 
-    def test_shared_buffers_match_fresh_sets(self):
-        # a grid's baseline, fine-tune and evaluations share one set
-        rng = np.random.default_rng(13)
-        signals = rng.standard_normal((20, TINY.signal_dim, TINY.nodes))
-        data = (signals, rng.integers(0, TINY.num_classes, 20))
-        model = init_model(TINY, seed=6)
-        mask = random_view_mask(model, rng)
-        base_cfg = TrainConfig(epochs=4, batch_size=9, seed=1)
-        tune_cfg = TrainConfig(epochs=3, batch_size=6, seed=2)
-        buffers = StepBuffers()
-        shared_base = train(model, data, base_cfg, buffers=buffers)
-        shared_tune = train(shared_base[0], data, tune_cfg, mask, buffers)
-        fresh_base = train(model, data, base_cfg)
-        fresh_tune = train(fresh_base[0], data, tune_cfg, mask)
+    def test_concurrent_calls_match_serial_calls(self):
+        # two threads fine-tune and evaluate one baseline under different
+        # masks at once, switching often; each call owns its scratch set
+        shape = GcnShape(heads=2, nodes=6, signal_dim=6, filters=3, num_classes=3)
+        rng = np.random.default_rng(17)
+        signals = rng.standard_normal((40, shape.signal_dim, shape.nodes))
+        data = (signals, rng.integers(0, shape.num_classes, 40))
+        base, _ = train(init_model(shape, seed=3), data, TrainConfig(epochs=3, batch_size=16))
+        masks = [random_view_mask(base, rng, keep) for keep in (0.3, 0.7)]
+        cfg = TrainConfig(epochs=6, batch_size=9, seed=4)
 
-        def bits(result):
-            trained, losses = result
-            return losses, [p.tobytes() for p in (trained.attention, trained.conv, trained.head)]
+        def run(mask):
+            tuned, losses = train(base, data, cfg, mask)
+            params = [p.tobytes() for p in (tuned.attention, tuned.conv, tuned.head)]
+            return losses, params, evaluate(tuned, data, mask)
 
-        assert bits(shared_base) == bits(fresh_base)
-        assert bits(shared_tune) == bits(fresh_tune)
-        tuned = fresh_tune[0]
-        shared_acc = evaluate(tuned, data, mask, StepBuffers())
-        assert shared_acc == evaluate(tuned, data, mask)
+        serial = [run(mask) for mask in masks]
+        assert serial[0] != serial[1]
+        concurrent = [None, None]
+        start = threading.Barrier(2)
+
+        def work(i):
+            start.wait()
+            concurrent[i] = run(masks[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert concurrent == serial
 
     def test_zero_learning_rate_changes_nothing(self, rng):
         dataset = synth_arrays(2, 4, 3, 6, seed=0)

@@ -97,8 +97,8 @@ class TestRunAblation:
         hashes = []
         original_train = harness_mod.train
 
-        def spy_train(model, dataset, cfg, mask=None, buffers=None):
-            out = original_train(model, dataset, cfg, mask, buffers)
+        def spy_train(model, dataset, cfg, mask=None):
+            out = original_train(model, dataset, cfg, mask)
             hashes.append(
                 (model.attention.tobytes(), model.conv.tobytes(), model.head.tobytes())
             )
@@ -109,44 +109,6 @@ class TestRunAblation:
         # first call trains the baseline; later calls fine-tune from it and
         # must observe the identical baseline bytes every time
         assert len(set(hashes[1:])) <= 1
-
-    def test_grid_step_buffer_sets(self, monkeypatch):
-        import tcprune.harness as harness_mod
-
-        # per thread, in call order: (name, mask or None, buffers)
-        calls: dict[int, list] = {}
-
-        def spy(name):
-            original = getattr(harness_mod, name)
-
-            def call(model, data, *args, buffers=None):
-                # a baseline passes no mask: train(cfg) and evaluate()
-                mask = args[-1] if len(args) == (2 if name == "train" else 1) else None
-                calls.setdefault(threading.get_ident(), []).append((name, mask, buffers))
-                return original(model, data, *args, buffers=buffers)
-
-            return call
-
-        for name in ("train", "evaluate"):
-            monkeypatch.setattr(harness_mod, name, spy(name))
-        cfg = tiny_config(rates=(0.5, 0.9), seeds=(0, 1))
-        run_ablation(cfg)
-        every = [c for seq in calls.values() for c in seq]
-        cells = len(cfg.rates) * len(cfg.variants)
-        sets = {id(b) for _, _, b in every}
-        assert None not in (b for _, _, b in every)
-        assert len(sets) <= min(harness_mod._usable_cpus(), cells)
-        # two baselines, each trained and evaluated on one set
-        baseline_sets = {id(b) for _, mask, b in every if mask is None}
-        assert len(baseline_sets) == 1 and sum(m is None for _, m, _ in every) == 4
-        # each fine-tune's evaluate follows it on its thread, on its set
-        evaluated = 0
-        for seq in calls.values():
-            for before, (name, mask, buffers) in zip(seq, seq[1:]):
-                if name == "evaluate" and mask is not None:
-                    assert before[0] == "train" and before[1] is mask and before[2] is buffers
-                    evaluated += 1
-        assert evaluated > 2
 
 
 def run_diverging_grid(out: Path) -> None:
@@ -163,10 +125,10 @@ def run_diverging_grid(out: Path) -> None:
             diverging.append(mask)
         return mask
 
-    def train(model, data, cfg, mask=None, buffers=None):
+    def train(model, data, cfg, mask=None):
         if any(mask is m for m in diverging):
             raise DivergenceError(0)
-        return real_train(model, data, cfg, mask, buffers)
+        return real_train(model, data, cfg, mask)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(harness_mod, "prune", prune)
@@ -215,12 +177,12 @@ class TestConcurrentCells:
         real_train = harness_mod.train
         finetunes = []
 
-        def train(model, data, cfg, mask=None, buffers=None):
+        def train(model, data, cfg, mask=None):
             if mask is not None:
                 finetunes.append(mask)
                 if len(finetunes) == 3:
                     raise RuntimeError("injected")
-            return real_train(model, data, cfg, mask, buffers)
+            return real_train(model, data, cfg, mask)
 
         monkeypatch.setattr(harness_mod, "train", train)
         handle = blas.openblas()
@@ -288,12 +250,12 @@ class TestStatusHandling:
         real_train = harness_mod.train
         finetunes = []
 
-        def train_diverging_once(model, data, cfg, mask=None, buffers=None):
+        def train_diverging_once(model, data, cfg, mask=None):
             if mask is not None:
                 finetunes.append(mask)
                 if len(finetunes) == 2:
                     raise DivergenceError(0)
-            return real_train(model, data, cfg, mask, buffers)
+            return real_train(model, data, cfg, mask)
 
         monkeypatch.setattr(harness_mod, "train", train_diverging_once)
         cfg = tiny_config(rates=(0.5, 0.9), seeds=(0, 1), output=str(tmp_path))
