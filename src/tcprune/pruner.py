@@ -2,19 +2,26 @@
 
 standard_mp keeps the globally largest absolute weights; stochastic_mp
 samples connections without replacement proportionally to magnitude. Both
-can leave kept connections dangling. tc_mp instead grows the mask from
-complete input-to-output chains, so its output is topologically consistent
-by construction. It selects them a block of chains at a time, each layer of
-a block in a few array operations, with the result of one chain at a time.
-Every block reads one table per layer. When stochastic, the call builds each
-row's softmax CDF up front. When deterministic, the table holds the first
-entries of each row's column order by (-score, col), as many as the blocks
-so far have read, and is rebuilt longer when a block reads past it.
+find their cut with one partition of a key per connection; stochastic_mp
+builds its keys with vectorised logs and calls libm's log only for the few
+near the cut. Both can leave kept connections dangling. tc_mp instead grows
+the mask from complete input-to-output chains, so its output is
+topologically consistent by construction. It selects them a block of chains
+at a time, each layer of a block in a few array operations, with the result
+of one chain at a time. Every block reads one table per layer. When
+stochastic, the call builds each row's softmax CDF up front. When
+deterministic, the table holds the first entries of each row's column order
+by (-score, col), as many as the blocks so far have read, and is rebuilt
+longer when a block reads past it. A block's step through a layer groups its
+visits by row, or finds each slot's first visit, with stable sorts of ids in
+the smallest unsigned type that holds them, which numpy does by radix for
+layers up to 65,536 neurons wide, in time linear in the block's visits.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import math
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -63,7 +70,12 @@ class ChainTrace(NamedTuple):
 
 def _magnitudes(net: LayeredNetwork) -> np.ndarray:
     """|w| of every connection, layers concatenated in raveled order."""
-    return np.concatenate([np.abs(w).ravel() for w in net.weights])
+    flat = np.empty(sum(w.size for w in net.weights))
+    offset = 0
+    for w in net.weights:
+        np.abs(w, out=flat[offset : offset + w.size].reshape(w.shape))
+        offset += w.size
+    return flat
 
 
 def _top_k(net: LayeredNetwork, keys: np.ndarray, max_kept: int) -> MaskTensor:
@@ -85,6 +97,11 @@ def _top_k(net: LayeredNetwork, keys: np.ndarray, max_kept: int) -> MaskTensor:
         chosen = keys > cut
         ties = np.flatnonzero(keys == cut)
         chosen[ties[: max_kept - np.count_nonzero(chosen)]] = True
+    return _layer_masks(net, chosen)
+
+
+def _layer_masks(net: LayeredNetwork, chosen: np.ndarray) -> MaskTensor:
+    """Flat keep-flags, in the order of _magnitudes, as per-layer masks."""
     masks, offset = [], 0
     for w in net.weights:
         masks.append(chosen[offset : offset + w.size].reshape(w.shape))
@@ -104,15 +121,86 @@ def stochastic_mp(net: LayeredNetwork, rate: float, seed: int) -> MaskTensor:
     distribution as sequentially sampling proportionally to the remaining
     weights. Zero-magnitude connections are only chosen once every positive
     one is selected.
+
+    The mask is `_top_k` of `np.log(|w|) + rng.gumbel(size=n)` with
+    `rng = np.random.default_rng(seed)`, bit for bit. `_gumbel_top_k` finds
+    it from one `random_raw` call and vectorised logs, recomputing with
+    libm's log only the few keys near the cut, and this falls back to the
+    `gumbel` call where that does not apply. A budget that keeps none, or at
+    least every connection of nonzero weight, draws nothing: the mask is
+    then every finite key and the lowest-index zero weights, whatever the
+    draws.
     """
     max_kept = budget(net, rate).max_kept
     flat = _magnitudes(net)
-    if not flat.any():
+    nonzero = int(np.count_nonzero(flat))
+    if not nonzero:
         raise DegenerateDistributionError("all weights are zero")
-    rng = np.random.default_rng(seed)
     with np.errstate(divide="ignore"):
-        keys = np.log(flat) + rng.gumbel(size=flat.size)
-    return _top_k(net, keys, max_kept)
+        logs = np.log(flat, out=flat)
+    if not 0 < max_kept < nonzero:
+        return _top_k(net, logs, max_kept)
+    bitgen = np.random.PCG64(seed)  # the bit generator of default_rng(seed)
+    start = bitgen.state
+
+    def word(i: int) -> int:
+        bitgen.state = start
+        bitgen.advance(i)
+        return int(bitgen.random_raw())
+
+    chosen = _gumbel_top_k(logs, bitgen.random_raw(logs.size), max_kept, word)
+    if chosen is None:
+        return _top_k(net, logs + np.random.default_rng(seed).gumbel(size=logs.size), max_kept)
+    return _layer_masks(net, chosen)
+
+
+_KEY_BLOCK = 1 << 14  # keys built per pass, so each pass's temporaries stay in cache
+
+
+def _gumbel_top_k(
+    logs: np.ndarray, words: np.ndarray, max_kept: int, word: Callable[[int], int]
+) -> np.ndarray | None:
+    """Flat flags of the max_kept largest keys `logs + g`, with g the draws
+    `Generator.gumbel` makes from the raw `words`, or None where it cannot tell.
+    It needs more than max_kept finite `logs`, which makes the cut finite.
+
+    numpy's `random_gumbel` turns a word w into U = 1 - (w >> 11) * 2**-53
+    and returns 0.0 - log(-log(U)) by libm's log, redrawing when U == 1.
+    Here every key is built with np.log instead, in place in `words`, and
+    lies within about 1e-13 of the exact one. With `cut` the approximate
+    max_kept-th largest key, the exact one is then within that distance of
+    it too: a key more than 1e-9 * (1 + |cut|) above `cut` is kept, and one
+    that far below it is dropped. The band between holds `cut` itself and
+    usually nothing else, so it fills the slots left. Only when it holds
+    more are its keys recomputed exactly, each from its word, `word(i)`
+    returning words[i] as drawn, and ranked by (-key, flat index), the order
+    in which `_top_k` keeps them. None means falling back to the `gumbel`
+    call, when a word has w >> 11 == 0, which numpy redraws.
+    """
+    if words.min() < 1 << 11:
+        return None
+    keys = words.view(np.float64)
+    for lo in range(0, words.size, _KEY_BLOCK):
+        part = slice(lo, lo + _KEY_BLOCK)
+        t = 1.0 - (words[part] >> 11) * 2.0**-53
+        np.log(t, out=t)
+        np.negative(t, out=t)
+        np.log(t, out=t)
+        np.subtract(logs[part], t, out=keys[part])  # words[part] is read by now
+    n = keys.size
+    cut = float(np.partition(keys, n - max_kept)[n - max_kept])
+    tol = 1e-9 * (1.0 + abs(cut))
+    chosen = keys >= cut - tol  # the keys kept and the band
+    surplus = int(np.count_nonzero(chosen)) - max_kept
+    if surplus:
+        band = np.flatnonzero(chosen & (keys <= cut + tol)).tolist()
+        exact = [
+            float(logs[i]) + (0.0 - math.log(-math.log(1.0 - (word(i) >> 11) * 2.0**-53)))
+            for i in band
+        ]
+        ranked = sorted(zip((-e for e in exact), band))
+        chosen[[i for _, i in ranked[len(band) - surplus :]]] = False
+    return chosen
 
 
 def _choice_cdfs(scores: np.ndarray) -> np.ndarray:
@@ -215,8 +303,13 @@ def _ranked_steps(
     takes position fresh[row] + r, the highest-scoring unselected column
     (lowest index among ties), until the row's `width` columns are all set;
     then it takes position 0, the row's overall best column.
+
+    The visits are grouped by a stable argsort of their rows in the smallest
+    unsigned type that holds them, which numpy does as a radix sort up to 16
+    bits. A stable order is unique, so the narrowed keys give the same
+    permutation as the rows themselves.
     """
-    by_row = np.argsort(rows, kind="stable")
+    by_row = np.argsort(rows.astype(np.min_scalar_type(fresh.size - 1)), kind="stable")
     sorted_rows = rows[by_row]
     index = np.arange(rows.size)
     first = np.concatenate(([True], sorted_rows[1:] != sorted_rows[:-1]))
@@ -236,20 +329,29 @@ def _sampled_steps(
     which is the right-sided search `Generator.choice` does for the same
     draw. A CDF never decreases, so that count is found by one bisection over
     all visits at once, each probe raising a count by a power of two when the
-    entry it reads is <= the draw; its last entry is exactly 1.0, above every
-    draw, so a probe past the row reads it and fails. A column sets a new bit
-    when its bit was unset before the block and no earlier visit in the
-    block took it.
+    entry it reads is <= the draw. Its last entry is exactly 1.0, above every
+    draw, so a count is at most width - 1, which (width - 1).bit_length()
+    probes reach, and a probe past the row reads that entry and fails.
+
+    A column sets a new bit when its bit was unset before the block and no
+    earlier visit in the block took it. The first visit to each slot is the
+    first of its run once the visits are stably sorted by column, then by
+    row, each of ids in the smallest unsigned type that holds them, which
+    numpy sorts by radix up to 16 bits.
     """
-    width = cdfs.shape[1]
+    height, width = cdfs.shape
     entries = cdfs.reshape(-1)
     before_row = rows * width - 1  # probe p reads entry p - 1 of the visit's row
     cols = np.zeros_like(rows)
-    for shift in reversed(range(width.bit_length())):
+    for shift in reversed(range((width - 1).bit_length())):
         probe = cols + (1 << shift)
         cols = np.where(entries[before_row + np.minimum(probe, width)] <= draws, probe, cols)
     at = before_row + 1 + cols
-    _, first = np.unique(at, return_index=True)
+    ids = np.min_scalar_type(max(height, width) - 1)
+    order = np.argsort(cols.astype(ids), kind="stable")
+    order = order[np.argsort(rows[order].astype(ids), kind="stable")]
+    slots = at[order]
+    first = order[np.concatenate(([True], slots[1:] != slots[:-1]))]
     new = np.zeros(rows.size, dtype=bool)
     new[first] = ~bits.reshape(-1)[at[first]]
     return cols, new
@@ -302,11 +404,12 @@ def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, Chain
     the entries a block reads when the block reads past its end. Each
     rebuild more than doubles the prefix, so a layer is built at most
     1 + log2(width) times; on the bench's nets, once. Per block and layer, a
-    deterministic step then costs a stable sort of the block's rows, and a
-    stochastic step one bisection of log2(width) array passes over the
-    block's visits plus a sort of their slots; the block's starts and draws
-    come from one `random_raw` call (see `_chain_draws`). The stochastic
-    random stream is exactly the one of `rng.integers(d0)` per chain start
+    deterministic step then costs a radix sort of the block's rows, and a
+    stochastic step one bisection of ceil(log2(width)) array passes over the
+    block's visits plus radix sorts of their columns and rows (comparison
+    sorts where a layer has more than 65,536 rows or columns); the block's
+    starts and draws come from one `random_raw` call (see `_chain_draws`).
+    The stochastic random stream is exactly the one of `rng.integers(d0)` per chain start
     and `rng.choice(width, p=softmax(row))` per step.
     """
     if not spec.tc:

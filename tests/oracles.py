@@ -9,6 +9,7 @@ package, the training oracle its gradients).
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 
 import numpy as np
@@ -129,6 +130,69 @@ def argsort_top_k(net: LayeredNetwork, keys: np.ndarray, max_kept: int) -> list[
     chosen[np.argsort(-keys, kind="stable")[:max_kept]] = True
     sizes = np.cumsum([w.size for w in net.weights])[:-1]
     return [part.reshape(w.shape) for part, w in zip(np.split(chosen, sizes), net.weights)]
+
+
+def magnitudes(net: LayeredNetwork) -> np.ndarray:
+    """|w| of every connection, layers concatenated in raveled order."""
+    return np.concatenate([np.abs(w).ravel() for w in net.weights])
+
+
+def gumbel_keys(net: LayeredNetwork, seed: int) -> np.ndarray:
+    """stochastic_mp's flat keys as numpy draws them: log |w| plus one
+    `Generator.gumbel` draw per connection, in raveled layer order."""
+    flat = magnitudes(net)
+    with np.errstate(divide="ignore"):
+        return np.log(flat) + np.random.default_rng(seed).gumbel(size=flat.size)
+
+
+def gumbel_top_k(net: LayeredNetwork, rate: float, seed: int) -> list[np.ndarray]:
+    """stochastic_mp's masks: the budget's largest Gumbel keys by a stable sort."""
+    return argsort_top_k(net, gumbel_keys(net, seed), budget(net, rate).max_kept)
+
+
+def gumbel_from_words(words: np.ndarray) -> np.ndarray:
+    """The draw numpy's `random_gumbel` makes from each raw 64-bit word,
+    in one libm call per log: U = 1 - (w >> 11) * 2**-53, 0.0 - log(-log(U))."""
+    out = np.empty(words.size)
+    for c, w in enumerate(words.tolist()):
+        out[c] = 0.0 - math.log(-math.log(1.0 - (w >> 11) * 2.0**-53))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Chain steps by comparison sorts
+
+
+def argsort_ranked_steps(
+    fresh: np.ndarray, rows: np.ndarray, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each visit's position in its row's order, fresh[row] plus the visits
+    to the row before it, grouped by a stable argsort of the intp rows; 0
+    and not new once past the row's width."""
+    by_row = np.argsort(rows, kind="stable")
+    rank = np.empty_like(rows)
+    seen: dict[int, int] = {}
+    for c in by_row.tolist():
+        rank[c] = seen.get(int(rows[c]), 0)
+        seen[int(rows[c])] = rank[c] + 1
+    pos = fresh[rows] + rank
+    new = pos < width
+    return np.where(new, pos, 0), new
+
+
+def unique_sampled_steps(
+    cdfs: np.ndarray, bits: np.ndarray, rows: np.ndarray, draws: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each visit's right-sided search of its row's CDF, and which set a
+    new bit: the first visit to each unset slot, found by np.unique."""
+    cols = np.array(
+        [np.searchsorted(cdfs[r], d, side="right") for r, d in zip(rows, draws)], dtype=np.intp
+    )
+    at = rows * cdfs.shape[1] + cols
+    _, first = np.unique(at, return_index=True)
+    new = np.zeros(rows.size, dtype=bool)
+    new[first] = ~bits.reshape(-1)[at[first]]
+    return cols, new
 
 
 # ---------------------------------------------------------------------------

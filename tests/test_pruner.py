@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,11 +8,17 @@ from hypothesis import strategies as st
 from conftest import random_network
 from oracles import (
     OracleSaturation,
+    argsort_ranked_steps,
     argsort_top_k,
     choice_cdf,
     greedy_chain_oracle,
+    gumbel_from_words,
+    gumbel_keys,
+    gumbel_top_k,
+    magnitudes,
     sequential_tc_mp_trace,
     stochastic_chain_oracle,
+    unique_sampled_steps,
 )
 from tcprune.errors import BudgetError, DegenerateDistributionError, DomainError, SaturationError
 from tcprune import pruner
@@ -20,7 +28,9 @@ from tcprune.pruner import (
     PruneSpec,
     _chain_draws,
     _choice_cdfs,
+    _gumbel_top_k,
     _order_prefix,
+    _ranked_steps,
     _sampled_steps,
     _top_k,
     prune,
@@ -120,6 +130,171 @@ class TestStochasticMp:
             stochastic_mp(net, 0.5, seed=0)
 
 
+def weights_of(kind: str, seed: int, dims: tuple[int, ...]) -> LayeredNetwork:
+    """Random weights; "zeros" zeroes about 30 % of them, "mostly_zeros" 97 %
+    (more than any budget here but rate 0 keeps), "equal" gives every one
+    magnitude 0.5."""
+    rng = np.random.default_rng(seed)
+    weights = []
+    for a, b in zip(dims, dims[1:]):
+        w = rng.standard_normal((a, b))
+        if kind == "zeros":
+            w[rng.random(w.shape) < 0.3] = 0.0
+        elif kind == "mostly_zeros":
+            w[rng.random(w.shape) < 0.97] = 0.0
+        elif kind == "equal":
+            w = np.where(w < 0, -0.5, 0.5)
+        weights.append(w)
+    return LayeredNetwork(tuple(weights), ("identity",) * (len(dims) - 1))
+
+
+class TestGumbelTopK:
+    """stochastic_mp's keys from raw words and a band of exact keys, against
+    the top-k of np.log(|w|) + Generator.gumbel."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("rate", [0.0, 0.5, 0.9, 0.99, 0.999])
+    @pytest.mark.parametrize("kind", ["normal", "zeros", "mostly_zeros", "equal"])
+    def test_matches_gumbel_oracle(self, seed, rate, kind):
+        net = weights_of(kind, seed, (64, 128, 32))
+        got = stochastic_mp(net, rate, seed)
+        assert got.kept_count == budget(net, rate).max_kept
+        for g, w in zip(got.masks, gumbel_top_k(net, rate, seed)):
+            assert np.array_equal(g, w)
+
+    def test_draws_from_words_match_generator(self):
+        # the exact keys rest on libm's log giving numpy's draws bit for bit
+        words = np.random.PCG64(11).random_raw(20_000)
+        want = np.random.default_rng(11).gumbel(size=20_000)
+        assert np.array_equal(gumbel_from_words(words), want)
+
+    @staticmethod
+    def select(logs: np.ndarray, words: np.ndarray, max_kept: int):
+        drawn = words.copy()
+        asked = []
+
+        def word(i: int) -> int:
+            asked.append(i)
+            return int(drawn[i])
+
+        return _gumbel_top_k(logs, words, max_kept, word), asked
+
+    @staticmethod
+    def exact_top_k(logs: np.ndarray, words: np.ndarray, max_kept: int) -> np.ndarray:
+        keys = logs + gumbel_from_words(words)
+        chosen = np.zeros(keys.size, dtype=bool)
+        chosen[np.argsort(-keys, kind="stable")[:max_kept]] = True
+        return chosen
+
+    def test_word_numpy_redraws_falls_back(self):
+        logs = np.log(np.random.default_rng(2).random(50))
+        words = np.random.PCG64(2).random_raw(50)
+        words[17] = (1 << 11) - 1  # w >> 11 == 0: U == 1, which numpy redraws
+        chosen, asked = self.select(logs, words, 10)
+        assert chosen is None and asked == []
+
+    @pytest.mark.parametrize("rate", [0.5, 0.9])
+    @pytest.mark.parametrize("spare", [0, 7])
+    def test_budget_past_the_nonzero_weights_draws_nothing(self, monkeypatch, rate, spare):
+        # with max_kept - spare weights nonzero, the mask is all of them and
+        # the lowest-index zeros whatever the draws, so none is drawn
+        dense = weights_of("normal", 3, (16, 24, 8))
+        flat, max_kept = magnitudes(dense), budget(dense, rate).max_kept
+        flat[np.random.default_rng(3).permutation(flat.size)[max_kept - spare :]] = 0.0
+        net = LayeredNetwork(
+            (flat[:384].reshape(16, 24), flat[384:].reshape(24, 8)), ("identity",) * 2
+        )
+        monkeypatch.setattr(pruner, "_gumbel_top_k", None)
+        got = stochastic_mp(net, rate, 3)
+        assert got.kept_count == max_kept
+        for g, w in zip(got.masks, gumbel_top_k(net, rate, 3)):
+            assert np.array_equal(g, w)
+
+    def test_word_reads_back_the_drawn_words(self, monkeypatch):
+        # stochastic_mp's word(i) rewinds its generator to the call's start
+        # and steps i words, so it returns words[i] as drawn, before and after
+        # the keys overwrite the words' buffer
+        real = pruner._gumbel_top_k
+        sizes = []
+
+        def checked(logs, words, max_kept, word):
+            drawn = words.copy()
+            probes = (0, 1, words.size // 2, words.size - 1)
+            assert [word(i) for i in probes] == [int(drawn[i]) for i in probes]
+            chosen = real(logs, words, max_kept, word)
+            assert [word(i) for i in probes] == [int(drawn[i]) for i in probes]
+            sizes.append(words.size)
+            return chosen
+
+        monkeypatch.setattr(pruner, "_gumbel_top_k", checked)
+        net = weights_of("normal", 8, (64, 128, 32))
+        for g, w in zip(stochastic_mp(net, 0.9, 8).masks, gumbel_top_k(net, 0.9, 8)):
+            assert np.array_equal(g, w)
+        assert sizes == [64 * 128 + 128 * 32]
+
+    def test_fallbacks_give_the_gumbel_masks(self, monkeypatch):
+        net = weights_of("normal", 4, (6, 9, 3))
+        monkeypatch.setattr(pruner, "_gumbel_top_k", lambda *args: None)
+        for rate in (0.5, 0.9):
+            for g, w in zip(stochastic_mp(net, rate, 4).masks, gumbel_top_k(net, rate, 4)):
+                assert np.array_equal(g, w)
+
+    def test_band_ranks_exact_keys_then_index(self):
+        # one word throughout: the keys tie where the logs do and differ by
+        # 1e-13 steps elsewhere, all inside the band, which is then ranked
+        # by exact key and, among equal ones, by lowest index
+        logs = np.repeat(np.arange(8) * 1e-13, 5)[np.random.default_rng(5).permutation(40)]
+        words = np.full(40, np.random.PCG64(5).random_raw(), dtype=np.uint64)
+        for max_kept in (1, 7, 20, 39):
+            chosen, asked = self.select(logs, words.copy(), max_kept)
+            assert np.array_equal(chosen, self.exact_top_k(logs, words, max_kept))
+            assert sorted(asked) == list(range(40))
+
+    def test_random_words_read_back_only_past_the_band(self):
+        logs = np.log(np.random.default_rng(6).random(5000))
+        words = np.random.PCG64(6).random_raw(5000)
+        chosen, asked = self.select(logs, words.copy(), 100)
+        assert np.array_equal(chosen, self.exact_top_k(logs, words, 100))
+        assert asked == []
+
+
+class TestPlainMaskPin:
+    """standard_mp and stochastic_mp masks on the bench's chain_prune nets at
+    seed 1 (random normal weights, drawn in order from one generator), pinned
+    by the sha256 of each mask's packed bits over both nets."""
+
+    PINS = {
+        ("standard", 0.9): "ac2207e453905b11c19588f9be17de250235fa7516d21a4da2a2e7fea7b97607",
+        ("standard", 0.99): "f201a413e4c7cdbd7828c64b4dea8efc5c26f15d42f9ec3f9e558e187e866e2d",
+        ("stochastic", 0.9): "1f53e0d4d5721287fbf71e3d9cf8735290ba71fdb4033db8a49ecef1ee3d799e",
+        ("stochastic", 0.99): "9236ff0d56961064b878cabfc67b90b1b65a821a97aa82faca4dcf7281bd9701",
+    }
+
+    @pytest.fixture(scope="class")
+    def nets(self):
+        rng = np.random.default_rng(1)
+        return [
+            LayeredNetwork(
+                tuple(rng.standard_normal((a, b)) for a, b in zip(dims, dims[1:])),
+                ("relu",) * (len(dims) - 2) + ("softmax",),
+            )
+            for dims in ((128, 512, 512, 10), (256, 1024, 1024, 10))
+        ]
+
+    @pytest.mark.parametrize("pruner_name, rate", list(PINS))
+    def test_masks_match_pin(self, nets, pruner_name, rate):
+        digest = hashlib.sha256()
+        for net in nets:
+            if pruner_name == "standard":
+                mask = standard_mp(net, rate)
+            else:
+                mask = stochastic_mp(net, rate, 0)
+            assert mask.kept_count == budget(net, rate).max_kept
+            for m in mask.masks:
+                digest.update(np.packbits(m).tobytes())
+        assert digest.hexdigest() == self.PINS[pruner_name, rate]
+
+
 class TestTopK:
     """The linear-time top-k against a stable argsort of every key."""
 
@@ -150,9 +325,8 @@ class TestTopK:
         )
         net = LayeredNetwork(weights, ("identity",) * 3)
         max_kept = budget(net, rate).max_kept
-        flat = np.concatenate([np.abs(w).ravel() for w in weights])
-        with np.errstate(divide="ignore"):
-            gumbel = np.log(flat) + np.random.default_rng(5).gumbel(size=flat.size)
+        flat = magnitudes(net)
+        gumbel = gumbel_keys(net, 5)
         for got, keys in ((standard_mp(net, rate), flat), (stochastic_mp(net, rate, 5), gumbel)):
             for g, w in zip(got.masks, argsort_top_k(net, keys, max_kept)):
                 assert np.array_equal(g, w)
@@ -694,6 +868,45 @@ class TestChainTables:
         for r, c, n in zip(rows.tolist(), cols.tolist(), new.tolist()):
             assert n == (not bits[r, c] and (r, c) not in taken)
             taken.add((r, c))
+
+
+class TestStepSorts:
+    """The chain steps' narrowed-id sorts against comparison sorts of intp
+    ids, on layers that fit uint16 ids and on layers one past it."""
+
+    @pytest.mark.parametrize("height", [1, 3, 300, 65_536, 65_537, 70_000])
+    @pytest.mark.parametrize("width", [1, 2, 7, 300])
+    def test_ranked_steps_match_argsort(self, height, width):
+        rng = np.random.default_rng(height + width)
+        # a few busy rows, the highest ids among them, and many quiet ones
+        busy = np.array([0, height - 1, height // 2])
+        rows = np.concatenate((rng.choice(busy, 600), rng.integers(height, size=600)))
+        rows = rng.permutation(rows).astype(np.intp)
+        fresh = rng.integers(0, width + 1, size=height).astype(np.intp)
+        pos, new = _ranked_steps(fresh, rows, width)
+        want_pos, want_new = argsort_ranked_steps(fresh, rows, width)
+        assert pos.dtype == np.intp
+        assert np.array_equal(pos, want_pos)
+        assert np.array_equal(new, want_new)
+
+    @pytest.mark.parametrize(
+        "height, width",
+        [(1, 1), (4, 1), (4, 2), (5, 300), (65_536, 2), (65_537, 2), (2, 65_536), (2, 65_537)],
+    )
+    def test_sampled_steps_match_unique(self, height, width):
+        rng = np.random.default_rng(height * 7 + width)
+        scores = rng.standard_normal((height, width))
+        scores[rng.random((height, width)) < 0.2] = -np.inf
+        cdfs = _choice_cdfs(scores)
+        busy = np.array([0, height - 1])
+        rows = np.concatenate((rng.choice(busy, 500), rng.integers(height, size=500)))
+        rows = rng.permutation(rows).astype(np.intp)
+        draws = rng.integers(0, 2**53, size=rows.size) * 2.0**-53
+        bits = rng.random((height, width)) < 0.3
+        cols, new = _sampled_steps(cdfs, bits, rows, draws)
+        want_cols, want_new = unique_sampled_steps(cdfs, bits, rows, draws)
+        assert np.array_equal(cols, want_cols)
+        assert np.array_equal(new, want_new)
 
 
 class TestPruneDispatch:
