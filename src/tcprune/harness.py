@@ -5,12 +5,13 @@ fine-tune the survivors, and emit result tables as CSV or JSON.
 cells run, so an alpha sweep or a chains-vs-plain trend is just another
 variant list. One baseline is trained per seed and shared by every
 (rate, variant) cell at that seed, so differences between cells come from
-pruning alone. A seed's cells run on one worker thread per usable CPU with
-numpy's OpenBLAS held at one thread, and their records keep grid order, so
-the outputs are those of a serial run. Runs whose mask trims to nothing
-are reported with accuracy unavailable instead of crashing, and pruner
-saturation and a diverged fine-tune are captured as row statuses. A
-diverging baseline still ends the grid with DivergenceError.
+pruning alone. A seed's cells run through `parallel.run`, on one thread
+per usable CPU, with numpy's OpenBLAS held at one thread; their records
+keep grid order, so the outputs are those of a serial run. Runs whose mask
+trims to nothing are reported with accuracy unavailable instead of
+crashing, and pruner saturation and a diverged fine-tune are captured as
+row statuses. A diverging baseline still ends the grid with
+DivergenceError.
 
 The table schema is `ResultRow`: its field names are the CSV columns and
 the JSON keys. Every JSON input (a config, `runs.json`, the CLI's
@@ -20,19 +21,17 @@ each value against the field types the dataclasses declare.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import dataclasses
 import json
 import os
-import threading
 import time
 import typing
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import blas, gcn
+from . import blas, gcn, parallel
 from .data import load_dataset, synth_dataset
 from .errors import BudgetError, DivergenceError, DomainError, SaturationError
 from .gcn import (
@@ -264,13 +263,6 @@ class _Baseline:
     test_set: tuple[np.ndarray, np.ndarray]
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
-
-
 def _run_grid(cfg: ExperimentConfig) -> list[RunRecord]:
     train_set, test_set = _load_split(cfg)
     shape = _shape_for(cfg, train_set)
@@ -278,7 +270,7 @@ def _run_grid(cfg: ExperimentConfig) -> list[RunRecord]:
     cells = [(rate, variant) for rate in cfg.rates for variant in cfg.variants]
     # one worker per usable CPU; without a handle on numpy's OpenBLAS, whose
     # threads would contend with the workers, the cells run one at a time
-    workers = min(_usable_cpus(), len(cells))
+    workers = min(parallel.usable_cpus(), len(cells))
     openblas = blas.openblas() if workers > 1 else None
     if openblas is None:
         workers = 1
@@ -295,46 +287,7 @@ def _run_grid(cfg: ExperimentConfig) -> list[RunRecord]:
         finetune = dataclasses.replace(tune_cfg, seed=seed)
         base = _Baseline(seed, model, accuracy, view, finetune, train_set, test_set)
         with openblas.one_thread() if workers > 1 else contextlib.nullcontext():
-            records += _run_cells(base, cells, mask_dir, workers)
-    return records
-
-
-def _run_cells(base: _Baseline, cells, mask_dir: str | None, workers: int) -> list[RunRecord]:
-    """The records of one seed's `cells`, in their order, from `workers`
-    threads; with one worker the calling thread runs them in order.
-    The calling thread is the first worker, and each takes the next cell
-    from one shared queue, so quick cells do not unbalance them. A cell's
-    unexpected exception empties the queue, and the first one is raised
-    once every worker has stopped."""
-    records: list = [None] * len(cells)
-    pending = collections.deque(range(len(cells)))
-    errors: list[BaseException] = []
-
-    def work() -> None:
-        try:
-            while True:
-                try:
-                    i = pending.popleft()
-                except IndexError:
-                    return
-                records[i] = _run_cell(base, *cells[i], mask_dir)
-        except BaseException as exc:
-            pending.clear()
-            errors.append(exc)
-
-    started: list[threading.Thread] = []
-    try:
-        for _ in range(workers - 1):
-            thread = threading.Thread(target=work)
-            thread.start()
-            started.append(thread)
-        work()
-    finally:
-        pending.clear()
-        for thread in started:
-            thread.join()
-    if errors:
-        raise errors[0]
+            records += parallel.run(lambda cell: _run_cell(base, *cell, mask_dir), cells, workers)
     return records
 
 

@@ -102,7 +102,7 @@ class MaskTensor:
 
     @property
     def kept_count(self) -> int:
-        return int(sum(int(m.sum()) for m in self.masks))
+        return sum(int(np.count_nonzero(m)) for m in self.masks)
 
 
 def full_mask(net: LayeredNetwork) -> MaskTensor:
@@ -230,14 +230,14 @@ def _atomic_write(path):
         raise
 
 
-def _write_matrices(path, mats: Sequence[np.ndarray], fmt) -> None:
+def _write_matrices(path, mats: Sequence[np.ndarray], write_rows) -> None:
+    """The format above; `write_rows(fh, m)` writes the rows of matrix m."""
     with _atomic_write(path) as fh:
         fh.write(f"layers {len(mats)}\n")
         for m in mats:
             r, c = m.shape
             fh.write(f"dims {r} {c}\n")
-            for row in m:
-                fh.write(" ".join(fmt(v) for v in row) + "\n")
+            write_rows(fh, m)
 
 
 def _counts(fields: list[str], key: str, n: int, path) -> list[int]:
@@ -314,8 +314,22 @@ def _read_matrices(path, conv) -> list[np.ndarray]:
     return mats
 
 
+def _float_rows(fh, m: np.ndarray) -> None:
+    for row in m:
+        fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def _bit_rows(fh, m: np.ndarray) -> None:
+    """A boolean matrix's rows as 0/1 digits, built as bytes: each row is
+    its digits at the even offsets, with spaces between and a newline last."""
+    text = np.full((m.shape[0], 2 * m.shape[1]), ord(" "), dtype=np.uint8)
+    np.add(m, ord("0"), out=text[:, ::2], dtype=np.uint8)
+    text[:, -1] = ord("\n")
+    fh.write(text.tobytes().decode("ascii"))
+
+
 def save_network(net: LayeredNetwork, path) -> None:
-    _write_matrices(path, net.weights, lambda v: f"{v:.17g}")
+    _write_matrices(path, net.weights, _float_rows)
 
 
 def load_network(path, activations: Sequence[str] | None = None) -> LayeredNetwork:
@@ -327,7 +341,7 @@ def load_network(path, activations: Sequence[str] | None = None) -> LayeredNetwo
 
 
 def save_mask(mask: MaskTensor, path) -> None:
-    _write_matrices(path, [m.astype(np.uint8) for m in mask.masks], lambda v: str(int(v)))
+    _write_matrices(path, mask.masks, _bit_rows)
 
 
 def load_mask(path) -> MaskTensor:

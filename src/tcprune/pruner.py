@@ -16,6 +16,14 @@ longer when a block reads past it. A block's step through a layer groups its
 visits by row, or finds each slot's first visit, with stable sorts of ids in
 the smallest unsigned type that holds them, which numpy does by radix for
 layers up to 65,536 neurons wide, in time linear in the block's visits.
+
+The whole-layer passes of a large layer run by contiguous row ranges on
+every usable CPU (see `parallel`): the magnitudes, stochastic_mp's log of
+them and its keys, the log scores, the CDFs, the order prefixes and a
+block's bisection. Each element is still computed by the same numpy
+operation on the same values, so every result is the same bits on any
+number of CPUs; a pass too small to give each range 2**16 entries runs on
+the calling thread as it always did.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import parallel
 from .errors import BudgetError, DegenerateDistributionError, DomainError, SaturationError
 from .network import LayeredNetwork, MaskTensor, budget
 from .surrogate import build_table, log_score_matrix
@@ -73,7 +82,8 @@ def _magnitudes(net: LayeredNetwork) -> np.ndarray:
     flat = np.empty(sum(w.size for w in net.weights))
     offset = 0
     for w in net.weights:
-        np.abs(w, out=flat[offset : offset + w.size].reshape(w.shape))
+        out = flat[offset : offset + w.size].reshape(w.shape)
+        parallel.over_rows(lambda lo, hi: np.abs(w[lo:hi], out=out[lo:hi]), *w.shape)
         offset += w.size
     return flat
 
@@ -136,8 +146,13 @@ def stochastic_mp(net: LayeredNetwork, rate: float, seed: int) -> MaskTensor:
     nonzero = int(np.count_nonzero(flat))
     if not nonzero:
         raise DegenerateDistributionError("all weights are zero")
-    with np.errstate(divide="ignore"):
-        logs = np.log(flat, out=flat)
+    logs = flat  # logged in place
+
+    def log(lo: int, hi: int) -> None:
+        with np.errstate(divide="ignore"):
+            np.log(logs[lo:hi], out=logs[lo:hi])
+
+    parallel.over_rows(log, logs.size)
     if not 0 < max_kept < nonzero:
         return _top_k(net, logs, max_kept)
     bitgen = np.random.PCG64(seed)  # the bit generator of default_rng(seed)
@@ -180,13 +195,17 @@ def _gumbel_top_k(
     if words.min() < 1 << 11:
         return None
     keys = words.view(np.float64)
-    for lo in range(0, words.size, _KEY_BLOCK):
-        part = slice(lo, lo + _KEY_BLOCK)
-        t = 1.0 - (words[part] >> 11) * 2.0**-53
-        np.log(t, out=t)
-        np.negative(t, out=t)
-        np.log(t, out=t)
-        np.subtract(logs[part], t, out=keys[part])  # words[part] is read by now
+
+    def fill(lo: int, hi: int) -> None:
+        for start in range(lo, hi, _KEY_BLOCK):
+            part = slice(start, min(start + _KEY_BLOCK, hi))
+            t = 1.0 - (words[part] >> 11) * 2.0**-53
+            np.log(t, out=t)
+            np.negative(t, out=t)
+            np.log(t, out=t)
+            np.subtract(logs[part], t, out=keys[part])  # words[part] is read by now
+
+    parallel.over_rows(fill, words.size)
     n = keys.size
     cut = float(np.partition(keys, n - max_kept)[n - max_kept])
     tol = 1e-9 * (1.0 + abs(cut))
@@ -205,11 +224,26 @@ def _gumbel_top_k(
 
 def _choice_cdfs(scores: np.ndarray) -> np.ndarray:
     """Each row's CDF as Generator.choice builds it from the row's softmax
-    probabilities, uniform for a row that scores -inf throughout."""
+    probabilities, uniform for a row that scores -inf throughout.
+
+    A layer large enough to split is written over `scores`, by row ranges
+    on every usable CPU, and `scores` is returned; a smaller one gets a new
+    array and leaves `scores` as it was.
+    """
+    ranges = parallel.spans(*scores.shape)
+    if ranges is None:
+        return _cdf_rows(scores)
+    parallel.each(lambda lo, hi: _cdf_rows(scores[lo:hi], out=scores[lo:hi]), ranges)
+    return scores
+
+
+def _cdf_rows(scores: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """_choice_cdfs of `scores`, in `out` (which may be `scores`) or, by
+    default, a new array."""
     mx = scores.max(axis=1, keepdims=True)
     flat = mx[:, 0] == -np.inf  # every forward neighbor has zero magnitude
     mx[flat] = 0.0
-    cdfs = np.exp(scores - mx)
+    cdfs = np.exp(np.subtract(scores, mx, out=out), out=out)
     cdfs[flat] = 1.0
     cdfs /= cdfs.sum(axis=1, keepdims=True)
     np.cumsum(cdfs, axis=1, out=cdfs)
@@ -273,7 +307,22 @@ def _order_prefix(scores: np.ndarray, k: int) -> np.ndarray:
     orders by score. That order is the stable one unless ties are involved,
     so a row is redone with the full stable argsort when two of its k scores
     are equal, or when its k-th score has a tie the partition left out.
+    A large layer is done by row ranges on every usable CPU.
     """
+    ranges = parallel.spans(*scores.shape)
+    if ranges is None:
+        return _order_rows(scores, k)
+    prefix = np.empty((scores.shape[0], min(k, scores.shape[1])), dtype=np.intp)
+
+    def fill(lo: int, hi: int) -> None:
+        prefix[lo:hi] = _order_rows(scores[lo:hi], k)
+
+    parallel.each(fill, ranges)
+    return prefix
+
+
+def _order_rows(scores: np.ndarray, k: int) -> np.ndarray:
+    """_order_prefix on the calling thread."""
     width = scores.shape[1]
     if k >= width:
         return np.argsort(-scores, axis=1, kind="stable")
@@ -342,10 +391,16 @@ def _sampled_steps(
     height, width = cdfs.shape
     entries = cdfs.reshape(-1)
     before_row = rows * width - 1  # probe p reads entry p - 1 of the visit's row
-    cols = np.zeros_like(rows)
-    for shift in reversed(range((width - 1).bit_length())):
-        probe = cols + (1 << shift)
-        cols = np.where(entries[before_row + np.minimum(probe, width)] <= draws, probe, cols)
+    ranges = parallel.spans(rows.size, (width - 1).bit_length())
+    if ranges is None:
+        cols = _bisect(entries, before_row, draws, width)
+    else:
+        cols = np.empty_like(rows)
+
+        def fill(lo: int, hi: int) -> None:
+            cols[lo:hi] = _bisect(entries, before_row[lo:hi], draws[lo:hi], width)
+
+        parallel.each(fill, ranges)
     at = before_row + 1 + cols
     ids = np.min_scalar_type(max(height, width) - 1)
     order = np.argsort(cols.astype(ids), kind="stable")
@@ -355,6 +410,18 @@ def _sampled_steps(
     new = np.zeros(rows.size, dtype=bool)
     new[first] = ~bits.reshape(-1)[at[first]]
     return cols, new
+
+
+def _bisect(
+    entries: np.ndarray, before_row: np.ndarray, draws: np.ndarray, width: int
+) -> np.ndarray:
+    """_sampled_steps' bisection of the visits whose rows start after
+    entries[before_row]."""
+    cols = np.zeros_like(before_row)
+    for shift in reversed(range((width - 1).bit_length())):
+        probe = cols + (1 << shift)
+        cols = np.where(entries[before_row + np.minimum(probe, width)] <= draws, probe, cols)
+    return cols
 
 
 class ChainTraces(Sequence[ChainTrace]):
@@ -399,15 +466,17 @@ def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, Chain
     holds max(d0, ceil(remaining budget / L)) chains: no more than are
     still needed, since a chain sets at most L bits, or one round-robin
     sweep. A stochastic call starts with every row's CDF, one table the size
-    of each layer's scores. A deterministic call reads, per layer, each row's
+    of each layer's scores, written over the scores where the layer splits
+    over the CPUs. A deterministic call reads, per layer, each row's
     order prefix: empty at first, and rebuilt by `_order_prefix` to twice
     the entries a block reads when the block reads past its end. Each
     rebuild more than doubles the prefix, so a layer is built at most
     1 + log2(width) times; on the bench's nets, once. Per block and layer, a
     deterministic step then costs a radix sort of the block's rows, and a
     stochastic step one bisection of ceil(log2(width)) array passes over the
-    block's visits plus radix sorts of their columns and rows (comparison
-    sorts where a layer has more than 65,536 rows or columns); the block's
+    block's visits, split over the CPUs when visits times passes fill two
+    ranges, plus radix sorts of their columns and rows (comparison sorts
+    where a layer has more than 65,536 rows or columns); the block's
     starts and draws come from one `random_raw` call (see `_chain_draws`).
     The stochastic random stream is exactly the one of `rng.integers(d0)` per chain start
     and `rng.choice(width, p=softmax(row))` per step.

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import parallel
 from .errors import DomainError
 from .network import LayeredNetwork
 
@@ -84,8 +85,20 @@ def _lse_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _log_abs(w: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(np.abs(w))
+    """log |w|, -inf at zero weights; a large layer by row ranges on every
+    usable CPU."""
+    ranges = parallel.spans(w.shape[0], w.shape[1])
+    if ranges is None:
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(w))
+    out = np.empty(w.shape)
+
+    def fill(lo: int, hi: int) -> None:
+        with np.errstate(divide="ignore"):
+            np.log(np.abs(w[lo:hi], out=out[lo:hi]), out=out[lo:hi])
+
+    parallel.each(fill, ranges)
+    return out
 
 
 def _log_identity(n: int) -> np.ndarray:

@@ -448,6 +448,21 @@ def stochastic_chain_oracle(scores: list[np.ndarray], max_kept: int,
 
 
 # ---------------------------------------------------------------------------
+# Mask files one value at a time
+
+
+def per_value_save_mask(mask: MaskTensor, path) -> None:
+    """save_mask's file, each value formatted on its own as str(int(v))."""
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(f"layers {len(mask.masks)}\n")
+        for m in mask.masks:
+            r, c = m.shape
+            fh.write(f"dims {r} {c}\n")
+            for row in m.astype(np.uint8):
+                fh.write(" ".join(str(int(v)) for v in row) + "\n")
+
+
+# ---------------------------------------------------------------------------
 # Per-entry map from GCN view connections to model parameters
 
 

@@ -140,14 +140,13 @@ def run_diverging_grid(out: Path) -> None:
 class TestConcurrentCells:
     @pytest.mark.parametrize("cpus", [None, 8], ids=["usable-cpus", "8-workers-stress"])
     def test_outputs_match_serial_grid(self, tmp_path, monkeypatch, cpus):
-        import tcprune.harness as harness_mod
-        from tcprune import blas
+        from tcprune import blas, parallel
 
         interval = sys.getswitchinterval()
         if cpus is not None:
             # more workers than cores, switching often: a lost or repeated
             # cell, or a record out of grid order, changes the outputs
-            monkeypatch.setattr(harness_mod, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
             sys.setswitchinterval(1e-5)
         try:
             run_diverging_grid(tmp_path / "concurrent")

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import random_mask_tensor, random_network
-from oracles import loop_forward
+from oracles import loop_forward, per_value_save_mask
 from tcprune.data import save_sequence, synth_dataset
 from tcprune.errors import DomainError, ShapeError
 from tcprune.gcn import GcnShape, init_model, save_model
@@ -199,6 +199,24 @@ class TestSerialization:
         for a, b in zip(back.weights, net.weights):
             assert np.array_equal(a, b)  # 17 significant digits round-trip exactly
 
+    @pytest.mark.parametrize(
+        "layers",
+        [
+            [(5, 7, 0.5), (7, 3, 0.2)],
+            [(1, 1, 1.0)],
+            [(1, 1, 0.0)],
+            [(4, 6, 0.0), (6, 2, 1.0)],
+            [(60, 240, 0.3)],
+        ],
+        ids=["random", "1x1-one", "1x1-zero", "all-zero-and-all-one", "gcn-view-layer"],
+    )
+    def test_mask_file_matches_per_value_writer(self, tmp_path, layers):
+        rng = np.random.default_rng(len(layers))
+        mask = MaskTensor(tuple(rng.random((r, c)) < density for r, c, density in layers))
+        save_mask(mask, tmp_path / "mask.txt")
+        per_value_save_mask(mask, tmp_path / "oracle.txt")
+        assert (tmp_path / "mask.txt").read_bytes() == (tmp_path / "oracle.txt").read_bytes()
+
     def test_mask_round_trip(self, rng, tmp_path):
         mask = random_mask_tensor(rng, (4, 6, 3))
         path = tmp_path / "mask.txt"
@@ -293,16 +311,13 @@ class TestAtomicWrites:
         path = tmp_path / "net.txt"
         save_network(LayeredNetwork((np.eye(3),), ("identity",)), path)
         old = path.read_text()
-        calls = []
 
-        def fmt(v):
-            calls.append(v)
-            if len(calls) == 5:
-                raise ValueError("unwritable value")
-            return str(v)
+        def write_rows(fh, m):
+            fh.write("1 1 1\n")
+            raise ValueError("unwritable row")
 
         with pytest.raises(ValueError, match="unwritable"):
-            _write_matrices(path, [np.ones((3, 3))], fmt)
+            _write_matrices(path, [np.ones((3, 3))], write_rows)
         assert path.read_text() == old
         assert os.listdir(tmp_path) == ["net.txt"]
 

@@ -841,9 +841,19 @@ class TestChainTables:
     @settings(max_examples=200, deadline=None)
     def test_cdfs_match_per_row_oracle(self, seed, rows, width, scale, holes):
         scores = random_scores(seed, rows, width, scale, holes)
-        got = _choice_cdfs(scores)
+        got = _choice_cdfs(scores.copy())  # a layer large enough to split is written over
         assert np.array_equal(got, np.stack([choice_cdf(row) for row in scores]))
         assert (got[:, -1] == 1.0).all() and (np.diff(got, axis=1) >= 0).all()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_split_layer_cdfs_are_written_over_scores(self, monkeypatch, cpus):
+        monkeypatch.setattr(pruner.parallel, "usable_cpus", lambda: cpus)
+        scores = random_scores(5, 6, 1 << 16, 30.0, True)
+        scores[4] = -np.inf
+        want = np.stack([choice_cdf(row) for row in scores])
+        got = _choice_cdfs(scores)
+        assert got is scores
+        assert np.array_equal(got, want)
 
     @given(
         seed=st.integers(0, 2**16),
