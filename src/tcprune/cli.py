@@ -41,15 +41,15 @@ from .harness import (
     report_from_artifacts,
     run_ablation,
 )
-from .network import _no_constant, load_mask, load_network, save_mask
+from .network import _JSON_NUMBERS, load_mask, load_network, save_mask
 from .pruner import PruneSpec, prune
 from .topology import consistency_report, report_to_json
 
 
 def _parse_kv(text: str | None) -> SyntheticSpec:
     """Parse "a=1,b=2" into a SyntheticSpec; each value is read as JSON, and
-    a pair that is not key=<JSON> (NaN and Infinity are not), or repeats a
-    key, raises DomainError naming it."""
+    a pair that is not key=<JSON> (NaN, Infinity and 1e999 are not), or
+    repeats a key, raises DomainError naming it."""
     payload = {}
     for pair in text.split(",") if text else ():
         key, _, value = pair.partition("=")
@@ -57,7 +57,7 @@ def _parse_kv(text: str | None) -> SyntheticSpec:
         if key in payload:
             raise DomainError(f"--synthetic: repeated key {key!r}")
         try:
-            payload[key] = json.loads(value, parse_constant=_no_constant)
+            payload[key] = json.loads(value, **_JSON_NUMBERS)
         except (json.JSONDecodeError, DomainError) as exc:
             raise DomainError(f"--synthetic: {pair!r} is not key=<JSON>: {exc}") from exc
     return _build(SyntheticSpec, payload, "--synthetic")
@@ -91,22 +91,9 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_prunable(args):
-    if args.model:
-        return as_layered(load_model(args.model))
-    return load_network(args.network)
-
-
 def cmd_prune(args) -> int:
-    net = _load_prunable(args)
-    spec = PruneSpec(
-        rate=args.rate,
-        tc=args.tc,
-        stochastic=args.stochastic,
-        scoring=args.scoring,
-        alpha=args.alpha,
-        seed=args.seed,
-    )
+    net = as_layered(load_model(args.model)) if args.model else load_network(args.network)
+    spec = PruneSpec(args.rate, args.tc, args.stochastic, args.scoring, args.alpha, args.seed)
     mask = prune(net, spec)
     save_mask(mask, args.out)
     print(report_to_json(consistency_report(mask)))

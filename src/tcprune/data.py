@@ -119,8 +119,8 @@ def save_sequence(seq: SkeletonSequence, path) -> None:
 
 def load_sequence(path) -> SkeletonSequence:
     """Read one sequence file. A bad label or meta line, a number of frame
-    rows other than joints * frames, a row without 3 numbers and trailing
-    lines raise DomainError."""
+    rows other than joints * frames, a row without 3 finite numbers and
+    trailing lines raise DomainError."""
     lines = _read_fields(path)
     head = lines[0] if lines else []
     if len(head) != 2 or head[0] != "label" or not head[1].isdigit():
@@ -142,6 +142,8 @@ def load_sequence(path) -> SkeletonSequence:
         raise DomainError(f"{path}: every frame row must hold 3 values")
     try:
         values = np.asarray([[float(v) for v in row] for row in rows])
+        if not np.isfinite(values).all():
+            raise ValueError("every coordinate must be finite")
     except ValueError as exc:
         raise DomainError(f"{path}: {exc}") from exc
     joints = values.reshape(n_frames, n_joints, 3).transpose(1, 0, 2).copy()

@@ -32,11 +32,12 @@ so the mask machinery can prune the model. The view requires
 signal_dim == nodes: the filter entry W[k][m, c] then sits on the view
 connection from aggregate (k, m) to feature (m, c), which is a genuine
 signal route of the model (aggregate (k, m) carries channel m, which filter
-column c reads). Every model parameter owns exactly one view connection;
-the remaining view slots are structural zeros that carry no parameter.
-view_mask_to_param_masks reads a view mask back through the same layout,
-giving one keep-bit array per parameter group; train and evaluate take the
-view mask itself.
+column c reads). view_slots is the one place this layout is written: it
+gives every model parameter its own view connection, and the other view
+slots are structural zeros that carry no parameter. as_layered scatters the
+parameters to those slots and view_mask_to_param_masks gathers a view
+mask's keep bits from them, one array per parameter group; train and
+evaluate take the view mask itself.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import numpy as np
 
 from .data import SkeletonSequence, temporal_chunking
 from .errors import DivergenceError, DomainError, ShapeError
-from .network import LayeredNetwork, MaskTensor, _atomic_write, _read_json
+from .network import LayeredNetwork, MaskTensor, _atomic_write, _read_json, layers_of
 
 
 @dataclass(frozen=True)
@@ -403,43 +404,40 @@ def _view_dims(shape: GcnShape) -> tuple[int, int, int, int]:
     return (n, k * n, n * c, q)
 
 
-def _conv_slots(shape: GcnShape):
-    """Index of the conv entries in a layer-2 array reshaped to (k, n, n, c)."""
-    diag = np.arange(shape.nodes)
-    return np.s_[:, diag, diag, :]
+def view_slots(shape: GcnShape) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The flat view index of every (attention, conv, head) parameter, as an
+    int array shaped like the parameter; the flat order is the view's layers
+    concatenated and each raveled. Layer 1 connects input node j to
+    aggregate (k, i) with weight attention[k][i, j], layer 2 aggregate
+    (k, i) to feature (i, f) with weight conv[k][i, f], and layer 3 is the
+    head."""
+    dims = _view_dims(shape)
+    k, n, c = shape.heads, shape.nodes, shape.filters
+    layer1, layer2, head = layers_of(np.arange(sum(a * b for a, b in zip(dims, dims[1:]))), dims)
+    kk, i, j, f = np.arange(k)[:, None, None], np.arange(n)[:, None], np.arange(n), np.arange(c)
+    return layer1[j, kk * n + i], layer2[kk * n + i, i * c + f], head
 
 
 def as_layered(model: GcnModel) -> LayeredNetwork:
-    """The three parameter groups as a dense 3-layer network.
-
-    Layer 1 connects input node j to aggregate (k, i) with weight
-    attention[k][i, j]; layer 2 connects aggregate (k, m) to feature (m, c)
-    with weight conv[k][m, c] (structural zeros elsewhere); layer 3 is the
-    head. view_mask_to_param_masks reads a mask over this view back through
-    the same layout.
-    """
-    shape = model.shape
-    n, kn, nc, _ = _view_dims(shape)
-    k, c = shape.heads, shape.filters
-    w1 = model.attention.transpose(2, 0, 1).reshape(n, kn).copy()
-    w2 = np.zeros((kn, nc))
-    w2.reshape(k, n, n, c)[_conv_slots(shape)] = model.conv
-    return LayeredNetwork((w1, w2, model.head.copy()), ("relu", "relu", "softmax"))
+    """The three parameter groups as a dense 3-layer network: each parameter
+    at its view_slots index, structural zeros everywhere else."""
+    dims = _view_dims(model.shape)
+    flat = np.zeros(sum(a * b for a, b in zip(dims, dims[1:])))
+    for slots, param in zip(view_slots(model.shape), (model.attention, model.conv, model.head)):
+        flat[slots] = param
+    return LayeredNetwork(layers_of(flat, dims), ("relu", "relu", "softmax"))
 
 
 def view_mask_to_param_masks(
     mask: MaskTensor, shape: GcnShape
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(attention, conv, head) keep bits of a view mask, shaped like the
-    parameters; the bits of structural-zero slots are ignored."""
+    """(attention, conv, head) keep bits of a view mask, read at view_slots;
+    the bits of structural-zero slots are ignored."""
     dims = _view_dims(shape)
     if mask.dims != dims:
         raise ShapeError(f"mask dims {mask.dims} do not match view dims {dims}")
-    k, n, c = shape.heads, shape.nodes, shape.filters
-    m1, m2, m3 = mask.masks
-    attention = m1.reshape(n, k, n).transpose(1, 2, 0).copy()
-    conv = m2.reshape(k, n, n, c)[_conv_slots(shape)]
-    return attention, conv, m3.copy()
+    flat = np.concatenate([m.ravel() for m in mask.masks])
+    return tuple(flat[slots] for slots in view_slots(shape))
 
 
 # ---------------------------------------------------------------------------

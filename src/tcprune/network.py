@@ -9,6 +9,7 @@ Networks and masks are treated as immutable once constructed.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -107,6 +108,14 @@ class MaskTensor:
 
 def full_mask(net: LayeredNetwork) -> MaskTensor:
     return MaskTensor(tuple(np.ones(w.shape, dtype=bool) for w in net.weights))
+
+
+def layers_of(flat: np.ndarray, dims: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """Views of `flat`, the layers of dims concatenated and each raveled, as
+    the (dims[l], dims[l + 1]) layers themselves."""
+    shapes = list(zip(dims, dims[1:]))
+    ends = itertools.accumulate(a * b for a, b in shapes)
+    return tuple(flat[end - a * b : end].reshape(a, b) for end, (a, b) in zip(ends, shapes))
 
 
 def check_shapes(net: LayeredNetwork, mask: MaskTensor) -> None:
@@ -264,10 +273,20 @@ def _no_constant(name: str):
     raise DomainError(f"{name} is not a JSON number")
 
 
+def _finite(text: str) -> float:
+    """The `parse_float` hook of every JSON read: Python's json reads 1e999 as inf."""
+    if math.isinf(value := float(text)):
+        raise DomainError(f"{text} is out of float range")
+    return value
+
+
+_JSON_NUMBERS = {"parse_constant": _no_constant, "parse_float": _finite}
+
+
 def _read_json(path):
     """The parsed contents of an ASCII JSON file; a non-ASCII byte, malformed
-    JSON, a NaN or Infinity constant or a key repeated in one object raises
-    DomainError naming the file."""
+    JSON, a NaN or Infinity constant, a number too large for a float or a
+    key repeated in one object raises DomainError naming the file."""
 
     def unique(pairs):
         obj = {}
@@ -279,7 +298,7 @@ def _read_json(path):
 
     try:
         with open(path, "r", encoding="ascii") as fh:
-            return json.load(fh, object_pairs_hook=unique, parse_constant=_no_constant)
+            return json.load(fh, object_pairs_hook=unique, **_JSON_NUMBERS)
     except (UnicodeDecodeError, json.JSONDecodeError, DomainError) as exc:
         raise DomainError(f"{path}: {exc}") from exc
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import parallel
 from .errors import BudgetError, DegenerateDistributionError, DomainError, SaturationError
-from .network import LayeredNetwork, MaskTensor, budget
+from .network import LayeredNetwork, MaskTensor, budget, layers_of
 from .surrogate import build_table, log_score_matrix
 
 
@@ -80,11 +80,8 @@ class ChainTrace(NamedTuple):
 def _magnitudes(net: LayeredNetwork) -> np.ndarray:
     """|w| of every connection, layers concatenated in raveled order."""
     flat = np.empty(sum(w.size for w in net.weights))
-    offset = 0
-    for w in net.weights:
-        out = flat[offset : offset + w.size].reshape(w.shape)
+    for w, out in zip(net.weights, layers_of(flat, net.dims)):
         parallel.over_rows(lambda lo, hi: np.abs(w[lo:hi], out=out[lo:hi]), *w.shape)
-        offset += w.size
     return flat
 
 
@@ -107,16 +104,7 @@ def _top_k(net: LayeredNetwork, keys: np.ndarray, max_kept: int) -> MaskTensor:
         chosen = keys > cut
         ties = np.flatnonzero(keys == cut)
         chosen[ties[: max_kept - np.count_nonzero(chosen)]] = True
-    return _layer_masks(net, chosen)
-
-
-def _layer_masks(net: LayeredNetwork, chosen: np.ndarray) -> MaskTensor:
-    """Flat keep-flags, in the order of _magnitudes, as per-layer masks."""
-    masks, offset = [], 0
-    for w in net.weights:
-        masks.append(chosen[offset : offset + w.size].reshape(w.shape))
-        offset += w.size
-    return MaskTensor(tuple(masks))
+    return MaskTensor(layers_of(chosen, net.dims))
 
 
 def standard_mp(net: LayeredNetwork, rate: float) -> MaskTensor:
@@ -166,7 +154,7 @@ def stochastic_mp(net: LayeredNetwork, rate: float, seed: int) -> MaskTensor:
     chosen = _gumbel_top_k(logs, bitgen.random_raw(logs.size), max_kept, word)
     if chosen is None:
         return _top_k(net, logs + np.random.default_rng(seed).gumbel(size=logs.size), max_kept)
-    return _layer_masks(net, chosen)
+    return MaskTensor(layers_of(chosen, net.dims))
 
 
 _KEY_BLOCK = 1 << 14  # keys built per pass, so each pass's temporaries stay in cache

@@ -71,13 +71,21 @@ def trained_model(tmp_path):
     return path
 
 
-def nan_model(trained, tmp_path) -> Path:
-    """A copy of the model file `trained` whose first head weight is NaN."""
+def refusal(number: str) -> str:
+    """Why a JSON read refuses `number`, a NaN or Infinity constant or a
+    number too large for a float."""
+    if number.endswith("e999"):
+        return f"{number} is out of float range"
+    return f"{number} is not a JSON number"
+
+
+def non_finite_model(trained, tmp_path, constant) -> Path:
+    """A copy of the model file `trained` whose first head weight reads `constant`."""
     payload = json.loads(trained.read_text())
-    payload["head"][0][0] = float("nan")
-    path = tmp_path / "nan_model.json"
-    path.write_text(json.dumps(payload))
-    assert "NaN" in path.read_text()
+    payload["head"][0][0] = 12345.5
+    path = tmp_path / "non_finite_model.json"
+    path.write_text(json.dumps(payload).replace("12345.5", constant, 1))
+    assert constant in path.read_text()
     return path
 
 
@@ -120,6 +128,19 @@ class TestTrainDataset:
         code = run_cli("train", "--dataset", str(data), "--heads", "1", "--filters", "1",
                        "--chunks", "1", "--epochs", "1", "--out", str(tmp_path / "m.json"))
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e999"])
+    def test_non_finite_coordinate_is_config_error(self, tmp_path, capsys, value):
+        data = tmp_path / "D"
+        data.mkdir()
+        seq = data / "seq_00000.txt"
+        seq.write_text(f"label 0\njoints 1 frames 3\n{value} 0 0\n1 2 3\n4 5 6\n")
+        out = tmp_path / "m.json"
+        code = run_cli("train", "--dataset", str(data), "--heads", "1", "--filters", "1",
+                       "--chunks", "1", "--epochs", "1", "--out", str(out))
+        assert code == 2
+        assert f"{seq}: every coordinate must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_old_format_adjacency_file_is_ignored(self, tmp_path):
         from tcprune.data import save_dataset, synth_dataset
@@ -177,11 +198,12 @@ class TestPrune:
         assert code == 2
 
     def test_non_finite_weight_is_config_error(self, trained_model, tmp_path, capsys):
-        model = nan_model(trained_model, tmp_path)
-        code = run_cli("prune", "--model", str(model), "--rate", "0.5",
-                       "--out", str(tmp_path / "mask.txt"))
-        assert code == 2
-        assert f"{model}: NaN is not a JSON number" in capsys.readouterr().err
+        for constant in ("NaN", "1e999", "-1e999"):
+            model = non_finite_model(trained_model, tmp_path, constant)
+            code = run_cli("prune", "--model", str(model), "--rate", "0.5",
+                           "--out", str(tmp_path / "mask.txt"))
+            assert code == 2
+            assert f"{model}: {refusal(constant)}" in capsys.readouterr().err
 
     def test_bad_rate_is_config_error(self, trained_model, tmp_path):
         code = run_cli(
@@ -210,14 +232,15 @@ class TestFinetune:
         mask_path = tmp_path / "mask.txt"
         assert run_cli("prune", "--model", str(trained_model), "--rate", "0.5",
                        "--out", str(mask_path)) == 0
-        model = nan_model(trained_model, tmp_path)
-        code = run_cli(
-            "finetune", "--model", str(model), "--mask", str(mask_path),
-            "--synthetic", SYNTH, "--epochs", "1", "--out", str(tmp_path / "t.json"),
-        )
-        assert code == 2
-        assert f"{model}: NaN is not a JSON number" in capsys.readouterr().err
-        assert not (tmp_path / "t.json").exists()
+        for constant in ("NaN", "1e999", "-1e999"):
+            model = non_finite_model(trained_model, tmp_path, constant)
+            code = run_cli(
+                "finetune", "--model", str(model), "--mask", str(mask_path),
+                "--synthetic", SYNTH, "--epochs", "1", "--out", str(tmp_path / "t.json"),
+            )
+            assert code == 2
+            assert f"{model}: {refusal(constant)}" in capsys.readouterr().err
+            assert not (tmp_path / "t.json").exists()
 
     def test_missing_mask_is_io_error(self, trained_model, tmp_path):
         code = run_cli(
@@ -403,15 +426,15 @@ class TestAblate:
         assert train_calls == []
         assert not (out_dir / "masks").exists()
 
-    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e999", "-1e999"])
     def test_non_finite_constant_is_config_error(self, tmp_path, train_calls, capsys, constant):
         cfg_path = tmp_path / "cfg.json"
         text = json.dumps({**CONFIG, "synthetic": {**CONFIG["synthetic"], "noise": 0.5}})
         cfg_path.write_text(text.replace("0.5", constant))
         assert run_cli("ablate", "--config", str(cfg_path)) == 2
-        assert f"{cfg_path}: {constant} is not a JSON number" in capsys.readouterr().err
+        assert f"{cfg_path}: {refusal(constant)}" in capsys.readouterr().err
         assert run_cli("ablate", "--synthetic", f"noise={constant}") == 2
-        assert f"is not key=<JSON>: {constant} is not a JSON number" in capsys.readouterr().err
+        assert f"is not key=<JSON>: {refusal(constant)}" in capsys.readouterr().err
         assert train_calls == []
 
     def test_grid_without_layered_view_is_rejected_before_training(

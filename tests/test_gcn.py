@@ -28,6 +28,7 @@ from tcprune.gcn import (
     save_model,
     train,
     view_mask_to_param_masks,
+    view_slots,
 )
 from tcprune.network import MaskTensor, full_mask
 from tcprune.pruner import PruneSpec, tc_mp
@@ -476,6 +477,51 @@ class TestLayeredView:
         for (kind, *idx), value in seen.items():
             arrays = {"attention": model.attention, "conv": model.conv, "head": model.head}
             assert arrays[kind][tuple(idx)] == value
+
+    @given(
+        dims=st.tuples(*(st.integers(1, 5) for _ in range(4))),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_view_slots_place_every_parameter_once(self, dims, seed):
+        heads, nodes, filters, classes = dims
+        shape = GcnShape(heads, nodes, nodes, filters, classes)
+        slots = view_slots(shape)
+        flat_slots = np.concatenate([s.ravel() for s in slots])
+        assert np.unique(flat_slots).size == flat_slots.size == shape.parameter_count
+        model = init_model(shape, seed)
+        view = as_layered(model)
+        starts = np.cumsum([0] + [w.size for w in view.weights])
+        for kind, group in zip(("attention", "conv", "head"), slots):
+            assert group.shape == getattr(model, kind).shape
+            for idx, slot in np.ndenumerate(group):
+                layer = int(np.searchsorted(starts, slot, side="right"))
+                row, col = np.unravel_index(slot - starts[layer - 1], view.weights[layer - 1].shape)
+                assert param_at(shape, layer, int(row), int(col)) == (kind, *idx)
+        # a gather from the view returns the parameters bit for bit; the
+        # slots no parameter owns are structural zeros
+        weights = np.concatenate([w.ravel() for w in view.weights])
+        for group, param in zip(slots, (model.attention, model.conv, model.head)):
+            assert weights[group].tobytes() == param.tobytes()
+        assert not np.delete(weights, flat_slots).any()
+        # and a view mask's keep bits are read at the same slots
+        mask = random_view_mask(model, np.random.default_rng(seed))
+        bits = np.concatenate([m.ravel() for m in mask.masks])
+        for group, got in zip(slots, view_mask_to_param_masks(mask, shape)):
+            assert np.array_equal(got, bits[group])
+
+    def test_view_bytes_are_pinned(self):
+        # sha256s of the default shape's view weights and of a seeded view
+        # mask read back, taken when the layout was written as transposes
+        model = init_model(GcnShape(4, 15, 15, 16, 4), 0)
+        view = as_layered(model)
+        digest = hashlib.sha256(b"".join(w.tobytes() for w in view.weights)).hexdigest()
+        assert digest == "5ab5798f004591d7844245f7de84aac755b4ef70c1a180eae62e0be634bbc50d"
+        rng = np.random.default_rng(0)
+        mask = MaskTensor(tuple(rng.random(w.shape) < 0.5 for w in view.weights))
+        bits = view_mask_to_param_masks(mask, model.shape)
+        digest = hashlib.sha256(b"".join(b.tobytes() for b in bits)).hexdigest()
+        assert digest == "514212e8023e3fa30a1d7490ba26fc3ad6dd70a2d1a47ff732b4776823cc292a"
 
     def test_all_ones_mask_keeps_forward_unchanged(self, rng):
         model = init_model(TINY, seed=3)
