@@ -12,20 +12,24 @@ gradients; the learning rate moves inversely to the speed of change of the
 loss (slows down when the loss moves faster, speeds up when it stalls).
 The step contracts the filter banks first, the signals with W[k] and then
 the result with A[k], and lays every activation out filters first with the
-batch innermost. Past one copy of the batch's signals, no array of
-activation size is re-laid out, only the parameters and their gradients
-(see forward_batch and loss_and_grads). Each train call makes one
-StepBuffers set of its own, shared with no other call, so calls on
-different threads do not disturb one another. The set allocates each
-named array at its first use and grows it only when a larger batch comes,
-and every forward pass, backward pass and update of the call writes into
-it (the backward pass writes over the probabilities and hidden
-activations it no longer reads). So once the set has seen the call's
-largest batch, a training step allocates no array of activation size and
-its speed does not depend on how the allocator lays out the heap; what
-it still allocates (the label pick and its row index, numpy's iterator
-buffers for the softmax's broadcasts and the ReLU mask's bool-to-float
-cast) is about 14 KiB at batch 200.
+batch innermost. Each train call packs the model once into a PackedModel
+of its own, shared with no other call, so calls on different threads do
+not disturb one another: one flat parameter vector with each group in the
+layout the step's products read, a gradient vector in the same layout,
+and named scratch arrays. Past one copy of the batch's signals, nothing
+is re-laid out on a step: the products read the parameters in place and
+write the gradients in place, and the momentum update is four operations
+over the whole vector (see forward_batch, loss_and_grads and train). The
+scratch arrays are allocated at their first use and grown only when a
+larger batch comes (the backward pass writes over the probabilities and
+hidden activations it no longer reads). So once the packed model has seen
+the call's largest batch, a training step allocates no array of
+activation size and its speed does not depend on how the allocator lays
+out the heap; what it still allocates (the label pick and its row index,
+numpy's iterator buffers for the softmax's broadcasts and the ReLU mask's
+bool-to-float cast) is about 14 KiB at batch 200. A GcnModel given to
+forward_batch or loss_and_grads is packed on entry, and its gradients
+unpacked on return, around the same step.
 
 as_layered exposes the three parameter groups as one dense 3-layer network
 so the mask machinery can prune the model. The view requires
@@ -102,7 +106,10 @@ class GcnModel:
 
 
 def init_model(shape: GcnShape, seed: int, head_scale: float = 1.0) -> GcnModel:
-    """Random init; scales keep pre-activations O(1) at these sizes."""
+    """Random init; scales keep pre-activations O(1) at these sizes. A
+    head_scale that is not finite raises DomainError."""
+    if not math.isfinite(head_scale):
+        raise DomainError(f"head_scale must be finite, got {head_scale}")
     rng = np.random.default_rng(seed)
     params = (
         scale * rng.standard_normal(p) / np.sqrt(p[-2])
@@ -115,26 +122,68 @@ def init_model(shape: GcnShape, seed: int, head_scale: float = 1.0) -> GcnModel:
 # Forward / loss / gradients
 
 
-class StepBuffers:
-    """Named scratch arrays for forward_batch and loss_and_grads, so that a
-    training step allocates no array of activation size.
+class PackedModel:
+    """A model in the layout its steps read, with the scratch they write.
 
-    get(name, *shape) allocates array `name` on its first use and again only
-    when a later use needs a larger one; a smaller use reads its leading
-    part. A set thus grows to the largest batch it has served; each train
-    call makes one and reuses it for every step. What the two functions
-    return are views into the set, valid until its next use. The backward
-    pass writes dz over z, the ReLU's 0.0/1.0 gradient over hidden and the
-    loss gradient over probs; g_by_filter and g_by_node hold the attention
-    gradient per filter and the filter-bank gradient per node before they
-    are summed into g_scratch.
+    params holds attention, conv and head one after another in one flat
+    float64 vector, each in its step layout, (nodes, heads, nodes),
+    (signal_dim, filters, heads) and (filters, nodes, num_classes); grads
+    is a second vector in the same layout, which loss_and_grads writes.
+    weights and gradients are their three parts as the 2-D matrices the
+    products read or write: (nodes, heads * nodes), (signal_dim, filters *
+    heads), which the forward product reads transposed, and (filters *
+    nodes, num_classes).
+
+    get(name, *shape) allocates scratch array `name` on its first use and
+    again only when a later use needs a larger one; a smaller use reads its
+    leading part. A packed model thus grows to the largest batch it has
+    served. What forward_batch returns are views into it, valid until its
+    next use. The backward pass writes dz over z, the ReLU's 0.0/1.0
+    gradient over hidden and the loss gradient over probs; g_by_filter and
+    g_by_node hold the attention gradient per filter and the filter-bank
+    gradient per node before they are summed into gradients.
     """
 
-    def __init__(self):
+    def __init__(self, model: GcnModel):
+        self.shape = model.shape
+        self.params = self.pack((model.attention, model.conv, model.head))
+        self.grads = np.empty_like(self.params)
+        self.weights = self._parts(self.params)
+        self.gradients = self._parts(self.grads)
         self._arrays: dict[str, np.ndarray] = {}
 
+    def _parts(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The attention, conv and head parts of a flat vector in the step
+        layout, as 2-D views."""
+        k, n, s, c = self.shape.heads, self.shape.nodes, self.shape.signal_dim, self.shape.filters
+        a, b = n * k * n, n * k * n + c * k * s
+        q = self.shape.num_classes
+        return flat[:a].reshape(n, k * n), flat[a:b].reshape(s, c * k), flat[b:].reshape(c * n, q)
+
+    def _step_order(self, attention, conv, head):
+        """Views of (attention, conv, head)-shaped arrays with their axes in
+        the step layout's order."""
+        n, c, q = self.shape.nodes, self.shape.filters, self.shape.num_classes
+        head = head.reshape(n, c, q)
+        return attention.transpose(1, 0, 2), conv.transpose(1, 2, 0), head.transpose(1, 0, 2)
+
+    def pack(self, groups) -> np.ndarray:
+        """(attention, conv, head)-shaped arrays as one new flat float64
+        vector in the step layout."""
+        flat = np.empty(self.shape.parameter_count)
+        for part, view in zip(self._parts(flat), self._step_order(*groups)):
+            np.copyto(part.reshape(view.shape), view)
+        return flat
+
+    def unpack(self, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A flat vector in the step layout as new (attention, conv, head)-shaped arrays."""
+        groups = tuple(np.empty(p) for p in self.shape.param_shapes)
+        for part, view in zip(self._parts(flat), self._step_order(*groups)):
+            np.copyto(view, part.reshape(view.shape))
+        return groups
+
     def get(self, name: str, *shape: int) -> np.ndarray:
-        """The leading part of float64 array `name`, shaped `shape`."""
+        """The leading part of float64 scratch array `name`, shaped `shape`."""
         size = math.prod(shape)
         array = self._arrays.get(name)
         if array is None or array.size < size:
@@ -142,54 +191,53 @@ class StepBuffers:
         return array[:size].reshape(shape)
 
 
-def forward_batch(model: GcnModel, signals: np.ndarray, buffers: StepBuffers | None = None):
+def _packed(model: GcnModel | PackedModel) -> PackedModel:
+    return model if isinstance(model, PackedModel) else PackedModel(model)
+
+
+def forward_batch(model: GcnModel | PackedModel, signals: np.ndarray):
     """Probabilities for a batch of signal matrices (batch, signal_dim, nodes).
 
     The filter banks are contracted before the attention, and every array
     of activation size is laid out filters first with the batch innermost,
-    so past one copy of the signals to xs, (signal_dim, nodes, batch), no
-    activation is re-laid out:
+    so past one copy of the signals to xs, (signal_dim, nodes, batch),
+    nothing is re-laid out; the parameters are read in place from their
+    packed step layout:
 
         z[c, (k, j), b] = sum_m conv[k, m, c] * xs[m, j, b]
         pre[c, i, b]    = sum_{k, j} attention[k, i, j] * z[c, (k, j), b]
         logits[b, q]    = sum_{c, i} relu(pre)[c, i, b] * head[(i, c), q]
 
     z is one 2-D matrix product, pre one product broadcast over the
-    filters, the logits one product with relu(pre) read transposed. The
-    parameters are re-laid out filters first, about a thousand entries
-    each at the default shape. Returns (probs, (xs, z, hidden))
-    with hidden = relu(pre), views into `buffers`, a fresh set when None.
+    filters, the logits one product with relu(pre) read transposed. A
+    GcnModel is packed first into a PackedModel of its own. Returns
+    (probs, (xs, z, hidden)) with hidden = relu(pre), views into the
+    packed model's scratch.
     """
+    packed = _packed(model)
     k, n, s, c = model.shape.heads, model.shape.nodes, model.shape.signal_dim, model.shape.filters
     q = model.shape.num_classes
     if signals.ndim != 3 or signals.shape[1:] != (s, n):
         raise ShapeError(f"signals shape {signals.shape} != (batch, {s}, {n})")
     b = len(signals)
-    buf = StepBuffers() if buffers is None else buffers
-    conv = buf.get("conv", c, k, s)
-    np.copyto(conv, model.conv.transpose(2, 0, 1))
-    attention = buf.get("attention", n, k, n)
-    np.copyto(attention, model.attention.transpose(1, 0, 2))
-    head = buf.get("head", c, n, q)
-    np.copyto(head, model.head.reshape(n, c, q).transpose(1, 0, 2))
-    xs = buf.get("xs", s, n, b)
+    attention, conv, head = packed.weights
+    xs = packed.get("xs", s, n, b)
     np.copyto(xs, signals.transpose(1, 2, 0))
-    z = buf.get("z", c, k * n, b)
-    np.matmul(conv.reshape(c * k, s), xs.reshape(s, n * b), out=z.reshape(c * k, n * b))
-    hidden = np.matmul(attention.reshape(n, k * n), z, out=buf.get("hidden", c, n, b))
+    z = packed.get("z", c, k * n, b)
+    np.matmul(conv.T, xs.reshape(s, n * b), out=z.reshape(c * k, n * b))
+    hidden = np.matmul(attention, z, out=packed.get("hidden", c, n, b))
     np.maximum(hidden, 0.0, out=hidden)
-    # softmax over each row of the logits, in place
-    probs = np.matmul(hidden.reshape(c * n, b).T, head.reshape(c * n, q), out=buf.get("probs", b, q))
-    row = buf.get("row", b, 1)
-    probs -= np.max(probs, axis=1, keepdims=True, out=row)
+    # softmax over each row of the logits, in place; the reductions are the
+    # ufuncs' own, which np.max and np.sum call through a Python wrapper
+    probs = np.matmul(hidden.reshape(c * n, b).T, head, out=packed.get("probs", b, q))
+    row = packed.get("row", b, 1)
+    probs -= np.maximum.reduce(probs, axis=1, keepdims=True, out=row)
     np.exp(probs, out=probs)
-    probs /= np.sum(probs, axis=1, keepdims=True, out=row)
+    probs /= np.add.reduce(probs, axis=1, keepdims=True, out=row)
     return probs, (xs, z, hidden)
 
 
-def loss_and_grads(
-    model: GcnModel, signals: np.ndarray, labels: np.ndarray, buffers: StepBuffers | None = None
-):
+def loss_and_grads(model: GcnModel | PackedModel, signals: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy and gradients for every parameter group.
 
     The backward pass keeps the forward layouts: dpre, (filters, nodes,
@@ -203,45 +251,42 @@ def loss_and_grads(
     the second a product broadcast over the filters written over z, the
     third a product broadcast over the nodes and summed over them (one 2-D
     product over nodes and batch together rounded differently under
-    different BLAS thread counts). Each gradient is re-laid out once into
-    its parameter's shape. The gradients are views into `buffers`, a fresh
-    set when None.
+    different BLAS thread counts). The head's gradient is one product. Each
+    gradient lands in the packed model's grads, in its step layout, as the
+    product g_head or the sums g_attn and g_conv.
+    Returns (loss, grads): for a PackedModel, its grads vector itself,
+    rewritten by the next call; for a GcnModel, which is packed first,
+    new (attention, conv, head)-shaped gradients.
     """
+    packed = _packed(model)
     k, n, s, c = model.shape.heads, model.shape.nodes, model.shape.signal_dim, model.shape.filters
-    q = model.shape.num_classes
     batch = len(labels)
-    buf = StepBuffers() if buffers is None else buffers
-    probs, (xs, z, hidden) = forward_batch(model, signals, buf)
+    probs, (xs, z, hidden) = forward_batch(packed, signals)
     rows = np.arange(batch)
     picked = probs[rows, labels]
     with np.errstate(divide="ignore"):
-        loss = float(-np.mean(np.log(picked, out=picked)))
+        loss = -float(np.add.reduce(np.log(picked, out=picked)) / batch)
     # the loss gradient over the logits, written over probs
     dlogits = probs
     dlogits[rows, labels] -= 1.0
     dlogits /= batch
-    # the head and attention as forward_batch re-laid them out into `buf`
-    head = buf.get("head", c, n, q)
-    g = np.matmul(hidden.reshape(c * n, batch), dlogits, out=buf.get("g_scratch", c * n, q))
-    g_head = buf.get("g_head", n, c, q)
-    np.copyto(g_head, g.reshape(c, n, q).transpose(1, 0, 2))
-    dpre = buf.get("dpre", c, n, batch)
-    np.matmul(head.reshape(c * n, q), dlogits.T, out=dpre.reshape(c * n, batch))
+    attention, _, head = packed.weights
+    g_attn, g_conv, g_head = packed.gradients
+    np.matmul(hidden.reshape(c * n, batch), dlogits, out=g_head)
+    dpre = packed.get("dpre", c, n, batch)
+    np.matmul(head, dlogits.T, out=dpre.reshape(c * n, batch))
     # relu'(pre) as 0.0/1.0, written over hidden, which nothing reads after g_head
     dpre *= np.greater(hidden, 0.0, out=hidden)
-    g_by_filter = buf.get("g_by_filter", c, n, k * n)
+    g_by_filter = packed.get("g_by_filter", c, n, k * n)
     np.matmul(dpre, z.transpose(0, 2, 1), out=g_by_filter)
-    g = np.sum(g_by_filter, axis=0, out=buf.get("g_scratch", n, k * n))
-    g_attn = buf.get("g_attn", k, n, n)
-    np.copyto(g_attn, g.reshape(n, k, n).transpose(1, 0, 2))
-    attention = buf.get("attention", n, k * n)
+    np.add.reduce(g_by_filter, axis=0, out=g_attn)
     dz = np.matmul(attention.T, dpre, out=z)
-    g_by_node = buf.get("g_by_node", n, s, c * k)
+    g_by_node = packed.get("g_by_node", n, s, c * k)
     np.matmul(xs.transpose(1, 0, 2), dz.reshape(c * k, n, batch).transpose(1, 2, 0), out=g_by_node)
-    g = np.sum(g_by_node, axis=0, out=buf.get("g_scratch", s, c * k))
-    g_conv = buf.get("g_conv", k, s, c)
-    np.copyto(g_conv, g.reshape(s, c, k).transpose(2, 0, 1))
-    return loss, (g_attn, g_conv, g_head.reshape(n * c, q))
+    np.add.reduce(g_by_node, axis=0, out=g_conv)
+    if packed is model:
+        return loss, packed.grads
+    return loss, packed.unpack(packed.grads)
 
 
 # ---------------------------------------------------------------------------
@@ -318,46 +363,48 @@ def train(
     """Momentum SGD on cross-entropy over `data`, the (signals, labels) of
     dataset_arrays; returns (trained copy, per-epoch loss).
 
-    Every parameter group carries 0.0/1.0 keep weights (all 1.0 without a
-    view mask), scaled by the learning rate once per epoch, so a step's
-    update is v = momentum * v - g * (lr * keep); p += v. Dropped parameters
-    start at +0.0; for a finite gradient g * 0.0 is +-0.0 and
-    +0.0 - (+-0.0) == +0.0, so their velocities and values stay exactly +0.0.
-    The call makes one StepBuffers set and every step reuses it, so past
-    the first step a step allocates no array of activation size.
+    The call packs the masked model into one PackedModel of its own, shared
+    with no other call, so calls on different threads do not disturb one
+    another. Its 0.0/1.0 keep weights (all 1.0 without a view mask) and the
+    velocities are flat vectors in the same step layout, and the keep
+    weights are scaled by the learning rate once per epoch, so a step's
+    update is four operations over the whole vector:
+    g *= lr * keep; v *= momentum; v -= g; p += v. Dropped parameters start
+    at +0.0; for a finite gradient g * 0.0 is +-0.0 and +0.0 - (+-0.0) ==
+    +0.0, so their velocities and values stay exactly +0.0. Past the first
+    step a step allocates no array of activation size, and the trained
+    model is unpacked once, when the call returns.
     The learning rate adapts per epoch: when |loss(t-1) - loss(t)| grew
     compared to the previous epoch the rate is multiplied by lr_decay,
     otherwise divided; it is clamped to [1e-8, 1].
     """
     signals, labels = _checked(data, model.shape)
     bits, params = _masked(model, mask)
-    keep = [b.astype(np.float64) for b in bits]
-    velocity = [np.zeros_like(p) for p in params]
+    packed = PackedModel(GcnModel(model.shape, *params))
+    keep = packed.pack(bits)
+    lr_keep = np.empty_like(keep)
+    velocity = np.zeros_like(packed.params)
     batch = min(cfg.batch_size, len(labels))
-    buffers = StepBuffers()
     batch_signals = np.empty((batch,) + signals.shape[1:])
     batch_labels = np.empty(batch, dtype=labels.dtype)
     rng = np.random.default_rng(cfg.seed)
     lr = cfg.initial_lr
     losses: list[float] = []
-    # wraps the arrays of `params` themselves, which the steps update in place
-    tuned = GcnModel(model.shape, *params)
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(labels))
-        lr_keep = [lr * k for k in keep]
+        np.multiply(lr, keep, out=lr_keep)
         epoch_loss = 0.0
         for lo in range(0, len(order), cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
-            x = np.take(signals, idx, axis=0, out=batch_signals[: len(idx)], mode="clip")
-            y = np.take(labels, idx, out=batch_labels[: len(idx)], mode="clip")
-            loss, grads = loss_and_grads(tuned, x, y, buffers)
+            x = signals.take(idx, axis=0, out=batch_signals[: len(idx)], mode="clip")
+            y = labels.take(idx, out=batch_labels[: len(idx)], mode="clip")
+            # g is packed.grads, rewritten every step
+            loss, g = loss_and_grads(packed, x, y)
             epoch_loss += loss * len(idx)
-            # the gradients are views into `buffers`, rewritten every step
-            for p, v, g, k in zip(params, velocity, grads, lr_keep):
-                g *= k
-                v *= cfg.momentum
-                v -= g
-                p += v
+            g *= lr_keep
+            velocity *= cfg.momentum
+            velocity -= g
+            packed.params += velocity
         epoch_loss /= len(labels)
         if not np.isfinite(epoch_loss):
             raise DivergenceError(epoch)
@@ -367,7 +414,7 @@ def train(
             speed_prev = abs(losses[-2] - losses[-3])
             lr = lr * cfg.lr_decay if speed_now > speed_prev else lr / cfg.lr_decay
             lr = float(np.clip(lr, _LR_MIN, _LR_MAX))
-    return tuned, losses
+    return GcnModel(model.shape, *packed.unpack(packed.params)), losses
 
 
 def evaluate(
@@ -379,7 +426,7 @@ def evaluate(
     per-class accuracy averaged over the classes present.
 
     With a view mask, the parameters it drops are zeroed first. One forward
-    pass covers all of `data`, in a fresh StepBuffers set.
+    pass covers all of `data`, on a model packed for this call alone.
     """
     signals, labels = _checked(data, model.shape)
     _, params = _masked(model, mask)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import time
 import typing
@@ -76,6 +77,10 @@ class ModelSpec:
     filters: int = 16
     chunks: int = 5
     head_scale: float = 1.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.head_scale):
+            raise DomainError(f"head_scale must be finite, got {self.head_scale}")
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,9 @@ Everything here is deliberately written the dumb way: explicit Python loops,
 graph searches, and path enumeration. None of it shares code with the
 package internals it verifies; where an oracle calls the package, it is for
 a part it does not check (the chain-loop oracle takes its scores from the
-package, the training oracle its gradients).
+package). The training oracle runs on the reference step below, a frozen
+copy of the step gcn.train ran before it trained on a packed model, so
+training's bits are checked against a step that does not move with gcn's.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from bisect import bisect_right
 
 import numpy as np
 
-from tcprune.errors import SaturationError
-from tcprune.gcn import GcnModel, loss_and_grads, view_mask_to_param_masks
+from tcprune.errors import SaturationError, ShapeError
+from tcprune.gcn import GcnModel, view_mask_to_param_masks
 from tcprune.network import ACTIVATIONS, LayeredNetwork, MaskTensor, budget
 from tcprune.surrogate import build_table, log_score_matrix
 
@@ -528,12 +530,151 @@ def einsum_loss_and_grads(model, signals: np.ndarray, labels: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
+# The reference GCN step: the buffered step with the parameters and their
+# gradients re-laid out on every call
+
+
+class ReferenceBuffers:
+    """Named scratch arrays for reference_forward_batch and
+    reference_loss_and_grads, so that a step allocates no array of
+    activation size.
+
+    get(name, *shape) allocates array `name` on its first use and again only
+    when a later use needs a larger one; a smaller use reads its leading
+    part. A set thus grows to the largest batch it has served. What the two
+    functions return are views into the set, valid until its next use. The backward
+    pass writes dz over z, the ReLU's 0.0/1.0 gradient over hidden and the
+    loss gradient over probs; g_by_filter and g_by_node hold the attention
+    gradient per filter and the filter-bank gradient per node before they
+    are summed into g_scratch.
+    """
+
+    def __init__(self):
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def get(self, name: str, *shape: int) -> np.ndarray:
+        """The leading part of float64 array `name`, shaped `shape`."""
+        size = math.prod(shape)
+        array = self._arrays.get(name)
+        if array is None or array.size < size:
+            array = self._arrays[name] = np.empty(size)
+        return array[:size].reshape(shape)
+
+
+def reference_forward_batch(
+    model: GcnModel, signals: np.ndarray, buffers: ReferenceBuffers | None = None
+):
+    """Probabilities for a batch of signal matrices (batch, signal_dim, nodes).
+
+    The filter banks are contracted before the attention, and every array
+    of activation size is laid out filters first with the batch innermost,
+    so past one copy of the signals to xs, (signal_dim, nodes, batch), no
+    activation is re-laid out:
+
+        z[c, (k, j), b] = sum_m conv[k, m, c] * xs[m, j, b]
+        pre[c, i, b]    = sum_{k, j} attention[k, i, j] * z[c, (k, j), b]
+        logits[b, q]    = sum_{c, i} relu(pre)[c, i, b] * head[(i, c), q]
+
+    z is one 2-D matrix product, pre one product broadcast over the
+    filters, the logits one product with relu(pre) read transposed. The
+    parameters are re-laid out filters first, about a thousand entries
+    each at the default shape. Returns (probs, (xs, z, hidden))
+    with hidden = relu(pre), views into `buffers`, a fresh set when None.
+    """
+    k, n, s, c = model.shape.heads, model.shape.nodes, model.shape.signal_dim, model.shape.filters
+    q = model.shape.num_classes
+    if signals.ndim != 3 or signals.shape[1:] != (s, n):
+        raise ShapeError(f"signals shape {signals.shape} != (batch, {s}, {n})")
+    b = len(signals)
+    buf = ReferenceBuffers() if buffers is None else buffers
+    conv = buf.get("conv", c, k, s)
+    np.copyto(conv, model.conv.transpose(2, 0, 1))
+    attention = buf.get("attention", n, k, n)
+    np.copyto(attention, model.attention.transpose(1, 0, 2))
+    head = buf.get("head", c, n, q)
+    np.copyto(head, model.head.reshape(n, c, q).transpose(1, 0, 2))
+    xs = buf.get("xs", s, n, b)
+    np.copyto(xs, signals.transpose(1, 2, 0))
+    z = buf.get("z", c, k * n, b)
+    np.matmul(conv.reshape(c * k, s), xs.reshape(s, n * b), out=z.reshape(c * k, n * b))
+    hidden = np.matmul(attention.reshape(n, k * n), z, out=buf.get("hidden", c, n, b))
+    np.maximum(hidden, 0.0, out=hidden)
+    # softmax over each row of the logits, in place
+    probs = np.matmul(hidden.reshape(c * n, b).T, head.reshape(c * n, q), out=buf.get("probs", b, q))
+    row = buf.get("row", b, 1)
+    probs -= np.max(probs, axis=1, keepdims=True, out=row)
+    np.exp(probs, out=probs)
+    probs /= np.sum(probs, axis=1, keepdims=True, out=row)
+    return probs, (xs, z, hidden)
+
+
+def reference_loss_and_grads(
+    model: GcnModel,
+    signals: np.ndarray,
+    labels: np.ndarray,
+    buffers: ReferenceBuffers | None = None,
+):
+    """Mean cross-entropy and gradients for every parameter group.
+
+    The backward pass keeps the forward layouts: dpre, (filters, nodes,
+    batch) like pre, is the head's gradient times relu'(pre), and
+
+        g_attn[k, i, j]   = sum_{c, b} dpre[c, i, b] * z[c, (k, j), b]
+        dz[c, (k, j), b]  = sum_i attention[k, i, j] * dpre[c, i, b]
+        g_conv[k, m, c]   = sum_{j, b} dz[c, (k, j), b] * xs[m, j, b]
+
+    the first a product broadcast over the filters and summed over them,
+    the second a product broadcast over the filters written over z, the
+    third a product broadcast over the nodes and summed over them (one 2-D
+    product over nodes and batch together rounded differently under
+    different BLAS thread counts). Each gradient is re-laid out once into
+    its parameter's shape. The gradients are views into `buffers`, a fresh
+    set when None.
+    """
+    k, n, s, c = model.shape.heads, model.shape.nodes, model.shape.signal_dim, model.shape.filters
+    q = model.shape.num_classes
+    batch = len(labels)
+    buf = ReferenceBuffers() if buffers is None else buffers
+    probs, (xs, z, hidden) = reference_forward_batch(model, signals, buf)
+    rows = np.arange(batch)
+    picked = probs[rows, labels]
+    with np.errstate(divide="ignore"):
+        loss = float(-np.mean(np.log(picked, out=picked)))
+    # the loss gradient over the logits, written over probs
+    dlogits = probs
+    dlogits[rows, labels] -= 1.0
+    dlogits /= batch
+    # the head and attention as forward_batch re-laid them out into `buf`
+    head = buf.get("head", c, n, q)
+    g = np.matmul(hidden.reshape(c * n, batch), dlogits, out=buf.get("g_scratch", c * n, q))
+    g_head = buf.get("g_head", n, c, q)
+    np.copyto(g_head, g.reshape(c, n, q).transpose(1, 0, 2))
+    dpre = buf.get("dpre", c, n, batch)
+    np.matmul(head.reshape(c * n, q), dlogits.T, out=dpre.reshape(c * n, batch))
+    # relu'(pre) as 0.0/1.0, written over hidden, which nothing reads after g_head
+    dpre *= np.greater(hidden, 0.0, out=hidden)
+    g_by_filter = buf.get("g_by_filter", c, n, k * n)
+    np.matmul(dpre, z.transpose(0, 2, 1), out=g_by_filter)
+    g = np.sum(g_by_filter, axis=0, out=buf.get("g_scratch", n, k * n))
+    g_attn = buf.get("g_attn", k, n, n)
+    np.copyto(g_attn, g.reshape(n, k, n).transpose(1, 0, 2))
+    attention = buf.get("attention", n, k * n)
+    dz = np.matmul(attention.T, dpre, out=z)
+    g_by_node = buf.get("g_by_node", n, s, c * k)
+    np.matmul(xs.transpose(1, 0, 2), dz.reshape(c * k, n, batch).transpose(1, 2, 0), out=g_by_node)
+    g = np.sum(g_by_node, axis=0, out=buf.get("g_scratch", s, c * k))
+    g_conv = buf.get("g_conv", k, s, c)
+    np.copyto(g_conv, g.reshape(s, c, k).transpose(2, 0, 1))
+    return loss, (g_attn, g_conv, g_head.reshape(n * c, q))
+
+
+# ---------------------------------------------------------------------------
 # GCN training on the allocating step calls
 
 
 def allocating_train(model, data, cfg, mask=None):
-    """Momentum SGD as gcn.train runs it, with a fresh loss_and_grads call
-    per step and the update through np.where temporaries; returns the
+    """Momentum SGD as gcn.train runs it, with a fresh reference_loss_and_grads
+    call per step and the update through np.where temporaries; returns the
     trained (attention, conv, head) and the per-epoch losses."""
     signals, labels = data
     params = (model.attention, model.conv, model.head)
@@ -551,7 +692,9 @@ def allocating_train(model, data, cfg, mask=None):
         epoch_loss = 0.0
         for lo in range(0, len(order), cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
-            loss, grads = loss_and_grads(GcnModel(model.shape, *params), signals[idx], labels[idx])
+            loss, grads = reference_loss_and_grads(
+                GcnModel(model.shape, *params), signals[idx], labels[idx]
+            )
             epoch_loss += loss * len(idx)
             for p, v, g, b in zip(params, velocity, grads, bits):
                 v *= cfg.momentum

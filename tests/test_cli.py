@@ -114,6 +114,15 @@ class TestTrainDataset:
         assert "seed must be non-negative, got -1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_head_scale_is_config_error(self, tmp_path, capsys, value):
+        out = tmp_path / "m.json"
+        code = run_cli("train", "--synthetic", SYNTH, *MODEL_FLAGS, f"--head-scale={value}",
+                       "--epochs", "1", "--out", str(out))
+        assert code == 2
+        assert f"head_scale must be finite, got {float(value)}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_truncated_sequence_file_is_config_error(self, tmp_path):
         data = tmp_path / "D"
         data.mkdir()
@@ -436,6 +445,16 @@ class TestAblate:
         assert run_cli("ablate", "--synthetic", f"noise={constant}") == 2
         assert f"is not key=<JSON>: {refusal(constant)}" in capsys.readouterr().err
         assert train_calls == []
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_head_scale_is_rejected_before_training(
+        self, tmp_path, train_calls, capsys, value
+    ):
+        out_dir = tmp_path / "run"
+        assert run_cli("ablate", f"--head-scale={value}", "--out", str(out_dir)) == 2
+        assert f"head_scale must be finite, got {float(value)}" in capsys.readouterr().err
+        assert train_calls == []
+        assert not (out_dir / "masks").exists()
 
     def test_grid_without_layered_view_is_rejected_before_training(
         self, tmp_path, train_calls, capsys

@@ -16,7 +16,7 @@ from tcprune.errors import DivergenceError, DomainError, ShapeError
 from tcprune.gcn import (
     GcnModel,
     GcnShape,
-    StepBuffers,
+    PackedModel,
     TrainConfig,
     as_layered,
     dataset_arrays,
@@ -34,6 +34,8 @@ from tcprune.network import MaskTensor, full_mask
 from tcprune.pruner import PruneSpec, tc_mp
 
 TINY = GcnShape(heads=2, nodes=3, signal_dim=3, filters=2, num_classes=2)
+# the default grid's model
+GRID = GcnShape(heads=4, nodes=15, signal_dim=15, filters=16, num_classes=4)
 FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
 
@@ -97,6 +99,11 @@ class TestInit:
                         digest.update(p.tobytes())
         want = "150cf232d74045a2d80738f5dce99068db81a3aaa23200d24988c218b8cd822c"
         assert digest.hexdigest() == want
+
+    @pytest.mark.parametrize("head_scale", [np.inf, -np.inf, np.nan])
+    def test_non_finite_head_scale_rejected(self, head_scale):
+        with pytest.raises(DomainError, match="head_scale must be finite"):
+            init_model(TINY, seed=0, head_scale=head_scale)
 
     def test_param_shapes(self):
         k, n, s, c, q = dims = (2, 5, 6, 3, 4)
@@ -208,19 +215,20 @@ class TestGradients:
 
 
     def test_reused_buffers_match_fresh_calls(self):
-        # the gradients are views into the buffers, which the next call
-        # overwrites; the second set is first used at batch 3 and grows at 8
+        # the gradients are the packed model's grads, which the next call
+        # overwrites; the second packed model is first used at batch 3 and
+        # grows at 8
         shape = GcnShape(2, 5, 6, 3, 3)
         rng = np.random.default_rng(7)
         model = init_model(shape, seed=7)
         signals = rng.standard_normal((11, shape.signal_dim, shape.nodes))
         labels = rng.integers(0, shape.num_classes, 11)
         for slices in (((0, 8), (8, 11), (3, 11)), ((8, 11), (0, 8), (3, 11))):
-            buffers = StepBuffers()
+            packed = PackedModel(model)
             got = []
             for lo, hi in slices:
-                loss, grads = loss_and_grads(model, signals[lo:hi], labels[lo:hi], buffers)
-                got.append((lo, hi, loss, [g.copy() for g in grads]))
+                loss, grads = loss_and_grads(packed, signals[lo:hi], labels[lo:hi])
+                got.append((lo, hi, loss, packed.unpack(grads)))
             for lo, hi, loss, grads in got:
                 want_loss, want = loss_and_grads(model, signals[lo:hi], labels[lo:hi])
                 assert loss == want_loss
@@ -238,8 +246,8 @@ class TestGradients:
     )
     @settings(max_examples=60, deadline=None)
     def test_contraction_order_property(self, dims, batch, spare, seed):
-        # signal_dim and nodes are drawn independently; an oversized buffer
-        # set, dirtied by a larger batch first, must not change a bit
+        # signal_dim and nodes are drawn independently; an oversized packed
+        # model, dirtied by a larger batch first, must not change a bit
         shape = GcnShape(*dims)
         rng = np.random.default_rng(seed)
         model = init_model(shape, seed=seed)
@@ -254,12 +262,12 @@ class TestGradients:
         for got, want in zip((got_probs, *got_grads), (probs, *grads)):
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-        buffers = StepBuffers()
-        loss_and_grads(model, signals, labels, buffers)
-        assert forward_batch(model, x, buffers)[0].tobytes() == got_probs.tobytes()
-        again_loss, again = loss_and_grads(model, x, y, buffers)
+        packed = PackedModel(model)
+        loss_and_grads(packed, signals, labels)
+        assert forward_batch(packed, x)[0].tobytes() == got_probs.tobytes()
+        again_loss, again = loss_and_grads(packed, x, y)
         assert again_loss == got_loss
-        for g, w in zip(again, got_grads):
+        for g, w in zip(packed.unpack(again), got_grads):
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
     def test_buffered_step_allocates_under_16_kib(self):
@@ -271,11 +279,11 @@ class TestGradients:
         model = init_model(shape, seed=0)
         signals = rng.standard_normal((200, shape.signal_dim, shape.nodes))
         labels = rng.integers(0, shape.num_classes, 200)
-        buffers = StepBuffers()
-        loss_and_grads(model, signals, labels, buffers)
+        packed = PackedModel(model)
+        loss_and_grads(packed, signals, labels)
         tracemalloc.start()
         try:
-            loss_and_grads(model, signals, labels, buffers)
+            loss_and_grads(packed, signals, labels)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -283,17 +291,27 @@ class TestGradients:
 
 
 class TestTraining:
-    @pytest.mark.parametrize("masked", [False, True, "dead_filter_and_head_row"])
-    def test_matches_allocating_reference_loop(self, masked):
-        # batches of 7, 7 and 6: the short last batch reuses the same buffers
+    @pytest.mark.parametrize(
+        "masked, shape, count, batch",
+        [
+            pytest.param(False, TINY, 20, 7, id="False"),
+            pytest.param(True, TINY, 20, 7, id="True"),
+            pytest.param("dead_filter_and_head_row", TINY, 20, 7, id="dead_filter_and_head_row"),
+            pytest.param(False, GRID, 500, 200, id="grid-False"),
+            pytest.param(True, GRID, 500, 200, id="grid-True"),
+        ],
+    )
+    def test_matches_allocating_reference_loop(self, masked, shape, count, batch):
+        # batches of 7, 7 and 6, or 200, 200 and 100 at the default grid's
+        # shape: the short last batch reuses the same scratch
         rng = np.random.default_rng(11)
-        signals = rng.standard_normal((20, TINY.signal_dim, TINY.nodes))
-        labels = rng.integers(0, TINY.num_classes, 20)
-        model = init_model(TINY, seed=5)
+        signals = rng.standard_normal((count, shape.signal_dim, shape.nodes))
+        labels = rng.integers(0, shape.num_classes, count)
+        model = init_model(shape, seed=5)
         mask = random_view_mask(model, rng) if masked else None
         if masked == "dead_filter_and_head_row":
-            mask = drop_filter_and_head_row(mask, TINY)
-        cfg = TrainConfig(epochs=6, batch_size=7, seed=2)
+            mask = drop_filter_and_head_row(mask, shape)
+        cfg = TrainConfig(epochs=6, batch_size=batch, seed=2)
         trained, losses = train(model, (signals, labels), cfg, mask)
         want_params, want_losses = allocating_train(model, (signals, labels), cfg, mask)
         assert losses == want_losses
