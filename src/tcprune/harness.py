@@ -6,12 +6,12 @@ cells run, so an alpha sweep or a chains-vs-plain trend is just another
 variant list. One baseline is trained per seed and shared by every
 (rate, variant) cell at that seed, so differences between cells come from
 pruning alone. A seed's cells run through `parallel.run`, on one thread
-per usable CPU, with numpy's OpenBLAS held at one thread; their records
-keep grid order, so the outputs are those of a serial run. Runs whose mask
-trims to nothing are reported with accuracy unavailable instead of
-crashing, and pruner saturation and a diverged fine-tune are captured as
-row statuses. A diverging baseline still ends the grid with
-DivergenceError.
+per usable CPU, and numpy's OpenBLAS is held at one thread for the whole
+grid, baselines included; records keep grid order, so the outputs are
+those of a serial run. Runs whose mask trims to nothing are reported with
+accuracy unavailable instead of crashing, and pruner saturation and a
+diverged fine-tune are captured as row statuses. A diverging baseline
+still ends the grid with DivergenceError.
 
 The table schema is `ResultRow`: its field names are the CSV columns and
 the JSON keys. Every JSON input (a config, `runs.json`, the CLI's
@@ -273,25 +273,24 @@ def _run_grid(cfg: ExperimentConfig) -> list[RunRecord]:
     shape = _shape_for(cfg, train_set)
     base_cfg, tune_cfg = cfg.training
     cells = [(rate, variant) for rate in cfg.rates for variant in cfg.variants]
-    # one worker per usable CPU; without a handle on numpy's OpenBLAS, whose
-    # threads would contend with the workers, the cells run one at a time
-    workers = min(parallel.usable_cpus(), len(cells))
-    openblas = blas.openblas() if workers > 1 else None
-    if openblas is None:
-        workers = 1
+    # one worker per usable CPU, with numpy's OpenBLAS held at one thread for
+    # the whole grid so its threads do not contend with them (no bit depends
+    # on the count); without a handle on it the cells run one at a time
+    openblas = blas.openblas()
+    workers = min(parallel.usable_cpus(), len(cells)) if openblas else 1
     records: list[RunRecord] = []
     mask_dir = None
     if cfg.output:
         mask_dir = os.path.join(cfg.output, "masks")
         os.makedirs(mask_dir, exist_ok=True)
-    for seed in cfg.seeds:
-        init = init_model(shape, seed, cfg.model.head_scale)
-        model, _ = train(init, train_set, dataclasses.replace(base_cfg, seed=seed))
-        accuracy = evaluate(model, test_set)
-        view = as_layered(model)
-        finetune = dataclasses.replace(tune_cfg, seed=seed)
-        base = _Baseline(seed, model, accuracy, view, finetune, train_set, test_set)
-        with openblas.one_thread() if workers > 1 else contextlib.nullcontext():
+    with openblas.one_thread() if openblas else contextlib.nullcontext():
+        for seed in cfg.seeds:
+            init = init_model(shape, seed, cfg.model.head_scale)
+            model, _ = train(init, train_set, dataclasses.replace(base_cfg, seed=seed))
+            accuracy = evaluate(model, test_set)
+            view = as_layered(model)
+            finetune = dataclasses.replace(tune_cfg, seed=seed)
+            base = _Baseline(seed, model, accuracy, view, finetune, train_set, test_set)
             records += parallel.run(lambda cell: _run_cell(base, *cell, mask_dir), cells, workers)
     return records
 

@@ -10,12 +10,14 @@ and joined before it returns, so a call made from inside an item (the
 pruners' passes inside a grid cell) never waits on a thread that is busy
 elsewhere.
 
-`spans` cuts a whole-layer pass into contiguous row ranges, one per usable
-CPU, each holding at least MIN_SPAN entries, and `each` runs a range
-function over them. The pruners split only passes whose every element numpy
-computes from the same values whatever the range, so their results are the
-same bits on any number of CPUs. numpy's error state belongs to a thread,
-so a range function that expects log 0 sets its own.
+`over_rows` is the one way a whole-layer pass splits: it cuts the pass
+into the contiguous row ranges of `spans`, one per usable CPU, each holding
+at least MIN_SPAN entries, and runs a range function over them through
+`run`, or over every row on the calling thread when they do not split.
+The pruners split only passes whose every element numpy computes from the
+same values whatever the range, so their results are the same bits on any
+number of CPUs. numpy's error state belongs to a thread, so a range
+function that expects log 0 sets its own.
 """
 
 from __future__ import annotations
@@ -96,16 +98,8 @@ def spans(rows: int, row_size: int = 1) -> list[tuple[int, int]] | None:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def each(fill: Callable[[int, int], None], ranges: list[tuple[int, int]]) -> None:
-    """fill(start, stop) for every range, one thread per range."""
-    run(lambda span: fill(*span), ranges, len(ranges))
-
-
 def over_rows(fill: Callable[[int, int], None], rows: int, row_size: int = 1) -> None:
-    """fill(start, stop) over the `spans` of `rows` rows, or fill(0, rows)
-    on the calling thread when they do not split."""
-    ranges = spans(rows, row_size)
-    if ranges is None:
-        fill(0, rows)
-    else:
-        each(fill, ranges)
+    """fill(start, stop) over the `spans` of `rows` rows, one thread per
+    range, or fill(0, rows) on the calling thread when they do not split."""
+    ranges = spans(rows, row_size) or [(0, rows)]
+    run(lambda span: fill(*span), ranges, len(ranges))

@@ -17,13 +17,14 @@ visits by row, or finds each slot's first visit, with stable sorts of ids in
 the smallest unsigned type that holds them, which numpy does by radix for
 layers up to 65,536 neurons wide, in time linear in the block's visits.
 
-The whole-layer passes of a large layer run by contiguous row ranges on
-every usable CPU (see `parallel`): the magnitudes, stochastic_mp's log of
-them and its keys, the log scores, the CDFs, the order prefixes and a
-block's bisection. Each element is still computed by the same numpy
-operation on the same values, so every result is the same bits on any
-number of CPUs; a pass too small to give each range 2**16 entries runs on
-the calling thread as it always did.
+Every whole-layer pass is one range function that `parallel.over_rows`
+runs over contiguous row ranges, one per usable CPU, each writing its rows
+of one output: the magnitudes, stochastic_mp's log of them and its keys,
+the log scores, the CDFs (written over the scores), the order prefixes
+and a block's bisection. A pass too small to give each range 2**16
+entries is the same function over every row, on the calling thread. Each
+element is computed by the same numpy operation on the same values either
+way, so every result is the same bits on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -212,31 +213,22 @@ def _gumbel_top_k(
 
 def _choice_cdfs(scores: np.ndarray) -> np.ndarray:
     """Each row's CDF as Generator.choice builds it from the row's softmax
-    probabilities, uniform for a row that scores -inf throughout.
+    probabilities, uniform for a row that scores -inf throughout, written
+    over `scores`, which is returned."""
 
-    A layer large enough to split is written over `scores`, by row ranges
-    on every usable CPU, and `scores` is returned; a smaller one gets a new
-    array and leaves `scores` as it was.
-    """
-    ranges = parallel.spans(*scores.shape)
-    if ranges is None:
-        return _cdf_rows(scores)
-    parallel.each(lambda lo, hi: _cdf_rows(scores[lo:hi], out=scores[lo:hi]), ranges)
+    def fill(lo: int, hi: int) -> None:
+        cdfs = scores[lo:hi]
+        mx = cdfs.max(axis=1, keepdims=True)
+        flat = mx[:, 0] == -np.inf  # every forward neighbor has zero magnitude
+        mx[flat] = 0.0
+        np.exp(np.subtract(cdfs, mx, out=cdfs), out=cdfs)
+        cdfs[flat] = 1.0
+        cdfs /= cdfs.sum(axis=1, keepdims=True)
+        np.cumsum(cdfs, axis=1, out=cdfs)
+        cdfs /= cdfs[:, -1:]
+
+    parallel.over_rows(fill, *scores.shape)
     return scores
-
-
-def _cdf_rows(scores: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """_choice_cdfs of `scores`, in `out` (which may be `scores`) or, by
-    default, a new array."""
-    mx = scores.max(axis=1, keepdims=True)
-    flat = mx[:, 0] == -np.inf  # every forward neighbor has zero magnitude
-    mx[flat] = 0.0
-    cdfs = np.exp(np.subtract(scores, mx, out=out), out=out)
-    cdfs[flat] = 1.0
-    cdfs /= cdfs.sum(axis=1, keepdims=True)
-    np.cumsum(cdfs, axis=1, out=cdfs)
-    cdfs /= cdfs[:, -1:]
-    return cdfs
 
 
 def _chain_draws(
@@ -295,34 +287,27 @@ def _order_prefix(scores: np.ndarray, k: int) -> np.ndarray:
     orders by score. That order is the stable one unless ties are involved,
     so a row is redone with the full stable argsort when two of its k scores
     are equal, or when its k-th score has a tie the partition left out.
-    A large layer is done by row ranges on every usable CPU.
     """
-    ranges = parallel.spans(*scores.shape)
-    if ranges is None:
-        return _order_rows(scores, k)
-    prefix = np.empty((scores.shape[0], min(k, scores.shape[1])), dtype=np.intp)
+    height, width = scores.shape
+    prefix = np.empty((height, min(k, width)), dtype=np.intp)
 
     def fill(lo: int, hi: int) -> None:
-        prefix[lo:hi] = _order_rows(scores[lo:hi], k)
+        rows = scores[lo:hi]
+        if k >= width:
+            prefix[lo:hi] = np.argsort(-rows, axis=1, kind="stable")
+            return
+        part = np.argpartition(rows, width - k, axis=1)[:, width - k :]
+        sub = np.take_along_axis(rows, part, axis=1)
+        by_score = np.argsort(-sub, axis=1)
+        sub = np.take_along_axis(sub, by_score, axis=1)
+        order = np.take_along_axis(part, by_score, axis=1)
+        tied = (sub[:, 1:] == sub[:, :-1]).any(axis=1)
+        tied |= np.count_nonzero(rows >= sub[:, -1:], axis=1) > k
+        if tied.any():
+            order[tied] = np.argsort(-rows[tied], axis=1, kind="stable")[:, :k]
+        prefix[lo:hi] = order
 
-    parallel.each(fill, ranges)
-    return prefix
-
-
-def _order_rows(scores: np.ndarray, k: int) -> np.ndarray:
-    """_order_prefix on the calling thread."""
-    width = scores.shape[1]
-    if k >= width:
-        return np.argsort(-scores, axis=1, kind="stable")
-    part = np.argpartition(scores, width - k, axis=1)[:, width - k :]
-    sub = np.take_along_axis(scores, part, axis=1)
-    by_score = np.argsort(-sub, axis=1)
-    sub = np.take_along_axis(sub, by_score, axis=1)
-    prefix = np.take_along_axis(part, by_score, axis=1)
-    tied = (sub[:, 1:] == sub[:, :-1]).any(axis=1)
-    tied |= np.count_nonzero(scores >= sub[:, -1:], axis=1) > k
-    if tied.any():
-        prefix[tied] = np.argsort(-scores[tied], axis=1, kind="stable")[:, :k]
+    parallel.over_rows(fill, height, width)
     return prefix
 
 
@@ -379,16 +364,15 @@ def _sampled_steps(
     height, width = cdfs.shape
     entries = cdfs.reshape(-1)
     before_row = rows * width - 1  # probe p reads entry p - 1 of the visit's row
-    ranges = parallel.spans(rows.size, (width - 1).bit_length())
-    if ranges is None:
-        cols = _bisect(entries, before_row, draws, width)
-    else:
-        cols = np.empty_like(rows)
+    cols = np.zeros_like(rows)
 
-        def fill(lo: int, hi: int) -> None:
-            cols[lo:hi] = _bisect(entries, before_row[lo:hi], draws[lo:hi], width)
+    def bisect(lo: int, hi: int) -> None:
+        found, before, drawn = cols[lo:hi], before_row[lo:hi], draws[lo:hi]
+        for shift in reversed(range((width - 1).bit_length())):
+            probe = found + (1 << shift)
+            np.copyto(found, probe, where=entries[before + np.minimum(probe, width)] <= drawn)
 
-        parallel.each(fill, ranges)
+    parallel.over_rows(bisect, rows.size, (width - 1).bit_length())
     at = before_row + 1 + cols
     ids = np.min_scalar_type(max(height, width) - 1)
     order = np.argsort(cols.astype(ids), kind="stable")
@@ -398,18 +382,6 @@ def _sampled_steps(
     new = np.zeros(rows.size, dtype=bool)
     new[first] = ~bits.reshape(-1)[at[first]]
     return cols, new
-
-
-def _bisect(
-    entries: np.ndarray, before_row: np.ndarray, draws: np.ndarray, width: int
-) -> np.ndarray:
-    """_sampled_steps' bisection of the visits whose rows start after
-    entries[before_row]."""
-    cols = np.zeros_like(before_row)
-    for shift in reversed(range((width - 1).bit_length())):
-        probe = cols + (1 << shift)
-        cols = np.where(entries[before_row + np.minimum(probe, width)] <= draws, probe, cols)
-    return cols
 
 
 class ChainTraces(Sequence[ChainTrace]):
@@ -453,9 +425,8 @@ def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, Chain
     random stream equal those of selecting one chain at a time. A block
     holds max(d0, ceil(remaining budget / L)) chains: no more than are
     still needed, since a chain sets at most L bits, or one round-robin
-    sweep. A stochastic call starts with every row's CDF, one table the size
-    of each layer's scores, written over the scores where the layer splits
-    over the CPUs. A deterministic call reads, per layer, each row's
+    sweep. A stochastic call starts with every row's CDF, written over each
+    layer's scores. A deterministic call reads, per layer, each row's
     order prefix: empty at first, and rebuilt by `_order_prefix` to twice
     the entries a block reads when the block reads past its end. Each
     rebuild more than doubles the prefix, so a layer is built at most

@@ -87,17 +87,19 @@ def _lse_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _log_abs(w: np.ndarray) -> np.ndarray:
     """log |w|, -inf at zero weights; a large layer by row ranges on every
     usable CPU."""
-    ranges = parallel.spans(w.shape[0], w.shape[1])
-    if ranges is None:
-        with np.errstate(divide="ignore"):
-            return np.log(np.abs(w))
+    # The allocation order is load-bearing: |w| first, then `out`. With
+    # `out` allocated first, or the log taken in place in |w|, bench
+    # `global_scoring` ran 20 % and 10-30 % slower on a 2-CPU x86_64 box:
+    # the order of the layer-sized blocks moves glibc's dynamic mmap and
+    # trim thresholds, and with them the page faults of later temporaries.
+    magnitudes = np.abs(w)
     out = np.empty(w.shape)
 
     def fill(lo: int, hi: int) -> None:
         with np.errstate(divide="ignore"):
-            np.log(np.abs(w[lo:hi], out=out[lo:hi]), out=out[lo:hi])
+            np.log(magnitudes[lo:hi], out=out[lo:hi])
 
-    parallel.each(fill, ranges)
+    parallel.over_rows(fill, *w.shape)
     return out
 
 

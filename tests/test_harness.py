@@ -195,6 +195,34 @@ class TestConcurrentCells:
         # the grid stops at the seed whose cell failed
         assert 3 <= len(finetunes) < 2 * 4 * 2
 
+    def test_later_baseline_divergence_stops_every_worker(self, monkeypatch):
+        import tcprune.harness as harness_mod
+        from tcprune import blas
+
+        real_train = harness_mod.train
+        handle = blas.openblas()
+        baseline_threads = []
+
+        def train(model, data, cfg, mask=None):
+            if mask is None:
+                baseline_threads.append(handle.threads() if handle else None)
+                if cfg.seed == 1:
+                    raise DivergenceError(0)
+            return real_train(model, data, cfg, mask)
+
+        monkeypatch.setattr(harness_mod, "train", train)
+        threads_before = handle.threads() if handle else None
+        alive_before = set(threading.enumerate())
+        with pytest.raises(DivergenceError):
+            run_ablation(tiny_config(rates=(0.5, 0.9), seeds=(0, 1)))
+        assert set(threading.enumerate()) == alive_before
+        if handle:
+            assert handle.threads() == threads_before
+            # both baselines trained inside the grid's one hold
+            assert baseline_threads == [1, 1]
+        else:
+            assert len(baseline_threads) == 2
+
 
 def sweep_variants(alphas):
     return tuple(Variant(tc=True, stochastic=True, scoring="global", alpha=a) for a in alphas)

@@ -53,13 +53,15 @@ def _digest(net: LayeredNetwork) -> str:
 def test_masks_and_chains_bit_identical_on_one_two_and_three_cpus(monkeypatch):
     net = _net()
     splits = []
-    each = parallel.each
+    spans = parallel.spans
 
-    def counted(fill, ranges):
-        splits.append(len(ranges))
-        each(fill, ranges)
+    def counted(rows, row_size=1):
+        ranges = spans(rows, row_size)
+        if ranges is not None:
+            splits.append(len(ranges))
+        return ranges
 
-    monkeypatch.setattr(parallel, "each", counted)
+    monkeypatch.setattr(parallel, "spans", counted)
     digests = {}
     for cpus in (1, 2, 3):
         monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
@@ -74,7 +76,7 @@ def test_masks_and_chains_bit_identical_on_one_two_and_three_cpus(monkeypatch):
     assert len(set(digests.values())) == 1, digests
 
 
-@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_helper_thread_log_zero_raises_no_warning(monkeypatch, cpus):
     from tcprune.surrogate import _log_abs
 
