@@ -6,9 +6,10 @@ Subcommands: train (baseline), prune (single mask), finetune, ablate
 default rate x variant grid) or from `--config`, a JSON config such as the
 ones under configs/, whose `variants` state any grid, an alpha sweep
 included; a grid flag given with `--config` is a config error.
-Exit codes: 0 success, 1 chain pruning saturated (SaturationError: no chain
-adds a connection before the budget fills), 2 config error, 3 I/O error,
-4 numeric divergence.
+Exit codes, from the one EXIT_CODES table: 0 success, 1 chain pruning
+saturated (SaturationError: no chain adds a connection before the budget
+fills), 2 config error, 3 I/O error, 4 numeric divergence, 5 out of memory
+(numpy's MemoryError names the shape it could not allocate).
 """
 
 from __future__ import annotations
@@ -240,22 +241,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code of each error a command may raise; the first type an error
+# is an instance of gives its code.
+EXIT_CODES = (
+    (DivergenceError, 4),
+    (OSError, 3),
+    (ValueError, 2),  # DomainError, ShapeError, ...
+    (SaturationError, 1),
+    (MemoryError, 5),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DivergenceError as exc:
+    except tuple(kind for kind, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:  # DomainError, ShapeError, ...
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SaturationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ gives every model parameter its own view connection, and the other view
 slots are structural zeros that carry no parameter. as_layered scatters the
 parameters to those slots and view_mask_to_param_masks gathers a view
 mask's keep bits from them, one array per parameter group; train and
-evaluate take the view mask itself.
+evaluate take the view mask itself and pack it with the model.
 """
 
 from __future__ import annotations
@@ -128,7 +128,9 @@ class PackedModel:
     params holds attention, conv and head one after another in one flat
     float64 vector, each in its step layout, (nodes, heads, nodes),
     (signal_dim, filters, heads) and (filters, nodes, num_classes); grads
-    is a second vector in the same layout, which loss_and_grads writes.
+    is a second vector in the same layout, which loss_and_grads writes, and
+    keep a third, a view mask's 0.0/1.0 keep weights (all 1.0 without one);
+    the parameters the mask drops are packed as +0.0.
     weights and gradients are their three parts as the 2-D matrices the
     products read or write: (nodes, heads * nodes), (signal_dim, filters *
     heads), which the forward product reads transposed, and (filters *
@@ -144,9 +146,15 @@ class PackedModel:
     gradient per node before they are summed into gradients.
     """
 
-    def __init__(self, model: GcnModel):
+    def __init__(self, model: GcnModel, mask: MaskTensor | None = None):
         self.shape = model.shape
         self.params = self.pack((model.attention, model.conv, model.head))
+        if mask is None:
+            self.keep = np.ones_like(self.params)
+        else:
+            self.keep = self.pack(view_mask_to_param_masks(mask, model.shape))
+            # +0.0 where dropped; a negative weight times 0.0 would be -0.0
+            np.copyto(self.params, 0.0, where=self.keep == 0.0)
         self.grads = np.empty_like(self.params)
         self.weights = self._parts(self.params)
         self.gradients = self._parts(self.grads)
@@ -344,16 +352,6 @@ def _checked(data, shape: GcnShape):
     return signals, labels
 
 
-def _masked(model: GcnModel, mask: MaskTensor | None):
-    """Keep bits and masked copies of (attention, conv, head); all kept without a mask."""
-    params = (model.attention, model.conv, model.head)
-    if mask is None:
-        bits = tuple(np.ones(p.shape, dtype=bool) for p in params)
-    else:
-        bits = view_mask_to_param_masks(mask, model.shape)
-    return bits, [np.where(b, p, 0.0) for p, b in zip(params, bits)]
-
-
 def train(
     model: GcnModel,
     data: tuple[np.ndarray, np.ndarray],
@@ -363,11 +361,11 @@ def train(
     """Momentum SGD on cross-entropy over `data`, the (signals, labels) of
     dataset_arrays; returns (trained copy, per-epoch loss).
 
-    The call packs the masked model into one PackedModel of its own, shared
-    with no other call, so calls on different threads do not disturb one
-    another. Its 0.0/1.0 keep weights (all 1.0 without a view mask) and the
-    velocities are flat vectors in the same step layout, and the keep
-    weights are scaled by the learning rate once per epoch, so a step's
+    The call packs the model and the mask into one PackedModel of its own,
+    shared with no other call, so calls on different threads do not disturb
+    one another. Its keep weights and the velocities are flat vectors in the
+    same step layout, and the keep weights are scaled by the learning rate
+    once per epoch, so a step's
     update is four operations over the whole vector:
     g *= lr * keep; v *= momentum; v -= g; p += v. Dropped parameters start
     at +0.0; for a finite gradient g * 0.0 is +-0.0 and +0.0 - (+-0.0) ==
@@ -379,10 +377,8 @@ def train(
     otherwise divided; it is clamped to [1e-8, 1].
     """
     signals, labels = _checked(data, model.shape)
-    bits, params = _masked(model, mask)
-    packed = PackedModel(GcnModel(model.shape, *params))
-    keep = packed.pack(bits)
-    lr_keep = np.empty_like(keep)
+    packed = PackedModel(model, mask)
+    lr_keep = np.empty_like(packed.keep)
     velocity = np.zeros_like(packed.params)
     batch = min(cfg.batch_size, len(labels))
     batch_signals = np.empty((batch,) + signals.shape[1:])
@@ -392,7 +388,7 @@ def train(
     losses: list[float] = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(labels))
-        np.multiply(lr, keep, out=lr_keep)
+        np.multiply(lr, packed.keep, out=lr_keep)
         epoch_loss = 0.0
         for lo in range(0, len(order), cfg.batch_size):
             idx = order[lo : lo + cfg.batch_size]
@@ -425,13 +421,11 @@ def evaluate(
     """Balanced accuracy on `data`, the (signals, labels) of dataset_arrays:
     per-class accuracy averaged over the classes present.
 
-    With a view mask, the parameters it drops are zeroed first. One forward
-    pass covers all of `data`, on a model packed for this call alone.
+    With a view mask, the parameters it drops are zeroed as the model is
+    packed, for this call alone. One forward pass covers all of `data`.
     """
     signals, labels = _checked(data, model.shape)
-    _, params = _masked(model, mask)
-    model = GcnModel(model.shape, *params)
-    probs, _ = forward_batch(model, signals)
+    probs, _ = forward_batch(PackedModel(model, mask), signals)
     preds = probs.argmax(axis=1)
     per_class = [np.mean(preds[labels == cls] == cls) for cls in np.unique(labels)]
     return float(np.mean(per_class))

@@ -5,13 +5,13 @@ fine-tune the survivors, and emit result tables as CSV or JSON.
 cells run, so an alpha sweep or a chains-vs-plain trend is just another
 variant list. One baseline is trained per seed and shared by every
 (rate, variant) cell at that seed, so differences between cells come from
-pruning alone. A seed's cells run through `parallel.run`, on one thread
-per usable CPU, and numpy's OpenBLAS is held at one thread for the whole
-grid, baselines included; records keep grid order, so the outputs are
-those of a serial run. Runs whose mask trims to nothing are reported with
-accuracy unavailable instead of crashing, and pruner saturation and a
-diverged fine-tune are captured as row statuses. A diverging baseline
-still ends the grid with DivergenceError.
+pruning alone. A seed's cells run through `parallel.run` on the threads
+`parallel.workers_for` gives, one per usable CPU, which holds numpy's
+OpenBLAS at one thread for the whole grid, baselines included; records
+keep grid order, so the outputs are those of a serial run. Runs whose mask
+trims to nothing are reported with accuracy unavailable instead of
+crashing, and pruner saturation and a diverged fine-tune are captured as
+row STATUSES. A diverging baseline still ends the grid with DivergenceError.
 
 The table schema is `ResultRow`: its field names are the CSV columns and
 the JSON keys. Every JSON input (a config, `runs.json`, the CLI's
@@ -21,7 +21,6 @@ each value against the field types the dataclasses declare.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import json
 import math
@@ -32,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import blas, gcn, parallel
+from . import gcn, parallel
 from .data import load_dataset, synth_dataset
 from .errors import BudgetError, DivergenceError, DomainError, SaturationError
 from .gcn import (
@@ -169,6 +168,11 @@ def _spec(rate: float, variant: Variant, seed: int) -> PruneSpec:
     return PruneSpec(rate, variant.tc, variant.stochastic, variant.scoring, variant.alpha, seed)
 
 
+# Every status a run record may hold: "ok", or why the cell has no mask
+# ("saturated", "budget") or no accuracy ("disconnected", "diverged").
+STATUSES = ("ok", "saturated", "budget", "disconnected", "diverged")
+
+
 @dataclass(frozen=True)
 class RunRecord:
     rate: float
@@ -183,6 +187,15 @@ class RunRecord:
     wall_s: float
     status: str
     mask_file: str | None
+
+    def __post_init__(self):
+        # the cell's spec; a local row leaves out its variant's unused alpha
+        alpha = 1.0 if self.alpha is None else self.alpha
+        _spec(self.rate, Variant(self.tc, self.stochastic, self.scoring, alpha), self.seed)
+        if (self.alpha is None) != (self.scoring == "local"):
+            raise DomainError(f"alpha must be null exactly for local scoring, got {self.alpha}")
+        if self.status not in STATUSES:
+            raise DomainError(f"unknown status {self.status!r}, not one of {STATUSES}")
 
 
 @dataclass(frozen=True)
@@ -273,17 +286,13 @@ def _run_grid(cfg: ExperimentConfig) -> list[RunRecord]:
     shape = _shape_for(cfg, train_set)
     base_cfg, tune_cfg = cfg.training
     cells = [(rate, variant) for rate in cfg.rates for variant in cfg.variants]
-    # one worker per usable CPU, with numpy's OpenBLAS held at one thread for
-    # the whole grid so its threads do not contend with them (no bit depends
-    # on the count); without a handle on it the cells run one at a time
-    openblas = blas.openblas()
-    workers = min(parallel.usable_cpus(), len(cells)) if openblas else 1
     records: list[RunRecord] = []
     mask_dir = None
     if cfg.output:
         mask_dir = os.path.join(cfg.output, "masks")
         os.makedirs(mask_dir, exist_ok=True)
-    with openblas.one_thread() if openblas else contextlib.nullcontext():
+    # one OpenBLAS hold for the whole grid, baselines included; no bit depends on its count
+    with parallel.workers_for(len(cells)) as workers:
         for seed in cfg.seeds:
             init = init_model(shape, seed, cfg.model.head_scale)
             model, _ = train(init, train_set, dataclasses.replace(base_cfg, seed=seed))
@@ -427,10 +436,13 @@ def report_from_artifacts(artifact_dir: str) -> list[ResultRow]:
     files and must equal the recorded value exactly: the same computation
     on the same mask bits gives the same float, and JSON round-trips it.
     A mask_file must be a bare file name, so no mask is read from outside
-    `artifact_dir`'s masks directory.
+    `artifact_dir`'s masks directory. Every record passes RunRecord's domain
+    checks, and a runs.json with no record raises DomainError.
     """
     payload = _read_json(os.path.join(artifact_dir, "runs.json"))
     records = _build(tuple[RunRecord, ...], payload, "runs.json")
+    if not records:
+        raise DomainError("runs.json holds no run records")
     for rec in records:
         name = rec.mask_file
         if name is not None:

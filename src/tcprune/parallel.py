@@ -18,15 +18,27 @@ The pruners split only passes whose every element numpy computes from the
 same values whatever the range, so their results are the same bits on any
 number of CPUs. numpy's error state belongs to a thread, so a range
 function that expects log 0 sets its own.
+
+`workers_for` decides how many threads a batch of items runs on, one per
+usable CPU, and holds numpy's bundled OpenBLAS at one thread meanwhile so
+its own threads do not contend with them. It sets the count through ctypes
+in numpy.libs/libscipy_openblas64_*.so, the instance numpy has loaded;
+without it (another BLAS, another platform) the items run one at a time.
 """
 
 from __future__ import annotations
 
 import collections
+import contextlib
+import ctypes
+import functools
+import glob
 import os
 import threading
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from typing import TypeVar
+
+import numpy as np
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -103,3 +115,39 @@ def over_rows(fill: Callable[[int, int], None], rows: int, row_size: int = 1) ->
     range, or fill(0, rows) on the calling thread when they do not split."""
     ranges = spans(rows, row_size) or [(0, rows)]
     run(lambda span: fill(*span), ranges, len(ranges))
+
+
+@functools.cache
+def _openblas() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """numpy's bundled OpenBLAS's (get, set) thread-count functions, looked
+    up on the first call; None when numpy has none or it lacks them."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
+        try:
+            lib = ctypes.CDLL(path)
+            get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):  # not loadable, or no such symbol
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def workers_for(items: int) -> Iterator[int]:
+    """Yield min(usable_cpus(), items), the threads `items` items run on,
+    with OpenBLAS held at one thread until the block ends, when its count is
+    restored, also if the block raises. Without a handle on the count, yield
+    1 and leave the count alone."""
+    blas = _openblas()
+    if blas is None:
+        yield 1
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield min(usable_cpus(), items)
+    finally:
+        set_(before)

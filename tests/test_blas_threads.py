@@ -3,7 +3,8 @@
 The same script runs in two fresh interpreters, one with
 OPENBLAS_NUM_THREADS=1 and one with 2 (the variable is read when numpy
 loads), and both print one sha256 of every result. The count an ablation
-grid sets inside its process, through tcprune.blas, is tested last.
+grid sets inside its process, through tcprune.parallel.workers_for, is
+tested last.
 """
 
 import os
@@ -60,23 +61,22 @@ def test_tables_and_training_bit_identical_under_one_and_two_threads():
 
 
 def test_openblas_thread_count_round_trip():
-    from tcprune import blas
+    from tcprune import parallel
 
-    handle = blas.openblas()
-    if handle is None:
+    blas = parallel._openblas()
+    if blas is None:
         pytest.skip("numpy has no bundled OpenBLAS")
-    before = handle.threads()
+    get, set_ = blas
+    before = get()
     assert before >= 1
     try:
-        handle.set_threads(1)
-        assert handle.threads() == 1
-        handle.set_threads(before)
-        assert handle.threads() == before
-        with handle.one_thread():
-            assert handle.threads() == 1
-        assert handle.threads() == before
-        with pytest.raises(RuntimeError), handle.one_thread():
+        with parallel.workers_for(3) as workers:
+            assert get() == 1
+            assert workers == min(parallel.usable_cpus(), 3)
+        assert get() == before
+        with pytest.raises(RuntimeError), parallel.workers_for(3):
+            assert get() == 1
             raise RuntimeError
-        assert handle.threads() == before
+        assert get() == before
     finally:
-        handle.set_threads(before)
+        set_(before)

@@ -589,6 +589,34 @@ class TestReport:
         (tmp_path / "runs.json").write_text(json.dumps(data))
         assert run_cli("report", "--artifacts", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"rate": 1.5},
+            {"seed": -1},
+            {"status": "bogus"},
+            {"scoring": "bogus"},
+            {"alpha": 0.5},
+            {"scoring": "global"},
+            {"scoring": "global", "alpha": 1.5},
+        ],
+        ids=["rate-1.5", "seed-negative", "status-unknown", "scoring-unknown",
+             "local-alpha", "global-alpha-null", "global-alpha-1.5"],
+    )
+    def test_record_outside_its_domain_is_config_error(self, tmp_path, capsys, edit):
+        (tmp_path / "runs.json").write_text(json.dumps([RUN, {**RUN, **edit}]))
+        assert run_cli("report", "--artifacts", str(tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+
+    @pytest.mark.parametrize("table_out", [False, True], ids=["print", "table-out"])
+    def test_empty_runs_file_is_config_error(self, tmp_path, capsys, table_out):
+        (tmp_path / "runs.json").write_text("[]")
+        extra = ["--table-out", str(tmp_path / "t.csv")] if table_out else []
+        assert run_cli("report", "--artifacts", str(tmp_path), *extra) == 2
+        assert "no run records" in capsys.readouterr().err
+        assert not (tmp_path / "t.csv").exists()
+
     @pytest.mark.parametrize("relative", [True, False], ids=["parent-dirs", "absolute"])
     def test_mask_file_outside_the_artifacts_is_config_error(self, tmp_path, relative, capsys):
         # a valid mask that runs.json records truly, outside <artifacts>/masks
@@ -683,6 +711,30 @@ class TestExitCodes:
         )
         assert code == 4
         assert not (tmp_path / "run" / "runs.json").exists()
+
+    def test_out_of_memory_maps_to_exit_5(self, tmp_path, monkeypatch, capsys):
+        # numpy refuses an allocation it cannot make with a MemoryError that
+        # names the shape; patched in, since a real one would allocate
+        import tcprune.harness as harness_mod
+        from tcprune import parallel
+
+        message = ("Unable to allocate 35.8 GiB for an array with shape (16, 1500000, 200) "
+                   "and data type float64")
+
+        def train(model, data, cfg, mask=None):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(harness_mod, "train", train)
+        blas = parallel._openblas()
+        threads_before = blas[0]() if blas else None
+        code = run_cli(
+            "ablate", "--synthetic", SYNTH, *MODEL_FLAGS,
+            "--rates", "0.9", "--seeds", "0", "--epochs", "1", "--out", str(tmp_path / "run"),
+        )
+        assert code == 5
+        assert capsys.readouterr().err == f"error: {message}\n"
+        if blas:
+            assert blas[0]() == threads_before
 
 
 

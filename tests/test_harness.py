@@ -140,7 +140,7 @@ def run_diverging_grid(out: Path) -> None:
 class TestConcurrentCells:
     @pytest.mark.parametrize("cpus", [None, 8], ids=["usable-cpus", "8-workers-stress"])
     def test_outputs_match_serial_grid(self, tmp_path, monkeypatch, cpus):
-        from tcprune import blas, parallel
+        from tcprune import parallel
 
         interval = sys.getswitchinterval()
         if cpus is not None:
@@ -153,7 +153,7 @@ class TestConcurrentCells:
         finally:
             sys.setswitchinterval(interval)
         # without a handle on the BLAS thread count the grid runs serially
-        monkeypatch.setattr(blas, "openblas", lambda: None)
+        monkeypatch.setattr(parallel, "_openblas", lambda: None)
         run_diverging_grid(tmp_path / "serial")
 
         def outputs(out: Path):
@@ -171,7 +171,7 @@ class TestConcurrentCells:
 
     def test_unexpected_error_stops_every_worker(self, monkeypatch):
         import tcprune.harness as harness_mod
-        from tcprune import blas
+        from tcprune import parallel
 
         real_train = harness_mod.train
         finetunes = []
@@ -184,40 +184,40 @@ class TestConcurrentCells:
             return real_train(model, data, cfg, mask)
 
         monkeypatch.setattr(harness_mod, "train", train)
-        handle = blas.openblas()
-        threads_before = handle.threads() if handle else None
+        handle = parallel._openblas()
+        threads_before = handle[0]() if handle else None
         alive_before = set(threading.enumerate())
         with pytest.raises(RuntimeError, match="injected"):
             run_ablation(tiny_config(rates=(0.5, 0.9), seeds=(0, 1)))
         assert set(threading.enumerate()) == alive_before
         if handle:
-            assert handle.threads() == threads_before
+            assert handle[0]() == threads_before
         # the grid stops at the seed whose cell failed
         assert 3 <= len(finetunes) < 2 * 4 * 2
 
     def test_later_baseline_divergence_stops_every_worker(self, monkeypatch):
         import tcprune.harness as harness_mod
-        from tcprune import blas
+        from tcprune import parallel
 
         real_train = harness_mod.train
-        handle = blas.openblas()
+        handle = parallel._openblas()
         baseline_threads = []
 
         def train(model, data, cfg, mask=None):
             if mask is None:
-                baseline_threads.append(handle.threads() if handle else None)
+                baseline_threads.append(handle[0]() if handle else None)
                 if cfg.seed == 1:
                     raise DivergenceError(0)
             return real_train(model, data, cfg, mask)
 
         monkeypatch.setattr(harness_mod, "train", train)
-        threads_before = handle.threads() if handle else None
+        threads_before = handle[0]() if handle else None
         alive_before = set(threading.enumerate())
         with pytest.raises(DivergenceError):
             run_ablation(tiny_config(rates=(0.5, 0.9), seeds=(0, 1)))
         assert set(threading.enumerate()) == alive_before
         if handle:
-            assert handle.threads() == threads_before
+            assert handle[0]() == threads_before
             # both baselines trained inside the grid's one hold
             assert baseline_threads == [1, 1]
         else:
