@@ -468,7 +468,8 @@ def _build(hint, value, where: str):
     takes its default), a `tuple[X, ...]` from a list, `X | None` accepts
     null, and a leaf must have exactly its type, except that an int stands
     for a float and is converted to one (a bool never stands for an int).
-    Anything else raises DomainError naming `where`.
+    Anything else raises DomainError naming `where`, and so does a domain
+    check of the dataclass itself: each error names the innermost object.
     """
     if dataclasses.is_dataclass(hint):
         if not isinstance(value, dict):
@@ -477,9 +478,10 @@ def _build(hint, value, where: str):
         unknown = sorted(set(value) - set(hints))
         if unknown:
             raise DomainError(f"{where}: unknown keys {unknown}")
+        kwargs = {k: _build(hints[k], v, f"{where}.{k}") for k, v in value.items()}
         try:
-            return hint(**{k: _build(hints[k], v, f"{where}.{k}") for k, v in value.items()})
-        except TypeError as exc:  # a missing key
+            return hint(**kwargs)
+        except (TypeError, DomainError) as exc:  # a missing key, or a value out of its domain
             raise DomainError(f"{where}: {exc}") from exc
     args = typing.get_args(hint)
     if typing.get_origin(hint) is tuple:

@@ -4,6 +4,11 @@ A depth-L network is a chain of weight matrices W[0..L-1] where W[l] has
 shape (dims[l], dims[l+1]); layer l+1 maps activations of width dims[l] to
 width dims[l+1] via f(W.T @ x). Layers are numbered 1..L in public APIs.
 Networks and masks are treated as immutable once constructed.
+
+A network also keeps what the pruners score it by, computed once and shared
+by every prune that follows: `log_magnitudes`, log|w| of every connection,
+and `memo`'s one entry, in which chain pruning keeps each layer's
+downstream row maxima for the last alpha it scored the network at.
 """
 
 from __future__ import annotations
@@ -15,13 +20,16 @@ import math
 import os
 import stat
 import sys
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
+from . import parallel
 from .errors import DomainError, ShapeError
 from .linalg import as_bools, as_dense
+
+T = TypeVar("T")
 
 
 def _relu(x: np.ndarray) -> np.ndarray:
@@ -43,10 +51,19 @@ ACTIVATIONS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
 
 @dataclass(frozen=True)
 class LayeredNetwork:
-    """Stack of dense weight matrices with one activation kind per layer."""
+    """Stack of dense weight matrices with one activation kind per layer.
+
+    `log_magnitudes` and `memo` keep what they compute on the network, which
+    relies on it being immutable: its weights must not change once it is
+    scored. A value is stored only once it is complete, so threads that
+    score one network at once may compute a value twice, but none reads a
+    half-built one.
+    """
 
     weights: tuple[np.ndarray, ...]
     activations: tuple[str, ...]
+    _log_magnitudes: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _memo: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         weights = tuple(as_dense(w) for w in self.weights)
@@ -76,6 +93,38 @@ class LayeredNetwork:
     @property
     def dims(self) -> tuple[int, ...]:
         return (self.weights[0].shape[0],) + tuple(w.shape[1] for w in self.weights)
+
+    @property
+    def log_magnitudes(self) -> np.ndarray:
+        """log|w| of every connection, -inf at zero weights, the layers
+        concatenated and each raveled (`layers_of` gives them back); read-only,
+        computed on first use and kept. Each layer is |w| and then its log
+        by row ranges through `parallel.over_rows`, so the bits are those of
+        np.log(np.abs(w)) on any number of CPUs."""
+        logs = self._log_magnitudes
+        if logs is None:
+            logs = np.empty(total_connections(self))
+            for w, out in zip(self.weights, layers_of(logs, self.dims)):
+
+                def fill(lo: int, hi: int) -> None:
+                    np.abs(w[lo:hi], out=out[lo:hi])
+                    with np.errstate(divide="ignore"):
+                        np.log(out[lo:hi], out=out[lo:hi])
+
+                parallel.over_rows(fill, *w.shape)
+            logs.flags.writeable = False
+            object.__setattr__(self, "_log_magnitudes", logs)
+        return logs
+
+    def memo(self, key, build: Callable[[], T]) -> T:
+        """build(), or the value it gave when the last call asked for `key`
+        too. The network keeps one entry, replaced by each call with another
+        key, so what it keeps stays bounded."""
+        entry = self._memo
+        if entry is None or entry[0] != key:
+            entry = (key, build())
+            object.__setattr__(self, "_memo", entry)
+        return entry[1]
 
 
 @dataclass(frozen=True)

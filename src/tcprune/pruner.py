@@ -3,13 +3,14 @@
 standard_mp keeps the globally largest absolute weights; stochastic_mp
 samples connections without replacement proportionally to magnitude. Both
 find their cut with one partition of a key per connection; stochastic_mp
-builds its keys with vectorised logs and calls libm's log only for the few
-near the cut. Both can leave kept connections dangling. tc_mp instead grows
-the mask from complete input-to-output chains, so its output is
-topologically consistent by construction. It selects them a block of chains
-at a time, each layer of a block in a few array operations, with the result
-of one chain at a time. Every block reads one table per layer. When
-stochastic, the call builds each row's softmax CDF up front. When
+builds its keys from the network's log magnitudes with vectorised logs and
+calls libm's log only for the few near the cut. Both can leave kept
+connections dangling. tc_mp instead grows the mask from complete
+input-to-output chains, so its output is topologically consistent by
+construction. It selects them a block of chains at a time, each layer of a
+block in a few array operations, with the result of one chain at a time.
+Every block reads one table per layer. When stochastic, the call builds
+each row's softmax CDF up front, from scores it only reads. When
 deterministic, the table holds the first entries of each row's column order
 by (-score, col), as many as the blocks so far have read, and is rebuilt
 longer when a block reads past it. A block's step through a layer groups its
@@ -17,14 +18,23 @@ visits by row, or finds each slot's first visit, with stable sorts of ids in
 the smallest unsigned type that holds them, which numpy does by radix for
 layers up to 65,536 neurons wide, in time linear in the block's visits.
 
+A network is scored once, and its scores are shared by the prunes that
+follow. log|w| is the network's `log_magnitudes`, computed on first use:
+local scores are views of it, and stochastic_mp and the surrogate table
+read it. A global chain prune keeps its table's row maxima on the network
+(`LayeredNetwork.memo`), so the next one at the same alpha builds no
+table. standard_mp keeps its own |w| keys: float log is not strictly
+increasing, so keys taken from the logs could tie where magnitudes do not
+and move its masks.
+
 Every whole-layer pass is one range function that `parallel.over_rows`
 runs over contiguous row ranges, one per usable CPU, each writing its rows
-of one output: the magnitudes, stochastic_mp's log of them and its keys,
-the log scores, the CDFs (written over the scores), the order prefixes
-and a block's bisection. A pass too small to give each range 2**16
-entries is the same function over every row, on the calling thread. Each
-element is computed by the same numpy operation on the same values either
-way, so every result is the same bits on any number of CPUs.
+of one output: the magnitudes, stochastic_mp's keys, the CDFs, the order
+prefixes and a block's bisection, as well as the network's log magnitudes.
+A pass too small to give each range 2**16 entries is the same function over
+every row, on the calling thread. Each element is computed by the same numpy
+operation on the same values either way, so every result is the same bits
+on any number of CPUs.
 """
 
 from __future__ import annotations
@@ -131,17 +141,10 @@ def stochastic_mp(net: LayeredNetwork, rate: float, seed: int) -> MaskTensor:
     draws.
     """
     max_kept = budget(net, rate).max_kept
-    flat = _magnitudes(net)
-    nonzero = int(np.count_nonzero(flat))
+    logs = net.log_magnitudes
+    nonzero = int(np.count_nonzero(logs != -np.inf))
     if not nonzero:
         raise DegenerateDistributionError("all weights are zero")
-    logs = flat  # logged in place
-
-    def log(lo: int, hi: int) -> None:
-        with np.errstate(divide="ignore"):
-            np.log(logs[lo:hi], out=logs[lo:hi])
-
-    parallel.over_rows(log, logs.size)
     if not 0 < max_kept < nonzero:
         return _top_k(net, logs, max_kept)
     bitgen = np.random.PCG64(seed)  # the bit generator of default_rng(seed)
@@ -213,22 +216,23 @@ def _gumbel_top_k(
 
 def _choice_cdfs(scores: np.ndarray) -> np.ndarray:
     """Each row's CDF as Generator.choice builds it from the row's softmax
-    probabilities, uniform for a row that scores -inf throughout, written
-    over `scores`, which is returned."""
+    probabilities, uniform for a row that scores -inf throughout, in a new
+    array; `scores` is only read."""
+    out = np.empty(scores.shape)
 
     def fill(lo: int, hi: int) -> None:
-        cdfs = scores[lo:hi]
-        mx = cdfs.max(axis=1, keepdims=True)
+        rows, cdfs = scores[lo:hi], out[lo:hi]
+        mx = rows.max(axis=1, keepdims=True)
         flat = mx[:, 0] == -np.inf  # every forward neighbor has zero magnitude
         mx[flat] = 0.0
-        np.exp(np.subtract(cdfs, mx, out=cdfs), out=cdfs)
+        np.exp(np.subtract(rows, mx, out=cdfs), out=cdfs)
         cdfs[flat] = 1.0
         cdfs /= cdfs.sum(axis=1, keepdims=True)
         np.cumsum(cdfs, axis=1, out=cdfs)
         cdfs /= cdfs[:, -1:]
 
     parallel.over_rows(fill, *scores.shape)
-    return scores
+    return out
 
 
 def _chain_draws(
@@ -408,6 +412,20 @@ class ChainTraces(Sequence[ChainTrace]):
             yield ChainTrace(tuple(path), new_bits)
 
 
+def _row_maxima(net: LayeredNetwork, alpha: float) -> tuple[np.ndarray, ...]:
+    """The row maxima of `net`'s surrogate table at `alpha`. The network
+    keeps them for the last alpha it was chain-pruned at with global scores,
+    so a table is built only when that alpha differs."""
+
+    def build() -> tuple[np.ndarray, ...]:
+        maxima = build_table(net, alpha).row_maxima()
+        for m in maxima:
+            m.flags.writeable = False
+        return maxima
+
+    return net.memo(("row_maxima", alpha), build)
+
+
 def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, ChainTraces]:
     """Chain-based consistent pruning, returning the chains it selected.
 
@@ -425,9 +443,9 @@ def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, Chain
     random stream equal those of selecting one chain at a time. A block
     holds max(d0, ceil(remaining budget / L)) chains: no more than are
     still needed, since a chain sets at most L bits, or one round-robin
-    sweep. A stochastic call starts with every row's CDF, written over each
-    layer's scores. A deterministic call reads, per layer, each row's
-    order prefix: empty at first, and rebuilt by `_order_prefix` to twice
+    sweep. A stochastic call starts with every row's CDF, each layer's in a
+    new array beside its scores. A deterministic call reads, per layer, each
+    row's order prefix: empty at first, and rebuilt by `_order_prefix` to twice
     the entries a block reads when the block reads past its end. Each
     rebuild more than doubles the prefix, so a layer is built at most
     1 + log2(width) times; on the bench's nets, once. Per block and layer, a
@@ -448,8 +466,8 @@ def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, Chain
         raise BudgetError(
             f"budget {b.max_kept} cannot hold one complete chain of {depth} connections"
         )
-    table = build_table(net, spec.alpha) if spec.scoring == "global" else None
-    scores = [log_score_matrix(net, layer, table) for layer in range(1, depth + 1)]
+    maxima = _row_maxima(net, spec.alpha) if spec.scoring == "global" else None
+    scores = [log_score_matrix(net, layer, maxima) for layer in range(1, depth + 1)]
     masks = [np.zeros(w.shape, dtype=bool) for w in net.weights]
     rng = np.random.default_rng(spec.seed)
     if spec.stochastic:

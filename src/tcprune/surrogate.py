@@ -21,7 +21,11 @@ reduction index. The step against the identity base is exact and skipped.
 
 The edge score of connection (l, i -> j) is |W[l](i, j)| * max_k D[l](j, k);
 for the last layer the identity base makes this plain |W[L](i, j)|.
-log_score_matrix gives the log of every edge score of one layer at once.
+log_score_matrix gives the log of every edge score of one layer at once. It
+reads a table only through its row maxima, max_k log D[l](j, k), a few
+floats per neuron, so a caller that scores one network at one alpha again
+can keep those and drop the table. Both functions take log|W| from the
+network's `log_magnitudes`, computed once per network.
 """
 
 from __future__ import annotations
@@ -30,9 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import parallel
-from .errors import DomainError
-from .network import LayeredNetwork
+from .errors import DomainError, ShapeError
+from .network import LayeredNetwork, layers_of
 
 
 def _lse_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -84,25 +87,6 @@ def _lse_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_abs(w: np.ndarray) -> np.ndarray:
-    """log |w|, -inf at zero weights; a large layer by row ranges on every
-    usable CPU."""
-    # The allocation order is load-bearing: |w| first, then `out`. With
-    # `out` allocated first, or the log taken in place in |w|, bench
-    # `global_scoring` ran 20 % and 10-30 % slower on a 2-CPU x86_64 box:
-    # the order of the layer-sized blocks moves glibc's dynamic mmap and
-    # trim thresholds, and with them the page faults of later temporaries.
-    magnitudes = np.abs(w)
-    out = np.empty(w.shape)
-
-    def fill(lo: int, hi: int) -> None:
-        with np.errstate(divide="ignore"):
-            np.log(magnitudes[lo:hi], out=out[lo:hi])
-
-    parallel.over_rows(fill, *w.shape)
-    return out
-
-
 def _log_identity(n: int) -> np.ndarray:
     out = np.full((n, n), -np.inf)
     np.fill_diagonal(out, 0.0)
@@ -121,43 +105,48 @@ class SurrogateTable:
 
     def downstream(self, layer: int) -> np.ndarray:
         """Linear-domain table for one layer, shape (dims[layer], dims[-1])."""
-        self._check_layer(layer)
-        return np.exp(self.log_downstream[layer - 1])
-
-    def _check_layer(self, layer: int) -> None:
         if not 1 <= layer <= self.depth:
             raise IndexError(f"layer {layer} out of range 1..{self.depth}")
+        return np.exp(self.log_downstream[layer - 1])
+
+    def row_maxima(self) -> tuple[np.ndarray, ...]:
+        """Per layer, each neuron's best downstream log-aggregate
+        max_k log D[l](j, k): all of the table that edge scores read."""
+        return tuple(logs.max(axis=1) for logs in self.log_downstream)
 
 
 def build_table(net: LayeredNetwork, alpha: float) -> SurrogateTable:
-    """Evaluate the downstream recursion back to front on |W|."""
+    """Evaluate the downstream recursion back to front on log|W|."""
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must satisfy 1/alpha >= 1, got {alpha}")
     depth = net.depth
+    log_w = layers_of(net.log_magnitudes, net.dims)
     logs: list[np.ndarray] = [np.empty(0)] * depth
     logs[depth - 1] = _log_identity(net.dims[-1])
     if depth > 1:  # against the identity base the step returns its input
-        logs[depth - 2] = alpha * (_log_abs(net.weights[depth - 1]) / alpha)
+        logs[depth - 2] = alpha * (log_w[depth - 1] / alpha)
     for layer in range(depth - 2, 0, -1):
-        logs[layer - 1] = alpha * _lse_matmul(
-            _log_abs(net.weights[layer]) / alpha, logs[layer] / alpha
-        )
+        logs[layer - 1] = alpha * _lse_matmul(log_w[layer] / alpha, logs[layer] / alpha)
     return SurrogateTable(tuple(logs))
 
 
 def log_score_matrix(
-    net: LayeredNetwork, layer: int, table: SurrogateTable | None = None
+    net: LayeredNetwork, layer: int, row_maxima: tuple[np.ndarray, ...] | None = None
 ) -> np.ndarray:
     """Log scores of every connection of one layer (1..depth).
 
-    Local scoring (table is None) reduces to log |W[layer]|. Global scoring
-    adds the best downstream log-aggregate of each target neuron. Scores are
+    Local scoring (row_maxima is None) reduces to log |W[layer]|, the
+    layer's read-only view of `net.log_magnitudes`. Global scoring adds the
+    best downstream log-aggregate of each target neuron, read from
+    `row_maxima`, a table's `row_maxima()`, into a new array. Scores are
     only ever compared within a layer, so the log map is argmax-safe.
     """
     if not 1 <= layer <= net.depth:
         raise IndexError(f"layer {layer} out of range 1..{net.depth}")
-    scores = _log_abs(net.weights[layer - 1])
-    if table is not None:
-        table._check_layer(layer)
-        scores = scores + table.log_downstream[layer - 1].max(axis=1)[None, :]
+    scores = layers_of(net.log_magnitudes, net.dims)[layer - 1]
+    if row_maxima is not None:
+        best = row_maxima[layer - 1]
+        if best.shape != (net.dims[layer],):
+            raise ShapeError(f"layer {layer} needs {net.dims[layer]} row maxima, got {best.shape}")
+        scores = scores + best[None, :]
     return scores

@@ -348,8 +348,8 @@ def sequential_tc_mp_trace(net: LayeredNetwork, spec) -> tuple[list[np.ndarray],
     """
     b = budget(net, spec.rate)
     depth = net.depth
-    table = build_table(net, spec.alpha) if spec.scoring == "global" else None
-    scores = [log_score_matrix(net, layer, table) for layer in range(1, depth + 1)]
+    maxima = build_table(net, spec.alpha).row_maxima() if spec.scoring == "global" else None
+    scores = [log_score_matrix(net, layer, maxima) for layer in range(1, depth + 1)]
     masks = [np.zeros(w.shape, dtype=bool) for w in net.weights]
     rng = np.random.default_rng(spec.seed)
     orders = [np.argsort(-s, axis=1, kind="stable") for s in scores]

@@ -1,17 +1,25 @@
+import contextlib
 import dataclasses
+import io
 import json
 import re
 import os
 import shlex
+import shutil
 import subprocess
 import sys
+import tempfile
+import traceback
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tcprune
 from tcprune.cli import build_parser, main
+from tcprune.data import save_dataset, synth_dataset
 from tcprune.gcn import load_model
 from tcprune.network import MaskTensor, load_mask, save_mask
 from tcprune.topology import consistency_report
@@ -607,7 +615,9 @@ class TestReport:
         (tmp_path / "runs.json").write_text(json.dumps([RUN, {**RUN, **edit}]))
         assert run_cli("report", "--artifacts", str(tmp_path)) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: ")
+        # the message names the record, once
+        assert captured.out == "" and captured.err.startswith("error: runs.json[1]: ")
+        assert captured.err.count("runs.json") == 1
 
     @pytest.mark.parametrize("table_out", [False, True], ids=["print", "table-out"])
     def test_empty_runs_file_is_config_error(self, tmp_path, capsys, table_out):
@@ -747,3 +757,117 @@ class TestReadme:
         assert {argv[1] for argv in commands} == {"train", "prune", "finetune", "ablate", "report"}
         for argv in commands:
             build_parser().parse_args(argv[1:])
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: one field of a tiny valid artifact set at a time
+
+
+FUZZ_EXAMPLES = 100  # about 2 s of tier-1 on a 2-CPU x86_64 box
+# What a JSON value is replaced by: each JSON type, bounds of the domains,
+# non-finite numbers (written as NaN and Infinity) and 1e999, too large for
+# a float. No number is a count above 2, so no example trains for long.
+TOO_LARGE = "1e999"
+JSON_VALUES = [
+    None, True, False, 0, 1, 2, -1, 0.5, 1.5, -0.5, float("nan"), float("inf"), TOO_LARGE,
+    "", "x", "..", [], [0.9], {}, {"a": 1},
+]
+# What a token of a text file (a mask or a sequence) is replaced by.
+TOKENS = ["", "x", "0", "1", "2", "-1", "0.5", "nan", "inf", "1e999", "layers", "\xff"]
+
+
+@pytest.fixture(scope="module")
+def artifact_set(tmp_path_factory) -> Path:
+    """A config whose grid reads a dataset of two sequences a split, and
+    the runs.json and mask files of running it."""
+    root = tmp_path_factory.mktemp("artifacts")
+    sequences = synth_dataset(2, 2, 3, 6, 5, 0.2, 0.0, 0.0)
+    save_dataset(sequences[0::2], root / "data" / "train")
+    save_dataset(sequences[1::2], root / "data" / "test")
+    config = {k: v for k, v in CONFIG.items() if k != "synthetic"}
+    (root / "config.json").write_text(json.dumps({**config, "dataset_path": str(root / "data")}))
+    assert run_cli("ablate", "--config", str(root / "config.json"), "--out", str(root / "run")) == 0
+    return root
+
+
+def _leaves(value, path=()):
+    """Every position of a parsed JSON value, itself first, as key paths."""
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        items = ()
+    for key, item in items:
+        yield from _leaves(item, (*path, key))
+
+
+def _mutate_json(data, text: str) -> str:
+    value = json.loads(text)
+    path = data.draw(st.sampled_from(list(_leaves(value))))
+    action = data.draw(st.sampled_from(["replace", "drop", "add"]))
+    if not path:
+        value = data.draw(st.sampled_from(JSON_VALUES))
+    else:
+        parent = value
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        if action == "drop":
+            del parent[key]
+        elif action == "add" and isinstance(parent, dict):
+            parent["unknown"] = parent[key]
+        else:
+            parent[key] = data.draw(st.sampled_from(JSON_VALUES))
+    return json.dumps(value).replace(f'"{TOO_LARGE}"', TOO_LARGE)
+
+
+def _mutate_text(data, text: str) -> str:
+    lines = text.splitlines()
+    row = data.draw(st.integers(0, len(lines) - 1))
+    action = data.draw(st.sampled_from(["replace", "drop", "repeat"]))
+    if action == "drop":
+        del lines[row]
+    elif action == "repeat":
+        lines.insert(row, lines[row])
+    else:
+        tokens = lines[row].split(" ")
+        col = data.draw(st.integers(0, len(tokens) - 1))
+        tokens[col] = data.draw(st.sampled_from(TOKENS))
+        lines[row] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+class TestFuzz:
+    @given(data=st.data())
+    @settings(max_examples=FUZZ_EXAMPLES, deadline=None)
+    def test_one_mutated_field_exits_typed(self, artifact_set, data):
+        target = data.draw(st.sampled_from(["config", "sequence", "runs", "mask"]))
+        with tempfile.TemporaryDirectory() as scratch:
+            root = Path(shutil.copytree(artifact_set, Path(scratch) / "set"))
+            config = json.loads((root / "config.json").read_text())
+            config["dataset_path"] = str(root / "data")
+            (root / "config.json").write_text(json.dumps(config))
+            path, mutate = {
+                "config": (root / "config.json", _mutate_json),
+                "sequence": (root / "data" / "train" / "seq_00000.txt", _mutate_text),
+                "runs": (root / "run" / "runs.json", _mutate_json),
+                "mask": (min((root / "run" / "masks").iterdir()), _mutate_text),
+            }[target]
+            path.write_bytes(mutate(data, path.read_text()).encode("latin-1"))
+            if target in ("config", "sequence"):
+                argv = ["ablate", "--config", str(root / "config.json"), "--out", str(root / "out")]
+            else:
+                argv = ["report", "--artifacts", str(root / "run")]
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse
+                    code = exc.code
+                except Exception:  # what a user would see as a traceback
+                    traceback.print_exc()
+                    code = None
+        assert code in range(6), err.getvalue()
+        assert "Traceback" not in err.getvalue(), err.getvalue()

@@ -382,6 +382,17 @@ class TestArtifacts:
         with pytest.raises(DomainError):
             report_from_artifacts(cfg.output)
 
+    def test_record_outside_its_domain_is_named(self, tmp_path):
+        good = {
+            "rate": 0.9, "tc": True, "stochastic": False, "scoring": "local", "alpha": None,
+            "seed": 0, "kept": None, "ac_percent": None, "accuracy": None, "wall_s": 0.5,
+            "status": "saturated", "mask_file": None,
+        }
+        (tmp_path / "runs.json").write_text(json.dumps([good, {**good, "rate": 1.5}]))
+        with pytest.raises(DomainError) as got:
+            report_from_artifacts(str(tmp_path))
+        assert str(got.value) == "runs.json[1]: pruning rate must be in [0, 1), got 1.5"
+
     @pytest.mark.parametrize("payload", [b"[", b"\xff"], ids=["truncated", "non-ascii"])
     def test_unreadable_runs_file_is_domain_error(self, tmp_path, payload):
         (tmp_path / "runs.json").write_bytes(payload)
@@ -436,6 +447,23 @@ class TestConfig:
     def test_int_out_of_float_range_is_domain_error(self, tmp_path):
         with pytest.raises(DomainError, match="cfg.json: .*out of float range"):
             load_config(config_file(tmp_path, '{"rates": [%d]}' % 10**400))
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"rates": [1.5]}', "config: pruning rate must be in [0, 1), got 1.5"),
+            ('{"rates": [0.9], "synthetic": {"seed": -2}}',
+             "config.synthetic: synthetic seed must be non-negative, got -2"),
+            ('{"rates": [0.9], "model": {"heads": 0.5}}',
+             "config.model.heads must be int, got 0.5"),
+        ],
+        ids=["config-domain", "nested-domain", "nested-type"],
+    )
+    def test_domain_error_names_the_object_once(self, tmp_path, text, message):
+        path = config_file(tmp_path, text)
+        with pytest.raises(DomainError) as got:
+            load_config(path)
+        assert str(got.value) == f"{path}: {message}"
 
     def test_negative_seed_is_rejected(self):
         with pytest.raises(DomainError, match=re.escape("seeds must be non-negative, got [0, -1]")):

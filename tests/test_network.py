@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from conftest import random_mask_tensor, random_network
 from oracles import loop_forward, per_value_save_mask
+from tcprune import parallel
 from tcprune.data import save_sequence, synth_dataset
 from tcprune.errors import DomainError, ShapeError
 from tcprune.gcn import GcnShape, init_model, save_model
@@ -22,6 +23,7 @@ from tcprune.network import (
     budget,
     forward,
     full_mask,
+    layers_of,
     load_mask,
     load_network,
     masked_forward,
@@ -187,6 +189,59 @@ class TestValidation:
     def test_kept_count(self, rng):
         mask = random_mask_tensor(rng, (4, 5, 3))
         assert mask.kept_count == sum(int(m.sum()) for m in mask.masks)
+
+
+class TestLogMagnitudes:
+    @given(
+        seed=st.integers(0, 2**16),
+        dims=st.lists(st.integers(1, 40), min_size=2, max_size=4),
+        zero_frac=st.sampled_from([0.0, 0.3, 1.0]),
+        log10_scale=st.sampled_from([-310, -3, 0, 300]),  # subnormal to near overflow
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bit_equal_to_log_abs_on_one_two_and_three_cpus(
+        self, seed, dims, zero_frac, log10_scale
+    ):
+        rng = np.random.default_rng(seed)
+        weights = tuple(
+            np.where(rng.random((a, b)) < zero_frac, 0.0,
+                     rng.standard_normal((a, b)) * 10.0**log10_scale)
+            for a, b in zip(dims, dims[1:])
+        )
+        with np.errstate(divide="ignore"):
+            want = np.concatenate([np.log(np.abs(w)).ravel() for w in weights]).tobytes()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(parallel, "MIN_SPAN", 4)  # so that these small layers split too
+            for cpus in (1, 2, 3):
+                mp.setattr(parallel, "usable_cpus", lambda: cpus)
+                net = LayeredNetwork(weights, ("identity",) * len(weights))
+                assert net.log_magnitudes.tobytes() == want
+
+    def test_read_only_computed_once_and_split_by_layers_of(self, rng):
+        net = random_network(rng, (3, 4, 2))
+        logs = net.log_magnitudes
+        assert net.log_magnitudes is logs
+        assert not logs.flags.writeable
+        with pytest.raises(ValueError):
+            logs[0] = 0.0
+        for w, layer in zip(net.weights, layers_of(logs, net.dims)):
+            assert not layer.flags.writeable
+            assert np.array_equal(layer, np.log(np.abs(w)))
+
+
+class TestMemo:
+    def test_keeps_the_last_key_only(self, rng):
+        net = random_network(rng, (2, 2))
+        built = []
+
+        def build(value):
+            return lambda: built.append(value) or value
+
+        assert net.memo("a", build(1)) == 1
+        assert net.memo("a", build(2)) == 1
+        assert net.memo("b", build(3)) == 3
+        assert net.memo("a", build(4)) == 4
+        assert built == [1, 3, 4]
 
 
 class TestSerialization:

@@ -504,8 +504,8 @@ class TestTcMp:
         kept_target = total if rng.random() < 0.3 else int(rng.integers(net.depth, total + 1))
         spec = PruneSpec(rate=rate_for_kept(total, kept_target), tc=True, stochastic=True,
                          scoring=scoring, alpha=alpha, seed=seed)
-        table = build_table(net, alpha) if scoring == "global" else None
-        scores = [log_score_matrix(net, layer, table) for layer in range(1, depth + 1)]
+        maxima = build_table(net, alpha).row_maxima() if scoring == "global" else None
+        scores = [log_score_matrix(net, layer, maxima) for layer in range(1, depth + 1)]
         max_kept = budget(net, spec.rate).max_kept
         try:
             want_masks, want_chains = stochastic_chain_oracle(scores, max_kept, seed)
@@ -841,18 +841,21 @@ class TestChainTables:
     @settings(max_examples=200, deadline=None)
     def test_cdfs_match_per_row_oracle(self, seed, rows, width, scale, holes):
         scores = random_scores(seed, rows, width, scale, holes)
-        got = _choice_cdfs(scores.copy())  # _choice_cdfs writes over its input
+        got = _choice_cdfs(scores)
         assert np.array_equal(got, np.stack([choice_cdf(row) for row in scores]))
         assert (got[:, -1] == 1.0).all() and (np.diff(got, axis=1) >= 0).all()
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_split_layer_cdfs_are_written_over_scores(self, monkeypatch, cpus):
+    def test_split_layer_cdfs_leave_scores_unchanged(self, monkeypatch, cpus):
         monkeypatch.setattr(pruner.parallel, "usable_cpus", lambda: cpus)
         scores = random_scores(5, 6, 1 << 16, 30.0, True)
         scores[4] = -np.inf
+        before = scores.copy()
         want = np.stack([choice_cdf(row) for row in scores])
+        scores.flags.writeable = False  # local scores are views of the read-only log|w|
         got = _choice_cdfs(scores)
-        assert got is scores
+        assert np.array_equal(scores, before)
+        assert not np.shares_memory(got, scores)
         assert np.array_equal(got, want)
 
     @given(
@@ -917,6 +920,50 @@ class TestStepSorts:
         want_cols, want_new = unique_sampled_steps(cdfs, bits, rows, draws)
         assert np.array_equal(cols, want_cols)
         assert np.array_equal(new, want_new)
+
+
+class TestSharedScores:
+    """What a network keeps of its scoring changes no mask or chain."""
+
+    def test_no_pruner_writes_log_magnitudes(self, rng):
+        net = random_network(rng, (4, 6, 5, 3))
+        logs = net.log_magnitudes
+        before = logs.tobytes()
+        standard_mp(net, 0.5)
+        stochastic_mp(net, 0.5, 3)
+        for scoring in ("local", "global"):
+            for stochastic in (False, True):
+                spec = PruneSpec(0.5, stochastic=stochastic, scoring=scoring, alpha=0.5)
+                tc_mp_trace(net, spec)
+        assert net.log_magnitudes is logs
+        assert not logs.flags.writeable
+        assert logs.tobytes() == before
+
+    def test_alphas_a_b_a_match_a_fresh_network(self, rng, monkeypatch):
+        weights = random_network(rng, (5, 8, 8, 4)).weights
+        net = LayeredNetwork(weights, ("identity",) * 3)
+        tables = []
+        build = pruner.build_table
+
+        def counted(scored, alpha):
+            if scored is net:
+                tables.append(alpha)
+            return build(scored, alpha)
+
+        monkeypatch.setattr(pruner, "build_table", counted)
+        for alpha in (1.0, 0.1, 1.0):
+            for stochastic in (False, True):  # the stochastic call finds the det call's entry
+                spec = PruneSpec(0.6, stochastic=stochastic, scoring="global", alpha=alpha, seed=4)
+                mask, traces = tc_mp_trace(net, spec)
+                fresh_mask, fresh_traces = tc_mp_trace(
+                    LayeredNetwork(weights, ("identity",) * 3), spec
+                )
+                assert all(np.array_equal(a, b) for a, b in zip(mask.masks, fresh_mask.masks))
+                assert np.array_equal(traces.paths, fresh_traces.paths)
+                assert np.array_equal(traces.newly_added, fresh_traces.newly_added)
+        # a miss, a miss, a miss again on the return to alpha 1.0, and a hit
+        # after each det call
+        assert tables == [1.0, 0.1, 1.0]
 
 
 class TestPruneDispatch:

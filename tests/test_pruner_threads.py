@@ -5,10 +5,14 @@ one per usable CPU. Forcing the helper's CPU count to 1, 2 and 3 on a net
 whose middle layer is above the split size must give one sha256 of every
 pruner's masks and of tc_mp_trace's chains. Zero weights, a zero row among
 them, put log 0 into the ranges the helper threads take; that must raise no
-RuntimeWarning, whose state numpy keeps per thread.
+RuntimeWarning, whose state numpy keeps per thread. Grid cells prune one
+network from several threads, and what the network keeps of its scoring
+must give each of them the masks of a serial run.
 """
 
 import hashlib
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -51,7 +55,6 @@ def _digest(net: LayeredNetwork) -> str:
 
 
 def test_masks_and_chains_bit_identical_on_one_two_and_three_cpus(monkeypatch):
-    net = _net()
     splits = []
     spans = parallel.spans
 
@@ -68,7 +71,8 @@ def test_masks_and_chains_bit_identical_on_one_two_and_three_cpus(monkeypatch):
         splits.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            digests[cpus] = _digest(net)
+            # a fresh network, so its log|w| and row maxima are computed anew
+            digests[cpus] = _digest(_net())
         # one CPU never splits; two and three split every large pass
         assert max(splits, default=1) == cpus
         if cpus > 1:
@@ -78,12 +82,47 @@ def test_masks_and_chains_bit_identical_on_one_two_and_three_cpus(monkeypatch):
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_helper_thread_log_zero_raises_no_warning(monkeypatch, cpus):
-    from tcprune.surrogate import _log_abs
-
     monkeypatch.setattr(parallel, "usable_cpus", lambda: cpus)
     w = np.ones((512, 512))
     w[-1] = 0.0  # in the last range, which a helper thread takes
+    net = LayeredNetwork((w,), ("identity",))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        got = _log_abs(w)
+        got = net.log_magnitudes.reshape(w.shape)
     assert (got[-1] == -np.inf).all() and (got[:-1] == 0.0).all()
+
+
+def test_threads_pruning_one_network_at_two_alphas_give_serial_masks():
+    specs = [
+        PruneSpec(0.9, stochastic=stochastic, scoring="global", alpha=alpha, seed=seed)
+        for alpha in (1.0, 0.1)
+        for stochastic in (False, True)
+        for seed in (0, 1)
+    ]
+    want = {spec: pruner.tc_mp(_net(), spec).masks for spec in specs}
+    net = _net()
+    alphas = (1.0, 0.1) * 2  # more threads than the CPUs of a 2-CPU box
+    start = threading.Barrier(len(alphas))
+    got = []
+
+    def prune_all(alpha: float) -> None:
+        start.wait(timeout=60)
+        for _ in range(3):  # each round evicts another thread's row maxima
+            for spec in specs:
+                if spec.alpha == alpha:
+                    got.append((spec, pruner.tc_mp(net, spec).masks))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads inside the cache's check and store
+    try:
+        threads = [threading.Thread(target=prune_all, args=(alpha,)) for alpha in alphas]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(got) == 3 * len(specs) * 2
+    for spec, masks in got:
+        assert all(np.array_equal(a, b) for a, b in zip(masks, want[spec]))

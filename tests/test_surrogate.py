@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from conftest import random_network
 from oracles import broadcast_build_table, brute_edge_score, path_norm_table
 from tcprune import surrogate
-from tcprune.errors import DomainError
+from tcprune.errors import DomainError, ShapeError
 from tcprune.linalg import row_normalize
 from tcprune.network import LayeredNetwork
-from tcprune.surrogate import _log_abs, build_table, log_score_matrix
+from tcprune.surrogate import build_table, log_score_matrix
 
 
 def abs_chain_product(net, layer):
@@ -102,8 +102,8 @@ class TestBuildTable:
         denom = np.maximum(np.abs(want), 1e-300)
         assert (np.abs(got - want) / denom).max() <= 1e-12
         # layer-2 argmax decisions are untouched by the layer-2 scale
-        s_base = log_score_matrix(net, 2, base)
-        s_big = log_score_matrix(scaled, 2, big)
+        s_base = log_score_matrix(net, 2, base.row_maxima())
+        s_big = log_score_matrix(scaled, 2, big.row_maxima())
         assert np.array_equal(s_base.argmax(axis=1), s_big.argmax(axis=1))
 
     def test_extreme_inner_power_never_silently_overflows(self, rng):
@@ -117,7 +117,7 @@ class TestBuildTable:
             logs = table.log_downstream[layer - 1]
             assert not np.isnan(logs).any()
             assert not np.isposinf(logs).any()
-        s = log_score_matrix(net, 1, table)
+        s = log_score_matrix(net, 1, table.row_maxima())
         assert np.isfinite(s).all()
 
     def test_traced_peak_is_not_cubic(self):
@@ -168,7 +168,7 @@ class TestAgainstBroadcastOracle:
         # which |x|, |ra| and |cb| times alpha are log magnitudes of a table or
         # a weight, so at most m each; the steps' errors add up
         got = build_table(net, 1.0 / inv_alpha).log_downstream
-        logs = np.concatenate([t[np.isfinite(t)] for t in (*want, *map(_log_abs, weights))])
+        logs = np.concatenate([t[np.isfinite(t)] for t in (*want, net.log_magnitudes)])
         m = np.abs(logs).max(initial=0.0)
         tol = 2 * sum(net.dims) * EPS * (1.0 + 3.0 * m)
         for g, w in zip(got, want):
@@ -264,7 +264,8 @@ class TestShiftedProduct:
 
 def score(net, layer, i, j, table=None) -> float:
     """One connection's score, read off the layer's log score matrix."""
-    return float(np.exp(log_score_matrix(net, layer, table))[i, j])
+    maxima = None if table is None else table.row_maxima()
+    return float(np.exp(log_score_matrix(net, layer, maxima))[i, j])
 
 
 class TestEdgeScore:
@@ -316,9 +317,15 @@ class TestEdgeScore:
             score(net, 1, 2, 0, table)
         for layer in (0, 2, 3, -1):
             with pytest.raises(IndexError):
-                log_score_matrix(net, layer, table)
+                log_score_matrix(net, layer, table.row_maxima())
             with pytest.raises(IndexError):
                 log_score_matrix(net, layer)
+
+    def test_row_maxima_of_another_shape_rejected(self, rng):
+        net = random_network(rng, (2, 3, 2))
+        other = build_table(random_network(rng, (2, 4, 2)), 1.0).row_maxima()
+        with pytest.raises(ShapeError):
+            log_score_matrix(net, 1, other)
 
 
 class TestLocalScore:
