@@ -36,13 +36,12 @@ from .harness import (
     ExperimentConfig,
     ModelSpec,
     SyntheticSpec,
-    _build,
     emit,
     load_config,
     report_from_artifacts,
     run_ablation,
 )
-from .network import _JSON_NUMBERS, load_mask, load_network, save_mask
+from .network import _JSON_NUMBERS, _build, load_mask, load_network, save_mask
 from .pruner import PruneSpec, prune
 from .topology import consistency_report, report_to_json
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EmptyTrajectoryError, ShapeError
-from .network import _atomic_write, _read_fields
+from .network import _atomic_write, _counts, _read_fields
 
 
 @dataclass(frozen=True)
@@ -126,13 +126,8 @@ def load_sequence(path) -> SkeletonSequence:
     if len(head) != 2 or head[0] != "label" or not head[1].isdigit():
         raise DomainError(f"{path}: bad label line {' '.join(head)!r}")
     meta = lines[1] if len(lines) > 1 else []
-    if (
-        len(meta) != 4
-        or (meta[0], meta[2]) != ("joints", "frames")
-        or not all(v.isdigit() and int(v) > 0 for v in (meta[1], meta[3]))
-    ):
-        raise DomainError(f"{path}: bad meta line {' '.join(meta)!r}")
-    n_joints, n_frames = int(meta[1]), int(meta[3])
+    (n_joints,) = _counts(meta[:2], "joints", 1, path)
+    (n_frames,) = _counts(meta[2:], "frames", 1, path)
     rows = lines[2:]
     if len(rows) != n_joints * n_frames:
         raise DomainError(

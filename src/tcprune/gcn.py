@@ -55,7 +55,7 @@ import numpy as np
 
 from .data import SkeletonSequence, temporal_chunking
 from .errors import DivergenceError, DomainError, ShapeError
-from .network import LayeredNetwork, MaskTensor, _atomic_write, _read_json, layers_of
+from .network import LayeredNetwork, MaskTensor, _atomic_write, _build, _read_json, layers_of
 
 
 @dataclass(frozen=True)
@@ -497,7 +497,7 @@ def save_model(model: GcnModel, path) -> None:
 
 def load_model(path) -> GcnModel:
     """Read a model back. A top level that is not an object, a missing or
-    unknown key, a shape field that is not a positive integer and an array
+    unknown key, a shape field `_build` rejects as a GcnShape and an array
     that is not numeric raise DomainError; a wrong array shape, ShapeError."""
     payload = _read_json(path)
     if not isinstance(payload, dict):
@@ -506,10 +506,7 @@ def load_model(path) -> GcnModel:
     unknown = sorted(set(payload) - set(_SHAPE_KEYS + _ARRAY_KEYS))
     if missing or unknown:
         raise DomainError(f"{path}: missing keys {missing}, unknown keys {unknown}")
-    for key in _SHAPE_KEYS:
-        value = payload[key]
-        if type(value) is not int or value < 1:
-            raise DomainError(f"{path}: {key} must be a positive integer, got {value!r}")
+    shape = _build(GcnShape, {key: payload[key] for key in _SHAPE_KEYS}, f"{path}: model")
     arrays = []
     for key in _ARRAY_KEYS:
         try:
@@ -519,4 +516,4 @@ def load_model(path) -> GcnModel:
         if arr.dtype.kind not in "iuf":
             raise DomainError(f"{path}: {key} must hold numbers only")
         arrays.append(arr)
-    return GcnModel(GcnShape(*(payload[key] for key in _SHAPE_KEYS)), *arrays)
+    return GcnModel(shape, *arrays)

@@ -15,8 +15,9 @@ row STATUSES. A diverging baseline still ends the grid with DivergenceError.
 
 The table schema is `ResultRow`: its field names are the CSV columns and
 the JSON keys. Every JSON input (a config, `runs.json`, the CLI's
-`--synthetic` pairs) is read by one typed builder, `_build`, which checks
-each value against the field types the dataclasses declare.
+`--synthetic` pairs, a model file's shape fields) is read by one typed
+builder, `network._build`, which checks each value against the field types
+the dataclasses declare.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import json
 import math
 import os
 import time
-import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +43,15 @@ from .gcn import (
     init_model,
     train,
 )
-from .network import LayeredNetwork, _atomic_write, _read_json, full_mask, load_mask, save_mask
+from .network import (
+    LayeredNetwork,
+    _atomic_write,
+    _build,
+    _read_json,
+    full_mask,
+    load_mask,
+    save_mask,
+)
 from .pruner import PruneSpec, prune
 from .topology import consistency_report, trim_to_consistent
 
@@ -459,45 +467,6 @@ def report_from_artifacts(artifact_dir: str) -> list[ResultRow]:
 
 # ---------------------------------------------------------------------------
 # Config (JSON)
-
-
-def _build(hint, value, where: str):
-    """`value`, a parsed JSON value, as the type `hint` names.
-
-    A dataclass is built from an object with no key it lacks (a missing key
-    takes its default), a `tuple[X, ...]` from a list, `X | None` accepts
-    null, and a leaf must have exactly its type, except that an int stands
-    for a float and is converted to one (a bool never stands for an int).
-    Anything else raises DomainError naming `where`, and so does a domain
-    check of the dataclass itself: each error names the innermost object.
-    """
-    if dataclasses.is_dataclass(hint):
-        if not isinstance(value, dict):
-            raise DomainError(f"{where} must be a JSON object, got {type(value).__name__}")
-        hints = typing.get_type_hints(hint)
-        unknown = sorted(set(value) - set(hints))
-        if unknown:
-            raise DomainError(f"{where}: unknown keys {unknown}")
-        kwargs = {k: _build(hints[k], v, f"{where}.{k}") for k, v in value.items()}
-        try:
-            return hint(**kwargs)
-        except (TypeError, DomainError) as exc:  # a missing key, or a value out of its domain
-            raise DomainError(f"{where}: {exc}") from exc
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is tuple:
-        if not isinstance(value, list):
-            raise DomainError(f"{where} must be a JSON list, got {type(value).__name__}")
-        return tuple(_build(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
-    if args:  # X | None
-        return None if value is None else _build(args[0], value, where)
-    if type(value) is hint:
-        return value
-    if hint is float and type(value) is int:
-        try:
-            return float(value)
-        except OverflowError as exc:
-            raise DomainError(f"{where}: {value} is out of float range") from exc
-    raise DomainError(f"{where} must be {hint.__name__}, got {value!r}")
 
 
 def load_config(path) -> ExperimentConfig:

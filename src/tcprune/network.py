@@ -3,12 +3,17 @@
 A depth-L network is a chain of weight matrices W[0..L-1] where W[l] has
 shape (dims[l], dims[l+1]); layer l+1 maps activations of width dims[l] to
 width dims[l+1] via f(W.T @ x). Layers are numbered 1..L in public APIs.
-Networks and masks are treated as immutable once constructed.
+Networks and masks are treated as immutable once constructed. Masked
+evaluation has one implementation: `masked_forward` is the forward pass of
+the network `apply_mask` zeroes, so the two agree bit for bit by definition.
 
 A network also keeps what the pruners score it by, computed once and shared
 by every prune that follows: `log_magnitudes`, log|w| of every connection,
 and `memo`'s one entry, in which chain pruning keeps each layer's
 downstream row maxima for the last alpha it scored the network at.
+
+The file readers below serve every module: `_read_fields` and `_counts`
+for text lines, `_read_json`, and `_build` to type a JSON value as a dataclass.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ import math
 import os
 import stat
 import sys
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, is_dataclass
 from typing import Callable, Sequence, TypeVar
 
 import numpy as np
@@ -167,11 +173,6 @@ def layers_of(flat: np.ndarray, dims: Sequence[int]) -> tuple[np.ndarray, ...]:
     return tuple(flat[end - a * b : end].reshape(a, b) for end, (a, b) in zip(ends, shapes))
 
 
-def check_shapes(net: LayeredNetwork, mask: MaskTensor) -> None:
-    if net.dims != mask.dims:
-        raise ShapeError(f"mask dims {mask.dims} do not match network dims {net.dims}")
-
-
 @dataclass(frozen=True)
 class PruningBudget:
     total_connections: int
@@ -201,22 +202,18 @@ def forward(net: LayeredNetwork, x) -> np.ndarray:
     return x
 
 
-def masked_forward(net: LayeredNetwork, mask: MaskTensor, x) -> np.ndarray:
-    """Evaluate with each layer's weights zeroed where the mask is 0."""
-    check_shapes(net, mask)
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (net.dims[0],):
-        raise ShapeError(f"input length {x.shape} does not match width {net.dims[0]}")
-    for w, m, name in zip(net.weights, mask.masks, net.activations):
-        x = ACTIVATIONS[name](np.where(m, w, 0.0).T @ x)
-    return x
-
-
 def apply_mask(net: LayeredNetwork, mask: MaskTensor) -> LayeredNetwork:
     """Materialize the pruned network with masked weights set to zero."""
-    check_shapes(net, mask)
+    if net.dims != mask.dims:
+        raise ShapeError(f"mask dims {mask.dims} do not match network dims {net.dims}")
     zeroed = tuple(np.where(m, w, 0.0) for w, m in zip(net.weights, mask.masks))
     return LayeredNetwork(zeroed, net.activations)
+
+
+def masked_forward(net: LayeredNetwork, mask: MaskTensor, x) -> np.ndarray:
+    """Evaluate with each layer's weights zeroed where the mask is 0, as the
+    forward pass of the network `apply_mask` builds."""
+    return forward(apply_mask(net, mask), x)
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +347,45 @@ def _read_json(path):
             return json.load(fh, object_pairs_hook=unique, **_JSON_NUMBERS)
     except (UnicodeDecodeError, json.JSONDecodeError, DomainError) as exc:
         raise DomainError(f"{path}: {exc}") from exc
+
+
+def _build(hint, value, where: str):
+    """`value`, a parsed JSON value, as the type `hint` names.
+
+    A dataclass is built from an object with no key it lacks (a missing key
+    takes its default), a `tuple[X, ...]` from a list, `X | None` accepts
+    null, and a leaf must have exactly its type, except that an int stands
+    for a float and is converted to one (a bool never stands for an int).
+    Anything else raises DomainError naming `where`, and so does a domain
+    check of the dataclass itself: each error names the innermost object.
+    """
+    if is_dataclass(hint):
+        if not isinstance(value, dict):
+            raise DomainError(f"{where} must be a JSON object, got {type(value).__name__}")
+        hints = typing.get_type_hints(hint)
+        unknown = sorted(set(value) - set(hints))
+        if unknown:
+            raise DomainError(f"{where}: unknown keys {unknown}")
+        kwargs = {k: _build(hints[k], v, f"{where}.{k}") for k, v in value.items()}
+        try:
+            return hint(**kwargs)
+        except (TypeError, DomainError) as exc:  # a missing key, or a value out of its domain
+            raise DomainError(f"{where}: {exc}") from exc
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            raise DomainError(f"{where} must be a JSON list, got {type(value).__name__}")
+        return tuple(_build(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+    if args:  # X | None
+        return None if value is None else _build(args[0], value, where)
+    if type(value) is hint:
+        return value
+    if hint is float and type(value) is int:
+        try:
+            return float(value)
+        except OverflowError as exc:
+            raise DomainError(f"{where}: {value} is out of float range") from exc
+    raise DomainError(f"{where} must be {hint.__name__}, got {value!r}")
 
 
 def _read_matrices(path, conv) -> list[np.ndarray]:

@@ -68,6 +68,8 @@ class PruneSpec:
             raise DomainError(f"pruning rate must be in [0, 1), got {self.rate}")
         if self.scoring not in ("local", "global"):
             raise DomainError(f"unknown scoring {self.scoring!r}")
+        if self.scoring == "global" and not self.tc:
+            raise DomainError("global scoring needs tc: plain pruning ignores scoring and alpha")
         if self.scoring == "global" and not 0.0 < self.alpha <= 1.0:
             raise DomainError(f"global scoring needs 1/alpha >= 1, got alpha={self.alpha}")
         if self.seed < 0:

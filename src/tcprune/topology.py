@@ -6,9 +6,11 @@ co-accessible when neuron j reaches some output neuron through kept
 connections of layers l+1..L. A mask is topologically consistent when every
 kept connection is both, i.e. lies on a complete input-to-output path.
 
-Both are properties of neurons: `_neuron_flags` computes them in one forward
-and one backward sweep of boolean products, and a connection takes the flags
-of its end neurons.
+Both are properties of neurons: `_connection_flags` computes them in one
+forward and one backward sweep of boolean products, and hands each
+connection the flags of its end neurons as read-only zero-stride views.
+The report's count and the trimmed mask both take `m & accessible &
+coaccessible` from those views.
 """
 
 from __future__ import annotations
@@ -20,27 +22,7 @@ import numpy as np
 
 from .network import MaskTensor
 
-
-def _neuron_flags(mask: MaskTensor) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-depth reachability vectors, computed incrementally.
-
-    reached[d][i] == some input neuron reaches neuron i at depth d;
-    reaches_out[d][i] == neuron i at depth d reaches some output neuron.
-    A boolean product is an OR of ANDs, so each sweep step is one `@`.
-    """
-    reached = [np.ones(mask.dims[0], dtype=bool)]
-    for m in mask.masks:
-        reached.append(reached[-1] @ m)
-    reaches_out = [np.ones(mask.dims[-1], dtype=bool)]
-    for m in reversed(mask.masks):
-        reaches_out.insert(0, m @ reaches_out[0])
-    return reached, reaches_out
-
-
-def _on_complete_paths(mask: MaskTensor, reached, reaches_out) -> list[np.ndarray]:
-    """Per layer, the kept connections that are accessible and co-accessible."""
-    return [m & reached[l][:, None] & reaches_out[l + 1][None, :]
-            for l, m in enumerate(mask.masks)]
+LayerFlags = tuple[np.ndarray, ...]
 
 
 def _repeated(flags: np.ndarray, shape: tuple[int, int], strides: tuple[int, int]) -> np.ndarray:
@@ -50,45 +32,61 @@ def _repeated(flags: np.ndarray, shape: tuple[int, int], strides: tuple[int, int
     return view
 
 
+def _connection_flags(mask: MaskTensor) -> tuple[LayerFlags, LayerFlags]:
+    """Per layer, the accessible and the co-accessible flags of every
+    connection, as read-only zero-stride views of per-neuron vectors.
+
+    reached[d][i] == some input neuron reaches neuron i at depth d;
+    reaches_out[d][i] == neuron i at depth d reaches some output neuron.
+    A boolean product is an OR of ANDs, so each sweep step is one `@`.
+    Layer l + 1's accessible[l][i, j] is reached[l][i], and its
+    coaccessible[l][i, j] is reaches_out[l + 1][j].
+    """
+    reached = [np.ones(mask.dims[0], dtype=bool)]
+    for m in mask.masks:
+        reached.append(reached[-1] @ m)
+    reaches_out = [np.ones(mask.dims[-1], dtype=bool)]
+    for m in reversed(mask.masks):
+        reaches_out.insert(0, m @ reaches_out[0])
+    ends = list(zip(reached, reaches_out[1:]))
+    accessible = tuple(_repeated(a, (a.size, b.size), (a.strides[0], 0)) for a, b in ends)
+    coaccessible = tuple(_repeated(b, (a.size, b.size), (0, b.strides[0])) for a, b in ends)
+    return accessible, coaccessible
+
+
+def _on_complete_paths(mask: MaskTensor, accessible: LayerFlags, coaccessible: LayerFlags):
+    """Per layer, the kept connections that are accessible and co-accessible."""
+    return (m & a & c for m, a, c in zip(mask.masks, accessible, coaccessible))
+
+
 @dataclass(frozen=True)
 class ConsistencyReport:
-    """Per-neuron reachability plus aggregate counts over kept connections.
+    """Per-connection flags plus aggregate counts over kept connections.
 
-    `reached` and `reaches_out` hold one vector per depth 0..L (see
-    `_neuron_flags`). The per-connection flags of layer l + 1 are read-only
-    zero-stride views of them: `per_layer_accessible[l][i, j]` is
-    `reached[l][i]` and `per_layer_coaccessible[l][i, j]` is
-    `reaches_out[l + 1][j]`.
+    `per_layer_accessible[l]` and `per_layer_coaccessible[l]` flag every
+    connection of layer l + 1, kept or not; each is a read-only zero-stride
+    view of one per-neuron vector (see `_connection_flags`).
     """
 
-    reached: tuple[np.ndarray, ...]
-    reaches_out: tuple[np.ndarray, ...]
+    per_layer_accessible: LayerFlags
+    per_layer_coaccessible: LayerFlags
     kept_count: int
     consistent_count: int
     ac_percentage: float | None
 
-    @property
-    def per_layer_accessible(self) -> tuple[np.ndarray, ...]:
-        return tuple(_repeated(a, (a.size, b.size), (a.strides[0], 0))
-                     for a, b in zip(self.reached, self.reaches_out[1:]))
-
-    @property
-    def per_layer_coaccessible(self) -> tuple[np.ndarray, ...]:
-        return tuple(_repeated(b, (a.size, b.size), (0, b.strides[0]))
-                     for a, b in zip(self.reached, self.reaches_out[1:]))
-
 
 def consistency_report(mask: MaskTensor) -> ConsistencyReport:
-    """Flag every neuron and aggregate over mask-1 positions.
+    """Flag every connection and aggregate over mask-1 positions.
 
     ac_percentage is None when the mask keeps nothing (undefined rather
     than 0 or 100).
     """
-    reached, reaches_out = _neuron_flags(mask)
+    accessible, coaccessible = _connection_flags(mask)
     kept = mask.kept_count
-    consistent = int(sum(np.count_nonzero(k) for k in _on_complete_paths(mask, reached, reaches_out)))
+    on_paths = _on_complete_paths(mask, accessible, coaccessible)
+    consistent = int(sum(np.count_nonzero(k) for k in on_paths))
     pct = 100.0 * consistent / kept if kept > 0 else None
-    return ConsistencyReport(tuple(reached), tuple(reaches_out), kept, consistent, pct)
+    return ConsistencyReport(accessible, coaccessible, kept, consistent, pct)
 
 
 def report_to_json(report: ConsistencyReport) -> str:
@@ -107,4 +105,4 @@ def trim_to_consistent(mask: MaskTensor) -> MaskTensor:
     on no complete path, so the fixpoint would remove it too. The result
     is topologically consistent or empty, and is a subset of the input mask.
     """
-    return MaskTensor(tuple(_on_complete_paths(mask, *_neuron_flags(mask))))
+    return MaskTensor(tuple(_on_complete_paths(mask, *_connection_flags(mask))))

@@ -229,6 +229,15 @@ class TestPrune:
         )
         assert code == 2
 
+    def test_global_scoring_without_tc_is_config_error(self, trained_model, tmp_path, capsys):
+        code = run_cli(
+            "prune", "--model", str(trained_model), "--rate", "0.5", "--scoring", "global",
+            "--alpha", "0.3", "--out", str(tmp_path / "m.txt"),
+        )
+        assert code == 2
+        assert "global scoring needs tc" in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
+
 
 class TestFinetune:
     def test_round_trip(self, trained_model, tmp_path):
@@ -376,10 +385,13 @@ class TestAblate:
             {**CONFIG, "rates": [0.9000001, 0.9000002]},
             {**CONFIG, "variants": [{"tc": True, "stochastic": True, "scoring": "global",
                                      "alpha": a} for a in (0.1000001, 0.1000002)]},
+            {**CONFIG, "variants": [{"tc": False, "stochastic": False},
+                                    {"tc": False, "stochastic": False, "scoring": "global",
+                                     "alpha": 0.3}]},
         ],
         ids=["rate-1.5", "global-alpha-0", "scoring-foo", "repeat-local-alpha",
              "repeat-global-alpha", "repeat-rate", "repeat-seed", "per-class-test-0",
-             "rate-label-collision", "alpha-label-collision"],
+             "rate-label-collision", "alpha-label-collision", "plain-global"],
     )
     def test_bad_cell_is_rejected_before_training(self, tmp_path, train_calls, data):
         out_dir = tmp_path / "run"
@@ -607,9 +619,10 @@ class TestReport:
             {"alpha": 0.5},
             {"scoring": "global"},
             {"scoring": "global", "alpha": 1.5},
+            {"tc": False, "scoring": "global", "alpha": 0.5},
         ],
         ids=["rate-1.5", "seed-negative", "status-unknown", "scoring-unknown",
-             "local-alpha", "global-alpha-null", "global-alpha-1.5"],
+             "local-alpha", "global-alpha-null", "global-alpha-1.5", "plain-global"],
     )
     def test_record_outside_its_domain_is_config_error(self, tmp_path, capsys, edit):
         (tmp_path / "runs.json").write_text(json.dumps([RUN, {**RUN, **edit}]))

@@ -986,6 +986,9 @@ class TestPruneDispatch:
             PruneSpec(rate=0.5, scoring="fancy")
         with pytest.raises(DomainError):
             PruneSpec(rate=0.5, scoring="global", alpha=2.0)
+        for stochastic in (False, True):
+            with pytest.raises(DomainError, match="global scoring needs tc"):
+                PruneSpec(0.5, tc=False, stochastic=stochastic, scoring="global", alpha=0.3)
 
     def test_negative_seed_rejected(self):
         with pytest.raises(DomainError, match="seed must be non-negative, got -1"):

@@ -106,7 +106,7 @@ class TestConsistencyReport:
         for name in ("kept_count", "consistent_count", "ac_percentage"):
             assert getattr(report, name) == want[name]
             assert type(getattr(report, name)) is type(want[name])
-        for name in ("reached", "reaches_out", "per_layer_accessible", "per_layer_coaccessible"):
+        for name in ("per_layer_accessible", "per_layer_coaccessible"):
             got = getattr(report, name)
             assert len(got) == len(want[name])
             for g, w in zip(got, want[name]):
@@ -114,6 +114,14 @@ class TestConsistencyReport:
                 assert np.array_equal(g, w)
         for views in (report.per_layer_accessible, report.per_layer_coaccessible):
             assert not any(v.flags.writeable for v in views)
+
+    def test_flags_are_built_once_per_report(self, rng):
+        report = consistency_report(random_mask_tensor(rng, (3, 4, 4, 2)))
+        for name in ("per_layer_accessible", "per_layer_coaccessible"):
+            first, second = getattr(report, name), getattr(report, name)
+            assert first is second
+            for view in first:
+                assert not view.flags.writeable and 0 in view.strides
 
     def test_json_sentinel(self):
         empty = mask_from_lists([[0]], [[0]])
