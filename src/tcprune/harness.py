@@ -133,20 +133,18 @@ class ExperimentConfig:
         if min(self.seeds) < 0:
             raise DomainError(f"seeds must be non-negative, got {list(self.seeds)}")
         # every cell's spec and the training settings are checked before
-        # anything trains
+        # anything trains; a cell whose mask name another cell already has
+        # would merge into that cell's row and mask file
         self.training
-        for rate in self.rates:
-            for variant in self.variants:
-                _spec(rate, variant, self.seeds[0])
-        # a repeated cell would merge into another's row and mask file; cells
-        # are told apart by their printed labels, so compare those
-        rates = [_as_printed(r) for r in self.rates]
-        variant_keys = [
-            (v.tc, v.stochastic, v.scoring, _as_printed(v.row_alpha)) for v in self.variants
-        ]
-        for name, axis in (("rates", rates), ("variants", variant_keys), ("seeds", self.seeds)):
-            if len(set(axis)) < len(axis):
-                raise DomainError(f"{name} repeat a grid cell: {list(axis)}")
+        names = set()
+        for seed in self.seeds:
+            for rate in self.rates:
+                for v in self.variants:
+                    _spec(rate, v, seed)
+                    name = _mask_name(rate, v.tc, v.stochastic, v.scoring, v.row_alpha, seed)
+                    if name in names:
+                        raise DomainError(f"two grid cells share the mask name {name}")
+                    names.add(name)
 
     @property
     def finetune_budget(self) -> int:
@@ -164,11 +162,6 @@ class ExperimentConfig:
         if self.finetune_budget < 1:
             raise DomainError(f"finetune_epochs must be positive, got {self.finetune_epochs}")
         return baseline, dataclasses.replace(baseline, epochs=self.finetune_budget)
-
-
-def _as_printed(x: float | None) -> float | None:
-    """`x` as its `:g` label in tables and mask file names reads back."""
-    return None if x is None else float(f"{x:g}")
 
 
 def _spec(rate: float, variant: Variant, seed: int) -> PruneSpec:
@@ -204,6 +197,14 @@ class RunRecord:
             raise DomainError(f"alpha must be null exactly for local scoring, got {self.alpha}")
         if self.status not in STATUSES:
             raise DomainError(f"unknown status {self.status!r}, not one of {STATUSES}")
+        # a saturated or budget cell has no mask; every other cell has one
+        masked = self.status not in ("saturated", "budget")
+        if not masked and (self.kept, self.ac_percent, self.mask_file) != (None, None, None):
+            raise DomainError(f"a {self.status} cell has no mask, kept count or ac_percent")
+        if masked and self.kept is None:
+            raise DomainError(f"a {self.status} cell has a mask, so a kept count")
+        if (self.accuracy is None) == (self.status == "ok"):
+            raise DomainError(f"accuracy must be set exactly for status ok, got {self.accuracy}")
 
 
 @dataclass(frozen=True)
@@ -269,10 +270,12 @@ def _shape_for(cfg: ExperimentConfig, train_set) -> GcnShape:
     return shape
 
 
-def _mask_name(rate, variant: Variant, seed) -> str:
+def _mask_name(rate, tc, stochastic, scoring, alpha, seed) -> str:
+    """The mask file of the cell a RunRecord with these fields describes;
+    a local cell's alpha is None and prints as 1."""
     return (
-        f"mask_r{rate:g}_tc{int(variant.tc)}_st{int(variant.stochastic)}"
-        f"_{variant.scoring}_a{variant.alpha:g}_s{seed}.txt"
+        f"mask_r{rate:g}_tc{int(tc)}_st{int(stochastic)}"
+        f"_{scoring}_a{1.0 if alpha is None else alpha:g}_s{seed}.txt"
     )
 
 
@@ -316,20 +319,16 @@ def _run_cell(base: _Baseline, rate: float, variant: Variant, mask_dir: str | No
     """Prune the baseline, fine-tune and evaluate the survivors, save the mask."""
     t0 = time.perf_counter()
     status, mask, acc = _prune_and_tune(base, rate, variant)
+    cell = (rate, variant.tc, variant.stochastic, variant.scoring, variant.row_alpha, base.seed)
     kept = ac = mask_file = None
     if mask is not None:
         rep = consistency_report(mask)
         kept, ac = rep.kept_count, rep.ac_percentage
         if mask_dir is not None:
-            mask_file = _mask_name(rate, variant, base.seed)
+            mask_file = _mask_name(*cell)
             save_mask(mask, os.path.join(mask_dir, mask_file))
     return RunRecord(
-        rate=rate,
-        tc=variant.tc,
-        stochastic=variant.stochastic,
-        scoring=variant.scoring,
-        alpha=variant.row_alpha,
-        seed=base.seed,
+        *cell,
         kept=kept,
         ac_percent=ac,
         accuracy=acc,
@@ -443,9 +442,10 @@ def report_from_artifacts(artifact_dir: str) -> list[ResultRow]:
     Every kept count and consistency percentage is recomputed from the mask
     files and must equal the recorded value exactly: the same computation
     on the same mask bits gives the same float, and JSON round-trips it.
-    A mask_file must be a bare file name, so no mask is read from outside
-    `artifact_dir`'s masks directory. Every record passes RunRecord's domain
-    checks, and a runs.json with no record raises DomainError.
+    A mask_file must be the name `_mask_name` gives its record's cell, which
+    is a bare file name, so no mask is read from outside `artifact_dir`'s
+    masks directory. Every record passes RunRecord's domain checks, and a
+    runs.json with no record raises DomainError.
     """
     payload = _read_json(os.path.join(artifact_dir, "runs.json"))
     records = _build(tuple[RunRecord, ...], payload, "runs.json")
@@ -454,8 +454,9 @@ def report_from_artifacts(artifact_dir: str) -> list[ResultRow]:
     for rec in records:
         name = rec.mask_file
         if name is not None:
-            if name in ("", ".", "..") or os.path.basename(name) != name:
-                raise DomainError(f"runs.json: mask_file {name!r} is not a bare file name")
+            cell = _mask_name(rec.rate, rec.tc, rec.stochastic, rec.scoring, rec.alpha, rec.seed)
+            if name != cell:
+                raise DomainError(f"runs.json: mask_file {name!r} is not its cell's name {cell!r}")
             rep = consistency_report(load_mask(os.path.join(artifact_dir, "masks", name)))
             if (rep.kept_count, rep.ac_percentage) != (rec.kept, rec.ac_percent):
                 raise DomainError(

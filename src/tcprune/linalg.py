@@ -1,4 +1,6 @@
-"""Dense real-matrix and boolean-matrix helpers used by every other module.
+"""Dense real-matrix and boolean-matrix helpers: `network` coerces weights
+and masks with `as_dense` and `as_bools`; `row_normalize` builds the
+row-stochastic networks the surrogate-table tests check.
 
 Real matrices are 2-D float64 numpy arrays, boolean matrices are 2-D bool
 numpy arrays. All functions are pure and never mutate their arguments.

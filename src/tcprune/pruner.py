@@ -40,7 +40,7 @@ on any number of CPUs.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -390,10 +390,10 @@ def _sampled_steps(
     return cols, new
 
 
-class ChainTraces(Sequence[ChainTrace]):
+class ChainTraces:
     """The chains tc_mp_trace selected, in order, as arrays: row c of `paths`
     holds the neuron chain c visits at each depth 0..L, and `newly_added[c]`
-    the mask bits it newly set. A ChainTrace is built only when indexed."""
+    the mask bits it newly set. Iterating builds one ChainTrace per chain."""
 
     def __init__(self, paths: np.ndarray, newly_added: np.ndarray):
         self.paths = paths
@@ -403,11 +403,6 @@ class ChainTraces(Sequence[ChainTrace]):
 
     def __len__(self) -> int:
         return len(self.newly_added)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return ChainTraces(self.paths[i], self.newly_added[i])
-        return ChainTrace(tuple(self.paths[i].tolist()), int(self.newly_added[i]))
 
     def __iter__(self):
         for path, new_bits in zip(self.paths.tolist(), self.newly_added.tolist()):
@@ -486,7 +481,7 @@ def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, Chain
     paths: list[np.ndarray] = []
     gains: list[np.ndarray] = []
     chains = kept = stall = 0
-    while kept < b.max_kept:
+    while kept < b.max_kept and stall < stall_limit:
         size = max(d0, -(-(b.max_kept - kept) // depth))
         path = np.empty((size, depth + 1), dtype=np.intp)
         new = np.empty((size, depth), dtype=bool)
@@ -520,11 +515,10 @@ def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, Chain
         chains += end
         kept = int(reached[end - 1])
         stall = int(run[end - 1])
-        if stall >= stall_limit:
-            # the chains so far, readable from this frame when it raises
-            traces = ChainTraces(np.concatenate(paths), np.concatenate(gains))
-            raise SaturationError(kept, b.max_kept)
+    # a local, so the chains are readable from this frame when it raises
     traces = ChainTraces(np.concatenate(paths), np.concatenate(gains))
+    if stall >= stall_limit:
+        raise SaturationError(kept, b.max_kept)
     return MaskTensor(tuple(masks)), traces
 
 

@@ -620,9 +620,16 @@ class TestReport:
             {"scoring": "global"},
             {"scoring": "global", "alpha": 1.5},
             {"tc": False, "scoring": "global", "alpha": 0.5},
+            {"kept": 5, "ac_percent": 100.0, "accuracy": 0.99},
+            {"mask_file": "mask_r0.9_tc1_st0_local_a1_s0.txt"},
+            {"status": "ok", "kept": 5, "ac_percent": 100.0},
+            {"status": "diverged", "kept": 5, "ac_percent": 100.0, "accuracy": 0.99},
+            {"status": "disconnected"},
         ],
         ids=["rate-1.5", "seed-negative", "status-unknown", "scoring-unknown",
-             "local-alpha", "global-alpha-null", "global-alpha-1.5", "plain-global"],
+             "local-alpha", "global-alpha-null", "global-alpha-1.5", "plain-global",
+             "saturated-with-row", "saturated-with-mask", "ok-without-accuracy",
+             "diverged-with-accuracy", "disconnected-without-kept"],
     )
     def test_record_outside_its_domain_is_config_error(self, tmp_path, capsys, edit):
         (tmp_path / "runs.json").write_text(json.dumps([RUN, {**RUN, **edit}]))
@@ -654,6 +661,35 @@ class TestReport:
         (artifacts / "runs.json").write_text(json.dumps([run]))
         assert run_cli("report", "--artifacts", str(artifacts)) == 2
         assert "runs.json: mask_file" in capsys.readouterr().err
+
+    @staticmethod
+    def one_cell_grid(tmp_path, variant) -> Path:
+        """The artifacts of a one-cell grid: `variant` at rate 0.9, which keeps a mask."""
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**CONFIG, "variants": [variant]}))
+        out_dir = tmp_path / "run"
+        assert run_cli("ablate", "--config", str(cfg_path), "--out", str(out_dir)) == 0
+        return out_dir
+
+    def test_mask_file_not_its_cells_name_is_config_error(self, tmp_path, capsys):
+        out_dir = self.one_cell_grid(tmp_path, {"tc": False, "stochastic": False})
+        (mask,) = (out_dir / "masks").iterdir()
+        mask.rename(out_dir / "masks" / "renamed.txt")
+        runs = json.loads((out_dir / "runs.json").read_text())
+        runs[0]["mask_file"] = "renamed.txt"
+        (out_dir / "runs.json").write_text(json.dumps(runs))
+        assert run_cli("report", "--artifacts", str(out_dir)) == 2
+        assert "runs.json: mask_file 'renamed.txt'" in capsys.readouterr().err
+
+    def test_local_variant_alpha_is_not_in_its_mask_name(self, tmp_path):
+        # a local variant ignores its alpha, so its mask is named as alpha 1's
+        out_dir = self.one_cell_grid(tmp_path, {"tc": False, "stochastic": False, "alpha": 0.5})
+        assert [p.name for p in (out_dir / "masks").iterdir()] == [
+            "mask_r0.9_tc0_st0_local_a1_s0.txt"
+        ]
+        table = tmp_path / "report.csv"
+        assert run_cli("report", "--artifacts", str(out_dir), "--table-out", str(table)) == 0
+        assert table.read_text() == (out_dir / "results.csv").read_text()
 
     @staticmethod
     def report_to(table_out, artifacts, stdout, prefix=()):

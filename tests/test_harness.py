@@ -14,6 +14,7 @@ from tcprune.harness import (
     CSV_HEADER,
     ExperimentConfig,
     ModelSpec,
+    STATUSES,
     ResultRow,
     SyntheticSpec,
     Variant,
@@ -333,6 +334,12 @@ class TestEmit:
     def test_readme_states_the_csv_header(self):
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
         assert re.search(r"Result CSV header:\s*`([^`]*)`", readme).group(1) == CSV_HEADER
+
+    def test_readme_states_every_status_but_ok(self):
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Experiment configs\n", 1)[1].split("\n## ", 1)[0]
+        bullets = re.findall(r"^- `(\w+)`:", section, flags=re.M)
+        assert bullets == [s for s in STATUSES if s != "ok"]
 
     def test_ac_percent_null_exactly_when_nothing_kept(self):
         # the sentinel appears only for empty masks and serializes as an

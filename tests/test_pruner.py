@@ -362,7 +362,7 @@ class TestTcMp:
         w2 = np.array([[3.0, 1.0], [4.0, 1.0]])
         net = LayeredNetwork((w1, w2), ("identity", "identity"))
         mask, traces = tc_mp_trace(net, PruneSpec(rate=0.75, tc=True, scoring="local"))
-        assert traces[0].steps == ((1, 0, 0), (2, 0, 0))
+        assert next(iter(traces)).steps == ((1, 0, 0), (2, 0, 0))
         assert np.array_equal(mask.masks[0], [[True, False], [False, False]])
         assert np.array_equal(mask.masks[1], [[True, False], [False, False]])
 
@@ -371,13 +371,13 @@ class TestTcMp:
         w2 = np.array([[3.0, 1.0], [4.0, 1.0]])
         net = LayeredNetwork((w1, w2), ("identity", "identity"))
         _, traces = tc_mp_trace(net, PruneSpec(rate=0.75, tc=True, scoring="global", alpha=1.0))
-        assert traces[0].steps[0] == (1, 0, 0)  # 5 * max(3,1) beats 1 * max(4,1)
+        assert next(iter(traces)).steps[0] == (1, 0, 0)  # 5 * max(3,1) beats 1 * max(4,1)
 
         flipped = LayeredNetwork(
             (w1, np.array([[0.1, 0.1], [4.0, 1.0]])), ("identity", "identity")
         )
         _, traces = tc_mp_trace(flipped, PruneSpec(rate=0.75, tc=True, scoring="global", alpha=1.0))
-        assert traces[0].steps[0] == (1, 0, 1)  # 5 * 0.1 loses to 1 * 4
+        assert next(iter(traces)).steps[0] == (1, 0, 1)  # 5 * 0.1 loses to 1 * 4
 
     @given(seed=st.integers(0, 100_000))
     @settings(max_examples=50, deadline=None)
@@ -741,12 +741,13 @@ class TestBlockLoop:
         _, traces = tc_mp_trace(net, PruneSpec(rate=0.3, tc=True))
         listed = list(traces)
         assert len(listed) == len(traces) >= 2
-        assert [traces[i] for i in range(len(traces))] == listed
-        assert traces[-1] == listed[-1]
-        assert list(traces[1:]) == listed[1:]
         assert all(type(t) is ChainTrace and type(t.path[0]) is int for t in listed)
+        assert [t.path for t in listed] == [tuple(p) for p in traces.paths.tolist()]
+        assert [t.newly_added for t in listed] == traces.newly_added.tolist()
         with pytest.raises(ValueError):
             traces.paths[0, 0] = 1
+        with pytest.raises(ValueError):
+            traces.newly_added[0] = 1
 
 
 def sequential_draws(rng, d0: int, size: int, depth: int):
