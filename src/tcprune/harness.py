@@ -205,6 +205,13 @@ class RunRecord:
             raise DomainError(f"a {self.status} cell has a mask, so a kept count")
         if (self.accuracy is None) == (self.status == "ok"):
             raise DomainError(f"accuracy must be set exactly for status ok, got {self.accuracy}")
+        if self.wall_s < 0.0 or (self.kept is not None and self.kept < 0):
+            raise DomainError(f"kept and wall_s must be >= 0, got {self.kept} and {self.wall_s}")
+        if self.ac_percent is not None and not 0.0 <= self.ac_percent <= 100.0:
+            raise DomainError(f"ac_percent must be in [0, 100], got {self.ac_percent}")
+        # consistency_report gives no ac_percent only for an empty mask
+        if self.ac_percent is None and self.kept:
+            raise DomainError(f"a mask of {self.kept} connections needs an ac_percent")
 
 
 @dataclass(frozen=True)

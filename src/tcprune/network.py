@@ -9,8 +9,8 @@ the network `apply_mask` zeroes, so the two agree bit for bit by definition.
 
 A network also keeps what the pruners score it by, computed once and shared
 by every prune that follows: `log_magnitudes`, log|w| of every connection,
-and `memo`'s one entry, in which chain pruning keeps each layer's
-downstream row maxima for the last alpha it scored the network at.
+and `memo`'s one entry, in which chain pruning keeps its tables for the
+last scoring and alpha it pruned the network at.
 
 The file readers below serve every module: `_read_fields` and `_counts`
 for text lines, `_read_json`, and `_build` to type a JSON value as a dataclass.
@@ -125,12 +125,26 @@ class LayeredNetwork:
     def memo(self, key, build: Callable[[], T]) -> T:
         """build(), or the value it gave when the last call asked for `key`
         too. The network keeps one entry, replaced by each call with another
-        key, so what it keeps stays bounded."""
+        key, so what it keeps stays bounded.
+
+        Chain pruning keeps its tables here under (scoring, alpha), alpha
+        None for local scores (`pruner._chain_tables`): each layer's scores
+        (views of `log_magnitudes` when local, one float64 per connection
+        when global), the stochastic choice CDFs once a stochastic prune has
+        run (one float64 per connection), and each layer's longest order
+        prefix so far (one index per entry read, a few per row). The value
+        is shared by every thread that reads the entry, so it may grow only
+        by publishing complete, read-only arrays."""
         entry = self._memo
-        if entry is None or entry[0] != key:
-            entry = (key, build())
-            object.__setattr__(self, "_memo", entry)
-        return entry[1]
+        if entry is not None and entry[0] == key:
+            return entry[1]
+        # drop the old value, this frame's reference too, before building,
+        # so the build's peak memory does not hold it
+        del entry
+        object.__setattr__(self, "_memo", None)
+        value = build()
+        object.__setattr__(self, "_memo", (key, value))
+        return value
 
 
 @dataclass(frozen=True)

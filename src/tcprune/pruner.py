@@ -2,30 +2,35 @@
 
 standard_mp keeps the globally largest absolute weights; stochastic_mp
 samples connections without replacement proportionally to magnitude. Both
-find their cut with one partition of a key per connection; stochastic_mp
-builds its keys from the network's log magnitudes with vectorised logs and
-calls libm's log only for the few near the cut. Both can leave kept
-connections dangling. tc_mp instead grows the mask from complete
-input-to-output chains, so its output is topologically consistent by
-construction. It selects them a block of chains at a time, each layer of a
-block in a few array operations, with the result of one chain at a time.
-Every block reads one table per layer. When stochastic, the call builds
-each row's softmax CDF up front, from scores it only reads. When
-deterministic, the table holds the first entries of each row's column order
-by (-score, col), as many as the blocks so far have read, and is rebuilt
-longer when a block reads past it. A block's step through a layer groups its
-visits by row, or finds each slot's first visit, with stable sorts of ids in
-the smallest unsigned type that holds them, which numpy does by radix for
-layers up to 65,536 neurons wide, in time linear in the block's visits.
+find their cut with `_cut`, which partitions only the keys at or above a
+bracket read off a strided sample; stochastic_mp builds its keys from the
+network's log magnitudes with vectorised logs and calls libm's log only for
+the few near the cut. Both can leave kept connections dangling. tc_mp
+instead grows the mask from complete input-to-output chains, so its output
+is topologically consistent by construction. It selects them a block of
+chains at a time, each layer of a block in a few array operations, with the
+result of one chain at a time. Every block reads one table per layer: when
+stochastic, each row's softmax CDF; when deterministic, the first entries
+of each row's column order by (-score, col), as many as the blocks so far
+have read. A block's step through a layer groups its visits by row, or
+finds each slot's first visit, with stable sorts of ids in the smallest
+unsigned type that holds them, which numpy does by radix for layers up to
+65,536 neurons wide, in time linear in the block's visits.
 
-A network is scored once, and its scores are shared by the prunes that
-follow. log|w| is the network's `log_magnitudes`, computed on first use:
-local scores are views of it, and stochastic_mp and the surrogate table
-read it. A global chain prune keeps its table's row maxima on the network
-(`LayeredNetwork.memo`), so the next one at the same alpha builds no
-table. standard_mp keeps its own |w| keys: float log is not strictly
-increasing, so keys taken from the logs could tie where magnitudes do not
-and move its masks.
+A network is scored once, and its scores and chain tables are shared by
+the prunes that follow. log|w| is the network's `log_magnitudes`, computed
+on first use: local scores are views of it, and stochastic_mp and the
+surrogate table read it. A chain prune keeps a `_ChainTables` record on the
+network (`LayeredNetwork.memo`, keyed by scoring and alpha): the per-layer
+scores, the CDFs once a stochastic prune has built them, and per layer the
+longest order prefix built so far. A later prune at the same scoring and
+alpha builds no surrogate table and no CDFs, and builds a layer's prefix
+only when it reads past the held one. Every array it holds is read-only
+and published only when complete, and a k-entry prefix is the first k
+entries of every longer one, so masks and chains do not depend on what the
+network held before. standard_mp keeps its own |w| keys: float log is not
+strictly increasing, so keys taken from the logs could tie where magnitudes
+do not and move its masks.
 
 Every whole-layer pass is one range function that `parallel.over_rows`
 runs over contiguous row ranges, one per usable CPU, each writing its rows
@@ -40,6 +45,7 @@ on any number of CPUs.
 from __future__ import annotations
 
 import math
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -113,11 +119,58 @@ def _top_k(net: LayeredNetwork, keys: np.ndarray, max_kept: int) -> MaskTensor:
     elif max_kept == 0:
         chosen = np.zeros(n, dtype=bool)
     else:
-        cut = np.partition(keys, n - max_kept)[n - max_kept]
+        cut = _cut(keys, max_kept)
         chosen = keys > cut
         ties = np.flatnonzero(keys == cut)
         chosen[ties[: max_kept - np.count_nonzero(chosen)]] = True
     return MaskTensor(layers_of(chosen, net.dims))
+
+
+_SAMPLE = 4096  # keys in the strided sample `_bracket` reads its bound off
+
+
+def _bracket(keys: np.ndarray, max_kept: int) -> np.ndarray | None:
+    """The keys at or above a lower bound on the max_kept-th largest key,
+    in a new array, or None where the sample misses or a bracket saves
+    nothing.
+
+    The bound is read off a strided sample of about _SAMPLE keys, as Floyd
+    and Rivest (1975) bracket a selection: the sample's rank-th largest key,
+    with rank the max_kept-th largest's expected rank in the sample plus
+    three standard deviations. Fewer than max_kept keys reach it only when
+    the sample overstates the large keys, and then this gives None. It
+    gives None too where a bracket would save little or nothing: a rank
+    past the sample's end, every key at or above the bound, or an array
+    under two samples long, which a stride of 1 would sample whole.
+    """
+    n = keys.size
+    stride = n // _SAMPLE
+    if stride < 2:
+        return None
+    sample = keys[::stride]
+    expect = max_kept * sample.size / n
+    rank = math.ceil(expect + 3.0 * math.sqrt(expect)) + 1
+    if rank >= sample.size:
+        return None
+    bound = np.partition(sample, sample.size - rank)[sample.size - rank]
+    above = keys >= bound
+    if not max_kept <= np.count_nonzero(above) < n:
+        return None
+    return keys[above]
+
+
+def _cut(keys: np.ndarray, max_kept: int) -> np.floating:
+    """The max_kept-th largest key, 0 < max_kept < n = keys.size:
+    `np.partition(keys, n - max_kept)[n - max_kept]`. Where `_bracket`
+    finds a bound, only the keys at or above it are partitioned, in place:
+    they are the largest keys, at least max_kept of them, so their
+    max_kept-th largest is the same key. Otherwise it is that full
+    partition, which copies every key."""
+    above = _bracket(keys, max_kept)
+    if above is None:
+        return np.partition(keys, keys.size - max_kept)[keys.size - max_kept]
+    above.partition(above.size - max_kept)
+    return above[above.size - max_kept]
 
 
 def standard_mp(net: LayeredNetwork, rate: float) -> MaskTensor:
@@ -200,8 +253,7 @@ def _gumbel_top_k(
             np.subtract(logs[part], t, out=keys[part])  # words[part] is read by now
 
     parallel.over_rows(fill, words.size)
-    n = keys.size
-    cut = float(np.partition(keys, n - max_kept)[n - max_kept])
+    cut = float(_cut(keys, max_kept))
     tol = 1e-9 * (1.0 + abs(cut))
     chosen = keys >= cut - tol  # the keys kept and the band
     surplus = int(np.count_nonzero(chosen)) - max_kept
@@ -409,18 +461,63 @@ class ChainTraces:
             yield ChainTrace(tuple(path), new_bits)
 
 
-def _row_maxima(net: LayeredNetwork, alpha: float) -> tuple[np.ndarray, ...]:
-    """The row maxima of `net`'s surrogate table at `alpha`. The network
-    keeps them for the last alpha it was chain-pruned at with global scores,
-    so a table is built only when that alpha differs."""
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
-    def build() -> tuple[np.ndarray, ...]:
-        maxima = build_table(net, alpha).row_maxima()
-        for m in maxima:
-            m.flags.writeable = False
-        return maxima
 
-    return net.memo(("row_maxima", alpha), build)
+class _ChainTables:
+    """What chain selection reads of one network at one scoring and alpha,
+    kept on the network by `_chain_tables` and shared by every chain prune
+    there: `scores`, each layer's log edge scores; `cdfs`, each layer's
+    `_choice_cdfs`, built whole by the first stochastic prune; and per
+    layer the longest `_order_prefix` built so far, read through `order`.
+
+    Every array held is read-only and is published only when complete, by
+    one assignment, so threads pruning the network at once each keep the
+    reference they read. Two may build one table; either result is right,
+    and a lock keeps the longer of two prefixes.
+    """
+
+    def __init__(self, scores: list[np.ndarray]):
+        self.scores = tuple(_read_only(s) for s in scores)
+        self.cdfs: tuple[np.ndarray, ...] | None = None
+        self._orders = [_read_only(np.empty((s.shape[0], 0), dtype=np.intp)) for s in scores]
+        self._publish = threading.Lock()
+
+    def choice_cdfs(self) -> tuple[np.ndarray, ...]:
+        cdfs = self.cdfs
+        if cdfs is None:
+            cdfs = tuple(_read_only(_choice_cdfs(s)) for s in self.scores)
+            self.cdfs = cdfs
+        return cdfs
+
+    def order(self, t: int, needed: int) -> np.ndarray:
+        """Layer t + 1's order prefix of at least `needed` entries a row:
+        the held one, or else one of twice that, kept if longer than the
+        one held by then. Its first k entries are the k-entry prefix."""
+        held = self._orders[t]
+        if needed <= held.shape[1]:
+            return held
+        built = _read_only(_order_prefix(self.scores[t], 2 * needed))
+        with self._publish:
+            if built.shape[1] > self._orders[t].shape[1]:
+                self._orders[t] = built
+        return built
+
+
+def _chain_tables(net: LayeredNetwork, spec: PruneSpec) -> _ChainTables:
+    """The network's chain tables at spec's scoring and alpha (None for
+    local scores, which read no alpha). The network keeps one record, so a
+    global scoring builds its surrogate table only when it follows a chain
+    prune at another scoring or alpha."""
+    alpha = spec.alpha if spec.scoring == "global" else None
+
+    def build() -> _ChainTables:
+        maxima = None if alpha is None else build_table(net, alpha).row_maxima()
+        return _ChainTables([log_score_matrix(net, t, maxima) for t in range(1, net.depth + 1)])
+
+    return net.memo((spec.scoring, alpha), build)
 
 
 def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, ChainTraces]:
@@ -440,20 +537,24 @@ def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, Chain
     random stream equal those of selecting one chain at a time. A block
     holds max(d0, ceil(remaining budget / L)) chains: no more than are
     still needed, since a chain sets at most L bits, or one round-robin
-    sweep. A stochastic call starts with every row's CDF, each layer's in a
-    new array beside its scores. A deterministic call reads, per layer, each
-    row's order prefix: empty at first, and rebuilt by `_order_prefix` to twice
-    the entries a block reads when the block reads past its end. Each
-    rebuild more than doubles the prefix, so a layer is built at most
-    1 + log2(width) times; on the bench's nets, once. Per block and layer, a
-    deterministic step then costs a radix sort of the block's rows, and a
-    stochastic step one bisection of ceil(log2(width)) array passes over the
-    block's visits, split over the CPUs when visits times passes fill two
-    ranges, plus radix sorts of their columns and rows (comparison sorts
-    where a layer has more than 65,536 rows or columns); the block's
-    starts and draws come from one `random_raw` call (see `_chain_draws`).
-    The stochastic random stream is exactly the one of `rng.integers(d0)` per chain start
-    and `rng.choice(width, p=softmax(row))` per step.
+    sweep. Both modes read the network's chain tables (`_chain_tables`),
+    shared with every chain prune of it at the same scoring and alpha. A
+    stochastic call reads every row's CDF, built by the first stochastic
+    call. A deterministic call reads, per layer, each row's order prefix:
+    empty at first, and rebuilt by `_order_prefix` to twice the entries a
+    block reads when the block reads past the held one. Each rebuild more
+    than doubles the prefix, so a layer's is built at most 1 + log2(width)
+    times per network, scoring and alpha, whatever the number of calls; on
+    the bench's nets, once, by the first call at rate 0.9. Per block and
+    layer, a deterministic step then costs a radix sort of the block's
+    rows, and a stochastic step one bisection of ceil(log2(width)) array
+    passes over the block's visits, split over the CPUs when visits times
+    passes fill two ranges, plus radix sorts of their columns and rows
+    (comparison sorts where a layer has more than 65,536 rows or columns);
+    the block's starts and draws come from one `random_raw` call (see
+    `_chain_draws`). The stochastic random stream is exactly the one of
+    `rng.integers(d0)` per chain start and `rng.choice(width,
+    p=softmax(row))` per step.
     """
     if not spec.tc:
         raise DomainError("chain pruning requires spec.tc == True")
@@ -463,16 +564,13 @@ def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, Chain
         raise BudgetError(
             f"budget {b.max_kept} cannot hold one complete chain of {depth} connections"
         )
-    maxima = _row_maxima(net, spec.alpha) if spec.scoring == "global" else None
-    scores = [log_score_matrix(net, layer, maxima) for layer in range(1, depth + 1)]
+    tables = _chain_tables(net, spec)
     masks = [np.zeros(w.shape, dtype=bool) for w in net.weights]
     rng = np.random.default_rng(spec.seed)
     if spec.stochastic:
-        cdfs = [_choice_cdfs(s) for s in scores]
+        cdfs = tables.choice_cdfs()
     else:
-        # each layer's order prefix, rebuilt longer when a block reads past it
-        orders = [np.empty((s.shape[0], 0), dtype=np.intp) for s in scores]
-        fresh = [np.zeros(s.shape[0], dtype=np.intp) for s in scores]
+        fresh = [np.zeros(w.shape[0], dtype=np.intp) for w in net.weights]
     # Deterministic selection repeats verbatim after one full round-robin
     # sweep with no new bits; stochastic selection gets a generous allowance
     # before it is declared stuck.
@@ -491,12 +589,9 @@ def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, Chain
                 path[:, t + 1], new[:, t] = _sampled_steps(cdf, masks[t], path[:, t], draws[:, t])
         else:
             path[:, 0] = np.arange(chains, chains + size) % d0
-            for t, s in enumerate(scores):
-                pos, new[:, t] = _ranked_steps(fresh[t], path[:, t], s.shape[1])
-                needed = int(pos.max()) + 1
-                if needed > orders[t].shape[1]:
-                    orders[t] = _order_prefix(s, 2 * needed)
-                path[:, t + 1] = orders[t][path[:, t], pos]
+            for t, w in enumerate(net.weights):
+                pos, new[:, t] = _ranked_steps(fresh[t], path[:, t], w.shape[1])
+                path[:, t + 1] = tables.order(t, int(pos.max()) + 1)[path[:, t], pos]
         gain = new.sum(axis=1)
         reached = kept + np.cumsum(gain)
         index = np.arange(size)

@@ -506,8 +506,15 @@ def chunk_means(joints: np.ndarray, chunks: int) -> np.ndarray:
 
 
 def einsum_loss_and_grads(model, signals: np.ndarray, labels: np.ndarray):
-    """(probs, loss, (g_attn, g_conv, g_head)) with the aggregates as a
-    (batch, heads, nodes, signal_dim) tensor and every contraction an einsum."""
+    """(probs, loss, (g_attn, g_conv, g_head), scales) with the aggregates as
+    a (batch, heads, nodes, signal_dim) tensor and every contraction an einsum.
+
+    `scales` holds, per gradient entry, the magnitude it sums: the same
+    contractions over the absolute values of their operands, each
+    intermediate's taken in turn from its own operands', and masked where
+    this ReLU is off. A sum computed in another order then differs from
+    this one by a few units of rounding of that magnitude, whatever the
+    cancellation in the entry or in the intermediates before it."""
     batch = len(labels)
     n, c = model.shape.nodes, model.shape.filters
     # aggregates[b,k,i,m] = sum_j attention[k,i,j] * signals[b,m,j]
@@ -526,7 +533,18 @@ def einsum_loss_and_grads(model, signals: np.ndarray, labels: np.ndarray):
     g_conv = np.einsum("bkim,bic->kmc", aggregates, dpre)
     dagg = np.einsum("bic,kmc->bkim", dpre, model.conv)
     g_attn = np.einsum("bkim,bmj->kij", dagg, signals)
-    return probs, loss, (g_attn, g_conv, g_head)
+    live = pre > 0
+    agg_m = np.einsum("kij,bmj->bkim", np.abs(model.attention), np.abs(signals))
+    flat_m = (np.einsum("bkim,kmc->bic", agg_m, np.abs(model.conv)) * live).reshape(batch, n * c)
+    dlogits_m = np.abs(dlogits)
+    dpre_m = (dlogits_m @ np.abs(model.head).T).reshape(pre.shape) * live
+    dagg_m = np.einsum("bic,kmc->bkim", dpre_m, np.abs(model.conv))
+    scales = (
+        np.einsum("bkim,bmj->kij", dagg_m, np.abs(signals)),
+        np.einsum("bkim,bic->kmc", agg_m, dpre_m),
+        flat_m.T @ dlogits_m,
+    )
+    return probs, loss, (g_attn, g_conv, g_head), scales
 
 
 # ---------------------------------------------------------------------------

@@ -625,11 +625,18 @@ class TestReport:
             {"status": "ok", "kept": 5, "ac_percent": 100.0},
             {"status": "diverged", "kept": 5, "ac_percent": 100.0, "accuracy": 0.99},
             {"status": "disconnected"},
+            {"status": "disconnected", "kept": -3},
+            {"wall_s": -1.0},
+            {"status": "disconnected", "kept": 5, "ac_percent": 100.5},
+            {"status": "disconnected", "kept": 5, "ac_percent": -0.5},
+            {"status": "disconnected", "kept": 5},
         ],
         ids=["rate-1.5", "seed-negative", "status-unknown", "scoring-unknown",
              "local-alpha", "global-alpha-null", "global-alpha-1.5", "plain-global",
              "saturated-with-row", "saturated-with-mask", "ok-without-accuracy",
-             "diverged-with-accuracy", "disconnected-without-kept"],
+             "diverged-with-accuracy", "disconnected-without-kept", "kept-negative",
+             "wall-s-negative", "ac-percent-above-100", "ac-percent-negative",
+             "kept-without-ac-percent"],
     )
     def test_record_outside_its_domain_is_config_error(self, tmp_path, capsys, edit):
         (tmp_path / "runs.json").write_text(json.dumps([RUN, {**RUN, **edit}]))

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -204,7 +204,7 @@ class TestGradients:
         model = init_model(shape, seed=batch)
         signals = rng.standard_normal((batch, shape.signal_dim, shape.nodes))
         labels = rng.integers(0, shape.num_classes, batch)
-        probs, loss, grads = einsum_loss_and_grads(model, signals, labels)
+        probs, loss, grads, _ = einsum_loss_and_grads(model, signals, labels)
         assert np.allclose(forward_batch(model, signals)[0], probs, rtol=1e-12, atol=0.0)
         got_loss, got_grads = loss_and_grads(model, signals, labels)
         assert got_loss == pytest.approx(loss, rel=1e-12, abs=0.0)
@@ -245,6 +245,8 @@ class TestGradients:
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=60, deadline=None)
+    # a one-entry gradient of 3.28e-06 that the two orders round 8.1e-18 apart
+    @example(dims=(1, 1, 7, 2, 2), batch=3, spare=3, seed=2)
     def test_contraction_order_property(self, dims, batch, spare, seed):
         # signal_dim and nodes are drawn independently; an oversized packed
         # model, dirtied by a larger batch first, must not change a bit
@@ -255,13 +257,24 @@ class TestGradients:
         signals = rng.standard_normal((size, shape.signal_dim, shape.nodes))
         labels = rng.integers(0, shape.num_classes, size)
         x, y = signals[:batch], labels[:batch]
-        probs, loss, grads = einsum_loss_and_grads(model, x, y)
+        probs, loss, grads, scales = einsum_loss_and_grads(model, x, y)
         got_probs = forward_batch(model, x)[0]
         got_loss, got_grads = loss_and_grads(model, x, y)
         assert got_loss == pytest.approx(loss, rel=1e-12, abs=0.0)
-        for got, want in zip((got_probs, *got_grads), (probs, *grads)):
-            assert got.shape == want.shape
-            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert got_probs.shape == probs.shape
+        assert np.abs(got_probs - probs).max() <= 1e-12 * probs.max()
+
+        def within(grads_got) -> bool:
+            # each entry within 1e-12 of the magnitude it sums, so the two
+            # contraction orders may round apart where an entry cancels
+            return all(
+                g.shape == w.shape and (np.abs(g - w) <= 1e-12 * s).all()
+                for g, w, s in zip(grads_got, grads, scales)
+            )
+
+        assert within(got_grads)
+        if any(w.any() for w in grads):  # the bound still sees a 1e-9 relative error
+            assert not within([g * (1.0 + 1e-9) for g in got_grads])
         packed = PackedModel(model)
         loss_and_grads(packed, signals, labels)
         assert forward_batch(packed, x)[0].tobytes() == got_probs.tobytes()

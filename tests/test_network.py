@@ -1,6 +1,7 @@
 import os
 import stat
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -242,6 +243,21 @@ class TestMemo:
         assert net.memo("b", build(3)) == 3
         assert net.memo("a", build(4)) == 4
         assert built == [1, 3, 4]
+
+    def test_drops_the_old_value_before_building(self, rng):
+        net = random_network(rng, (2, 2))
+
+        class Value:
+            pass
+
+        old = weakref.ref(net.memo("a", Value))
+        assert old() is not None  # the network holds it
+
+        def build():
+            assert old() is None  # a build's peak memory does not hold it
+            return 1
+
+        assert net.memo("b", build) == 1
 
 
 class TestSerialization:

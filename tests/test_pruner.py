@@ -1,4 +1,7 @@
 import hashlib
+import math
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,13 +24,17 @@ from oracles import (
     unique_sampled_steps,
 )
 from tcprune.errors import BudgetError, DegenerateDistributionError, DomainError, SaturationError
-from tcprune import pruner
+from tcprune import parallel, pruner
+from tcprune.gcn import GcnShape, as_layered, init_model
 from tcprune.network import LayeredNetwork, budget, total_connections
 from tcprune.pruner import (
     ChainTrace,
     PruneSpec,
+    _bracket,
     _chain_draws,
+    _chain_tables,
     _choice_cdfs,
+    _cut,
     _gumbel_top_k,
     _order_prefix,
     _ranked_steps,
@@ -330,6 +337,93 @@ class TestTopK:
         for got, keys in ((standard_mp(net, rate), flat), (stochastic_mp(net, rate, 5), gumbel)):
             for g, w in zip(got.masks, argsort_top_k(net, keys, max_kept)):
                 assert np.array_equal(g, w)
+
+
+def gcn_view_logs() -> np.ndarray:
+    """log|w| of the default grid's GCN view, -inf at its structural zeros."""
+    view = as_layered(init_model(GcnShape(heads=4, nodes=15, signal_dim=15, filters=16,
+                                          num_classes=4), seed=0))
+    return view.log_magnitudes
+
+
+GCN_VIEW_LOGS = gcn_view_logs()
+
+
+class TestCut:
+    """`_cut` against numpy's full partition, through its sample bracket and
+    its fallback."""
+
+    @staticmethod
+    def keys_of(kind: str, n: int, seed: int) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        if kind == "ties":
+            return rng.choice([-np.inf, -1.0, 0.0, 0.5, 2.0], size=n)
+        if kind == "inf_runs":  # random keys with runs of -inf
+            keys = rng.standard_normal(n)
+            for start in rng.integers(n, size=3):
+                keys[start : start + int(rng.integers(1, n // 2 + 2))] = -np.inf
+            return keys
+        if kind == "constant":
+            return np.full(n, 1.5)
+        if kind == "sorted":
+            return np.sort(rng.integers(-5, 6, size=n).astype(float))
+        if kind == "reverse":
+            return np.sort(rng.standard_normal(n))[::-1].copy()
+        start = int(rng.integers(GCN_VIEW_LOGS.size - n + 1))  # "gcn": a window of the view
+        return GCN_VIEW_LOGS[start : start + n].copy()
+
+    @given(
+        kind=st.sampled_from(["ties", "inf_runs", "constant", "sorted", "reverse", "gcn"]),
+        n=st.integers(2, 400),
+        sample=st.sampled_from([4, 8, 16, 64, 4096]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_partition(self, kind, n, sample, seed):
+        keys = self.keys_of(kind, n, seed)
+        before = keys.copy()
+        with mock.patch.object(pruner, "_SAMPLE", sample):
+            for k in range(1, n):
+                got = _cut(keys, k)
+                assert got == np.partition(keys, n - k)[n - k]
+        assert np.array_equal(keys, before)  # the caller's keys are only read
+
+    # Keys that are large exactly where the strided sample reads them: the
+    # sample's bound holds only the sampled keys, fewer than max_kept = s + 1,
+    # so the bracket misses and the cut is the full partition.
+    @given(
+        stride=st.integers(4, 8),
+        extra=st.integers(0, 3),
+        noise=st.booleans(),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_sample_that_overstates_falls_back(self, stride, extra, noise, seed):
+        n = 32 * stride + extra
+        rng = np.random.default_rng(seed)
+        keys = rng.random(n) - 2.0 if noise else np.zeros(n)
+        keys[::stride] = 1.0
+        s = keys[::stride].size
+        with mock.patch.object(pruner, "_SAMPLE", 32):
+            assert _bracket(keys, s + 1) is None
+            assert _bracket(keys, s - 8).size >= s - 8  # a smaller cut finds its bracket
+            for k in range(1, n):
+                assert _cut(keys, k) == np.partition(keys, n - k)[n - k]
+
+    # at rate 0.5 the cut falls among the structural zeros, so every key
+    # reaches the bound and there is nothing to leave out
+    @pytest.mark.parametrize("rate, brackets", [(0.5, False), (0.9, True), (0.99, True)])
+    def test_gcn_view_keys_at_the_default_sample(self, rate, brackets):
+        logs = GCN_VIEW_LOGS
+        n = logs.size
+        k = math.floor((1.0 - rate) * n)
+        above = _bracket(logs, k)
+        assert (above is not None) == brackets
+        if brackets:
+            assert k <= above.size < n // 2
+        for keys in (logs, np.exp(logs)):
+            for kk in (1, k, n // 2, n - 1):
+                assert _cut(keys, kk) == np.partition(keys, n - kk)[n - kk]
 
 
 class TestSelectStart:
@@ -965,6 +1059,105 @@ class TestSharedScores:
         # a miss, a miss, a miss again on the return to alpha 1.0, and a hit
         # after each det call
         assert tables == [1.0, 0.1, 1.0]
+
+    @staticmethod
+    def outcome(net: LayeredNetwork, spec: PruneSpec) -> tuple:
+        """Masks, paths and gains of a prune, or the kept count and the
+        chains so far of its SaturationError."""
+        try:
+            mask, traces = tc_mp_trace(net, spec)
+        except SaturationError as exc:
+            with pytest.raises(SaturationError) as again:  # the frame's chains
+                tc_mp_trace(LayeredNetwork(net.weights, net.activations), spec)
+            return "saturated", exc.kept, exc.max_kept, stalled_chains(again)
+        return (
+            "kept",
+            tuple(m.tobytes() for m in mask.masks),
+            traces.paths.tobytes(),
+            traces.newly_added.tobytes(),
+        )
+
+    # A random net, and a tied one that saturates at rate 0 in both modes:
+    # no chain samples the zero weight, and greedy chains stop short of it.
+    # Each (scoring, alpha) evicts the one before, so its CDFs are built
+    # once, by its first stochastic call; at (0.9, 0.99, 0.9) the first call
+    # reads the most, so no later one builds a prefix, and at (0.99, 0.9) the
+    # second call widens the first call's prefixes.
+    @pytest.mark.parametrize(
+        "kind, rates",
+        [("random", (0.9, 0.99, 0.9)), ("random", (0.99, 0.9)), ("saturating", (0.5, 0.0, 0.5))],
+    )
+    def test_rate_orders_match_a_fresh_network(self, monkeypatch, kind, rates):
+        if kind == "random":
+            net = random_network(np.random.default_rng(7), (16, 64, 48, 6))
+        else:
+            net = LayeredNetwork(
+                (np.array([[5.0, 1.0, 5.0]]), np.array([[3.0, 0.0], [9.0, 9.0], [3.0, 2.0]])),
+                ("identity", "identity"),
+            )
+        cdf_builds, prefix_builds = [], []  # (scores, k) of each build
+
+        def count(calls, build):
+            def counted(scores, *args):
+                calls.append((scores, *args))
+                return build(scores, *args)
+
+            return counted
+
+        def layers(builds, scores) -> list[tuple[int, tuple]]:
+            """(layer, args) of the builds from `scores`, `net`'s tables."""
+            return [(t, k) for b, *k in builds for t, x in enumerate(scores) if x is b]
+
+        monkeypatch.setattr(pruner, "_choice_cdfs", count(cdf_builds, _choice_cdfs))
+        monkeypatch.setattr(pruner, "_order_prefix", count(prefix_builds, _order_prefix))
+        for scoring, alpha in (("local", 1.0), ("global", 1.0), ("global", 0.1)):
+            held = [0] * net.depth  # entries a row of each layer's prefix holds
+            cdfs = 0
+            for call, rate in enumerate(rates):
+                for stochastic in (False, True):
+                    spec = PruneSpec(rate, stochastic=stochastic, scoring=scoring,
+                                     alpha=alpha, seed=3)
+                    cdf_builds.clear()
+                    prefix_builds.clear()
+                    got = self.outcome(net, spec)
+                    assert got == self.outcome(LayeredNetwork(net.weights, net.activations), spec)
+                    scores = _chain_tables(net, spec).scores  # a hit: the tables just read
+                    cdfs += len(layers(cdf_builds, scores))
+                    built = layers(prefix_builds, scores)
+                    for t, (k,) in built:
+                        assert k > 2 * held[t]  # built only past the held prefix
+                        held[t] = min(k, scores[t].shape[1])
+                    if kind == "random" and rates[0] == 0.9 and call > 0:
+                        assert not built
+                    if kind == "random" and rates[0] == 0.99 and call == 1 and not stochastic:
+                        assert built
+            assert cdfs == net.depth  # one per layer, by the first stochastic call
+            tables = _chain_tables(net, spec)
+            arrays = (*tables.scores, *tables.cdfs, *tables._orders)
+            assert not any(a.flags.writeable for a in arrays)
+            assert [o.shape[1] for o in tables._orders] == held
+        if kind == "saturating":
+            assert self.outcome(net, PruneSpec(0.0))[0] == "saturated"
+            assert self.outcome(net, PruneSpec(0.0, stochastic=True))[0] == "saturated"
+
+    def test_threads_pruning_one_network_at_two_rates_give_serial_results(self):
+        dims = (32, 256, 256, 8)
+        weights = random_network(np.random.default_rng(5), dims).weights
+        specs = [
+            PruneSpec(rate, stochastic=stochastic, seed=2)
+            for rate in (0.9, 0.99)
+            for stochastic in (False, True)
+        ]
+        want = [self.outcome(LayeredNetwork(weights, ("identity",) * 3), spec) for spec in specs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads inside the tables' check and store
+        try:
+            for order in (specs, specs[::-1]):
+                net = LayeredNetwork(weights, ("identity",) * 3)
+                got = parallel.run(lambda spec: self.outcome(net, spec), order * 2, 2)
+                assert got == [want[specs.index(spec)] for spec in order * 2]
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestPruneDispatch:

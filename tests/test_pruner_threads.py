@@ -71,7 +71,7 @@ def test_masks_and_chains_bit_identical_on_one_two_and_three_cpus(monkeypatch):
         splits.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            # a fresh network, so its log|w| and row maxima are computed anew
+            # a fresh network, so its log|w| and chain tables are computed anew
             digests[cpus] = _digest(_net())
         # one CPU never splits; two and three split every large pass
         assert max(splits, default=1) == cpus
@@ -107,7 +107,7 @@ def test_threads_pruning_one_network_at_two_alphas_give_serial_masks():
 
     def prune_all(alpha: float) -> None:
         start.wait(timeout=60)
-        for _ in range(3):  # each round evicts another thread's row maxima
+        for _ in range(3):  # each round evicts another thread's chain tables
             for spec in specs:
                 if spec.alpha == alpha:
                     got.append((spec, pruner.tc_mp(net, spec).masks))
