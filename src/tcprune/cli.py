@@ -80,8 +80,9 @@ def _load_data(args, chunks: int):
 def cmd_train(args) -> int:
     data = _load_data(args, args.chunks)
     signals, labels = data
-    classes = int(labels.max()) + 1
-    shape = GcnShape(args.heads, signals.shape[2], 3 * args.chunks, args.filters, classes)
+    shape = GcnShape(
+        args.heads, signals.shape[2], 3 * args.chunks, args.filters, gcn.num_classes(labels)
+    )
     cfg = TrainConfig(epochs=args.epochs, seed=args.seed)
     model, losses = train(init_model(shape, args.seed, args.head_scale), data, cfg)
     save_model(model, args.out)

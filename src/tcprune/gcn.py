@@ -338,6 +338,19 @@ def dataset_arrays(dataset: list[SkeletonSequence], chunks: int):
     return signals, labels
 
 
+def num_classes(labels: np.ndarray) -> int:
+    """The classes a model trained on `labels` has: the largest label plus
+    one. A training split with fewer than two distinct labels raises
+    DomainError: one class leaves nothing to tell apart."""
+    distinct = np.unique(labels)
+    if distinct.size < 2:
+        raise DomainError(
+            f"the training split holds {distinct.size} distinct label(s); "
+            "classification needs at least 2"
+        )
+    return int(distinct[-1]) + 1
+
+
 def _checked(data, shape: GcnShape):
     """`data`'s (signals, labels); an empty batch or a label outside
     [0, num_classes) raises DomainError."""

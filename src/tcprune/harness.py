@@ -267,11 +267,11 @@ def _load_split(cfg: ExperimentConfig):
 
 def _shape_for(cfg: ExperimentConfig, train_set) -> GcnShape:
     """The grid's model shape. Every cell prunes the layered view, so a
-    shape without one (3 * chunks != joints) raises DomainError here,
-    before anything trains."""
+    shape without one (3 * chunks != joints), or a train split of one class
+    (`gcn.num_classes`), raises DomainError here, before anything trains."""
     signals, labels = train_set
     joints = signals.shape[2]
-    classes = int(labels.max()) + 1
+    classes = gcn.num_classes(labels)
     shape = GcnShape(cfg.model.heads, joints, 3 * cfg.model.chunks, cfg.model.filters, classes)
     gcn._view_dims(shape)
     return shape

@@ -10,10 +10,11 @@ instead grows the mask from complete input-to-output chains, so its output
 is topologically consistent by construction. It selects them a block of
 chains at a time, each layer of a block in a few array operations, with the
 result of one chain at a time. Every block reads one table per layer: when
-stochastic, each row's softmax CDF; when deterministic, the first entries
-of each row's column order by (-score, col), as many as the blocks so far
-have read. A block's step through a layer groups its visits by row, or
-finds each slot's first visit, with stable sorts of ids in the smallest
+stochastic, each row's softmax CDF laid out in Eytzinger (BFS) order, which
+a block's draws descend level by level; when deterministic, the first
+entries of each row's column order by (-score, col), as many as the blocks
+so far have read. A block's step through a layer groups its visits by row,
+or finds each slot's first visit, with stable sorts of ids in the smallest
 unsigned type that holds them, which numpy does by radix for layers up to
 65,536 neurons wide, in time linear in the block's visits.
 
@@ -22,28 +23,29 @@ the prunes that follow. log|w| is the network's `log_magnitudes`, computed
 on first use: local scores are views of it, and stochastic_mp and the
 surrogate table read it. A chain prune keeps a `_ChainTables` record on the
 network (`LayeredNetwork.memo`, keyed by scoring and alpha): the per-layer
-scores, the CDFs once a stochastic prune has built them, and per layer the
-longest order prefix built so far. A later prune at the same scoring and
-alpha builds no surrogate table and no CDFs, and builds a layer's prefix
-only when it reads past the held one. Every array it holds is read-only
-and published only when complete, and a k-entry prefix is the first k
-entries of every longer one, so masks and chains do not depend on what the
-network held before. standard_mp keeps its own |w| keys: float log is not
+scores, the CDF search tables once a stochastic prune has built them, and
+per layer the longest order prefix built so far. A later prune at the same
+scoring and alpha builds no surrogate table and no search tables, and
+builds a layer's prefix only when it reads past the held one. Every array
+it holds is read-only and published only when complete, and a k-entry
+prefix is the first k entries of every longer one, so masks and chains do
+not depend on what the network held before. standard_mp keeps its own |w| keys: float log is not
 strictly increasing, so keys taken from the logs could tie where magnitudes
 do not and move its masks.
 
 Every whole-layer pass is one range function that `parallel.over_rows`
 runs over contiguous row ranges, one per usable CPU, each writing its rows
-of one output: the magnitudes, stochastic_mp's keys, the CDFs, the order
-prefixes and a block's bisection, as well as the network's log magnitudes.
-A pass too small to give each range 2**16 entries is the same function over
-every row, on the calling thread. Each element is computed by the same numpy
-operation on the same values either way, so every result is the same bits
-on any number of CPUs.
+of one output: the magnitudes, stochastic_mp's keys, the search tables and
+the order prefixes, as well as the network's log magnitudes. A pass too
+small to give each range 2**16 entries is the same function over every
+row, on the calling thread, as is a block's search. Each element is
+computed by the same numpy operation on the same values either way, so
+every result is the same bits on any number of CPUs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from collections.abc import Callable
@@ -156,7 +158,7 @@ def _bracket(keys: np.ndarray, max_kept: int) -> np.ndarray | None:
     above = keys >= bound
     if not max_kept <= np.count_nonzero(above) < n:
         return None
-    return keys[above]
+    return np.compress(above, keys)
 
 
 def _cut(keys: np.ndarray, max_kept: int) -> np.floating:
@@ -268,24 +270,63 @@ def _gumbel_top_k(
     return chosen
 
 
-def _choice_cdfs(scores: np.ndarray) -> np.ndarray:
-    """Each row's CDF as Generator.choice builds it from the row's softmax
-    probabilities, uniform for a row that scores -inf throughout, in a new
-    array; `scores` is only read."""
-    out = np.empty(scores.shape)
+# CDF entries a row block of `_choice_tables` builds at once (256 KiB). On a
+# 2-CPU x86_64 box, 2**13-entry blocks built the tables of a (1024, 1024)
+# layer on two threads about twice as slowly as 2**15-entry blocks, and
+# whole ranges built three layers of (256, 256) 1.4 times as slowly.
+_TABLE_BLOCK = 1 << 15
+
+
+@functools.cache
+def _bfs_order(levels: int) -> np.ndarray:
+    """The in-order rank of each node of a perfect binary search tree of
+    2**levels - 1 nodes, in BFS order: node k (1-based, children 2k and
+    2k + 1) at depth d = floor(log2 k) has rank (2(k - 2**d) + 1) *
+    2**(levels - 1 - d) - 1. Read-only."""
+    k = np.arange(1, 1 << levels)
+    d = np.frexp(k)[1] - 1  # exact: k < 2**53
+    return _read_only(((2 * (k - (1 << d)) + 1) << (levels - 1 - d)) - 1)
+
+
+def _choice_tables(scores: np.ndarray) -> np.ndarray:
+    """Each row's search table for `_sampled_steps`, in a new array;
+    `scores` is only read.
+
+    A row's table holds its CDF as Generator.choice builds it from the
+    row's softmax probabilities (uniform for a row that scores -inf
+    throughout) in Eytzinger order (Khuong and Morin 2017): entry k - 1
+    holds node k of a perfect binary search tree over the CDF, so the
+    first levels of every search share a few cache lines. A tree of
+    `levels` = (width - 1).bit_length() levels holds 2**levels - 1 entries,
+    the first width - 1 of the CDF and then copies of its last, which is
+    exactly 1.0 and so above every draw: the table is (height, 2**levels -
+    1) float64, one entry a row smaller than the CDFs for a width of 2**k
+    and about twice their size just past one. Each row block builds its
+    CDFs in a scratch block of at most _TABLE_BLOCK entries and gathers them
+    into the table by one `np.take`, dividing by the last entry there, so
+    each entry is the same bits as in the CDF."""
+    height, width = scores.shape
+    gather = np.minimum(_bfs_order((width - 1).bit_length()), width - 1)
+    out = np.empty((height, gather.size))
+    block = max(1, _TABLE_BLOCK // width)
 
     def fill(lo: int, hi: int) -> None:
-        rows, cdfs = scores[lo:hi], out[lo:hi]
-        mx = rows.max(axis=1, keepdims=True)
-        flat = mx[:, 0] == -np.inf  # every forward neighbor has zero magnitude
-        mx[flat] = 0.0
-        np.exp(np.subtract(rows, mx, out=cdfs), out=cdfs)
-        cdfs[flat] = 1.0
-        cdfs /= cdfs.sum(axis=1, keepdims=True)
-        np.cumsum(cdfs, axis=1, out=cdfs)
-        cdfs /= cdfs[:, -1:]
+        scratch = np.empty((min(block, hi - lo), width))
+        for start in range(lo, hi, block):
+            stop = min(start + block, hi)
+            rows, cdfs = scores[start:stop], scratch[: stop - start]
+            mx = rows.max(axis=1, keepdims=True)
+            flat = mx[:, 0] == -np.inf  # every forward neighbor has zero magnitude
+            mx[flat] = 0.0
+            np.exp(np.subtract(rows, mx, out=cdfs), out=cdfs)
+            cdfs[flat] = 1.0
+            cdfs /= cdfs.sum(axis=1, keepdims=True)
+            np.cumsum(cdfs, axis=1, out=cdfs)
+            table = out[start:stop]
+            np.take(cdfs, gather, axis=1, out=table, mode="clip")  # "clip" writes unbuffered
+            table /= cdfs[:, -1:]
 
-    parallel.over_rows(fill, *scores.shape)
+    parallel.over_rows(fill, height, width)
     return out
 
 
@@ -401,17 +442,18 @@ def _ranked_steps(
 
 
 def _sampled_steps(
-    cdfs: np.ndarray, bits: np.ndarray, rows: np.ndarray, draws: np.ndarray
+    tables: np.ndarray, bits: np.ndarray, rows: np.ndarray, draws: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sampled next columns of a block's visits to `rows`, and which set a new bit.
 
     Visit c takes the number of entries of its row's CDF that are <= draws[c],
     which is the right-sided search `Generator.choice` does for the same
-    draw. A CDF never decreases, so that count is found by one bisection over
-    all visits at once, each probe raising a count by a power of two when the
-    entry it reads is <= the draw. Its last entry is exactly 1.0, above every
-    draw, so a count is at most width - 1, which (width - 1).bit_length()
-    probes reach, and a probe past the row reads that entry and fails.
+    draw. It descends its row's `_choice_tables` tree from node k = 1, to
+    2k + 1 when node k's entry is <= the draw and to 2k otherwise, so after
+    `levels` steps k - 2**levels counts the tree's entries <= the draw: the
+    CDF's first width - 1 entries, since its last and the padding are 1.0,
+    above every draw. All visits descend at once, one level a step, in
+    buffers allocated once per call.
 
     A column sets a new bit when its bit was unset before the block and no
     earlier visit in the block took it. The first visit to each slot is the
@@ -419,19 +461,23 @@ def _sampled_steps(
     row, each of ids in the smallest unsigned type that holds them, which
     numpy sorts by radix up to 16 bits.
     """
-    height, width = cdfs.shape
-    entries = cdfs.reshape(-1)
-    before_row = rows * width - 1  # probe p reads entry p - 1 of the visit's row
-    cols = np.zeros_like(rows)
-
-    def bisect(lo: int, hi: int) -> None:
-        found, before, drawn = cols[lo:hi], before_row[lo:hi], draws[lo:hi]
-        for shift in reversed(range((width - 1).bit_length())):
-            probe = found + (1 << shift)
-            np.copyto(found, probe, where=entries[before + np.minimum(probe, width)] <= drawn)
-
-    parallel.over_rows(bisect, rows.size, (width - 1).bit_length())
-    at = before_row + 1 + cols
+    height, width = bits.shape
+    size = tables.shape[1]
+    levels = size.bit_length()  # size == 2**levels - 1
+    entries = tables.reshape(-1)
+    before_row = rows * size - 1  # node k of a visit's row is entry before_row + k
+    cols = np.ones_like(rows)  # node k, then the column
+    at = np.empty_like(rows)
+    probe = np.empty(rows.size)
+    right = np.empty(rows.size, dtype=bool)
+    for _ in range(levels):
+        np.add(before_row, cols, out=at)
+        np.take(entries, at, out=probe, mode="clip")  # "clip" writes unbuffered
+        np.less_equal(probe, draws, out=right)
+        cols += cols
+        cols += right
+    cols -= 1 << levels
+    at = rows * width + cols
     ids = np.min_scalar_type(max(height, width) - 1)
     order = np.argsort(cols.astype(ids), kind="stable")
     order = order[np.argsort(rows[order].astype(ids), kind="stable")]
@@ -469,8 +515,9 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class _ChainTables:
     """What chain selection reads of one network at one scoring and alpha,
     kept on the network by `_chain_tables` and shared by every chain prune
-    there: `scores`, each layer's log edge scores; `cdfs`, each layer's
-    `_choice_cdfs`, built whole by the first stochastic prune; and per
+    there: `scores`, each layer's log edge scores; `choices`, each layer's
+    `_choice_tables`, the CDFs in search order, built whole by the first
+    stochastic prune (rows x (2**levels - 1) float64 a layer); and per
     layer the longest `_order_prefix` built so far, read through `order`.
 
     Every array held is read-only and is published only when complete, by
@@ -481,16 +528,16 @@ class _ChainTables:
 
     def __init__(self, scores: list[np.ndarray]):
         self.scores = tuple(_read_only(s) for s in scores)
-        self.cdfs: tuple[np.ndarray, ...] | None = None
+        self.choices: tuple[np.ndarray, ...] | None = None
         self._orders = [_read_only(np.empty((s.shape[0], 0), dtype=np.intp)) for s in scores]
         self._publish = threading.Lock()
 
-    def choice_cdfs(self) -> tuple[np.ndarray, ...]:
-        cdfs = self.cdfs
-        if cdfs is None:
-            cdfs = tuple(_read_only(_choice_cdfs(s)) for s in self.scores)
-            self.cdfs = cdfs
-        return cdfs
+    def choice_tables(self) -> tuple[np.ndarray, ...]:
+        choices = self.choices
+        if choices is None:
+            choices = tuple(_read_only(_choice_tables(s)) for s in self.scores)
+            self.choices = choices
+        return choices
 
     def order(self, t: int, needed: int) -> np.ndarray:
         """Layer t + 1's order prefix of at least `needed` entries a row:
@@ -539,18 +586,19 @@ def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, Chain
     still needed, since a chain sets at most L bits, or one round-robin
     sweep. Both modes read the network's chain tables (`_chain_tables`),
     shared with every chain prune of it at the same scoring and alpha. A
-    stochastic call reads every row's CDF, built by the first stochastic
-    call. A deterministic call reads, per layer, each row's order prefix:
+    stochastic call reads every row's CDF search table (`_choice_tables`,
+    rows x (2**levels - 1) float64 a layer, levels = ceil(log2(width))),
+    built by the first stochastic call. A deterministic call reads, per layer, each row's order prefix:
     empty at first, and rebuilt by `_order_prefix` to twice the entries a
     block reads when the block reads past the held one. Each rebuild more
     than doubles the prefix, so a layer's is built at most 1 + log2(width)
     times per network, scoring and alpha, whatever the number of calls; on
     the bench's nets, once, by the first call at rate 0.9. Per block and
     layer, a deterministic step then costs a radix sort of the block's
-    rows, and a stochastic step one bisection of ceil(log2(width)) array
-    passes over the block's visits, split over the CPUs when visits times
-    passes fill two ranges, plus radix sorts of their columns and rows
-    (comparison sorts where a layer has more than 65,536 rows or columns);
+    rows, and a stochastic step a descent of its visits through their
+    rows' search trees, levels steps of a few array passes each on the
+    calling thread, plus radix sorts of their columns and rows (comparison
+    sorts where a layer has more than 65,536 rows or columns);
     the block's starts and draws come from one `random_raw` call (see
     `_chain_draws`). The stochastic random stream is exactly the one of
     `rng.integers(d0)` per chain start and `rng.choice(width,
@@ -568,7 +616,7 @@ def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, Chain
     masks = [np.zeros(w.shape, dtype=bool) for w in net.weights]
     rng = np.random.default_rng(spec.seed)
     if spec.stochastic:
-        cdfs = tables.choice_cdfs()
+        choices = tables.choice_tables()
     else:
         fresh = [np.zeros(w.shape[0], dtype=np.intp) for w in net.weights]
     # Deterministic selection repeats verbatim after one full round-robin
@@ -585,8 +633,10 @@ def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, Chain
         new = np.empty((size, depth), dtype=bool)
         if spec.stochastic:
             path[:, 0], draws = _chain_draws(rng, d0, size, depth)
-            for t, cdf in enumerate(cdfs):
-                path[:, t + 1], new[:, t] = _sampled_steps(cdf, masks[t], path[:, t], draws[:, t])
+            for t, choice in enumerate(choices):
+                path[:, t + 1], new[:, t] = _sampled_steps(
+                    choice, masks[t], path[:, t], draws[:, t]
+                )
         else:
             path[:, 0] = np.arange(chains, chains + size) % d0
             for t, w in enumerate(net.weights):

@@ -336,6 +336,30 @@ def choice_cdf(row_scores: np.ndarray) -> np.ndarray:
     return cdf
 
 
+def bfs_in_order(levels: int) -> list[int]:
+    """The nodes of a perfect binary tree of `levels` levels, numbered 1..
+    2**levels - 1 in BFS order (node k's children are 2k and 2k + 1), listed
+    in in-order by recursion: left subtree, node, right subtree."""
+
+    def visit(k: int, depth: int) -> list[int]:
+        if depth == levels:
+            return []
+        return visit(2 * k, depth + 1) + [k] + visit(2 * k + 1, depth + 1)
+
+    return visit(1, 0)
+
+
+def choice_table(cdf: np.ndarray) -> np.ndarray:
+    """A CDF's search table: its first width - 1 entries padded with 1.0
+    to 2**levels - 1, levels = (width - 1).bit_length(), with the in-order
+    i-th entry stored at BFS node bfs_in_order(levels)[i], entry k - 1."""
+    levels = (cdf.size - 1).bit_length()
+    sorted_entries = list(cdf[:-1]) + [1.0] * ((1 << levels) - cdf.size)
+    table = np.empty(len(sorted_entries))
+    table[np.array(bfs_in_order(levels), dtype=np.intp) - 1] = sorted_entries
+    return table
+
+
 def sequential_tc_mp_trace(net: LayeredNetwork, spec) -> tuple[list[np.ndarray], list]:
     """tc_mp_trace as a plain loop: one chain at a time, one step per layer.
 

@@ -114,6 +114,15 @@ class TestTrain:
 
 
 class TestTrainDataset:
+    def test_one_class_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        one_class = SYNTH.replace("classes=2", "classes=1")
+        code = run_cli("train", "--synthetic", one_class, *MODEL_FLAGS, "--epochs", "1",
+                       "--out", str(out))
+        assert code == 2
+        assert "1 distinct label(s)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_negative_seed_is_config_error(self, tmp_path, capsys):
         out = tmp_path / "m.json"
         code = run_cli("train", "--synthetic", SYNTH, *MODEL_FLAGS, "--seed", "-1",
@@ -407,6 +416,13 @@ class TestAblate:
         assert run_cli("ablate", "--synthetic", synthetic, "--out", str(out_dir)) == 2
         assert train_calls == []
         assert not (out_dir / "masks").exists()
+
+    def test_one_class_is_rejected_before_training(self, tmp_path, train_calls, capsys):
+        out_dir = tmp_path / "run"
+        assert run_cli("ablate", "--synthetic", "classes=1", "--out", str(out_dir)) == 2
+        assert "1 distinct label(s)" in capsys.readouterr().err
+        assert train_calls == []
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "synthetic, pair",

@@ -13,7 +13,9 @@ from oracles import (
     OracleSaturation,
     argsort_ranked_steps,
     argsort_top_k,
+    bfs_in_order,
     choice_cdf,
+    choice_table,
     greedy_chain_oracle,
     gumbel_from_words,
     gumbel_keys,
@@ -32,8 +34,9 @@ from tcprune.pruner import (
     PruneSpec,
     _bracket,
     _chain_draws,
+    _bfs_order,
     _chain_tables,
-    _choice_cdfs,
+    _choice_tables,
     _cut,
     _gumbel_top_k,
     _order_prefix,
@@ -581,7 +584,10 @@ class TestTcMp:
         # pins the random stream: same draws, same picks, same chains
         rng = np.random.default_rng(seed)
         depth = int(rng.integers(1, 4))
-        dims = tuple(int(d) for d in rng.integers(1, 7, size=depth + 1))
+        # small widths, and widths 2**k +- 1 whose search trees are full or
+        # mostly padding
+        widths = [1, 2, 3, 4, 5, 6, 7, 9, 15, 17, 31, 33]
+        dims = tuple(int(d) for d in rng.choice(widths, size=depth + 1))
         weights = []
         for a, b in zip(dims, dims[1:]):
             w = rng.standard_normal((a, b))
@@ -922,23 +928,34 @@ class TestOrderPrefix:
 
 
 class TestChainTables:
-    """The per-layer CDF table and its bisection against the per-row builder
-    and numpy's right-sided search."""
+    """The per-layer search tables and their search against the per-row
+    CDF builder, the recursive BFS layout and numpy's right-sided search."""
 
-    # widths cross numpy's pairwise-sum blocks of 8 and 128 entries
+    @pytest.mark.parametrize("levels", range(13))
+    def test_bfs_order_matches_recursive_in_order(self, levels):
+        got = _bfs_order(levels)
+        want = np.empty(len(got), dtype=np.intp)
+        want[np.array(bfs_in_order(levels), dtype=np.intp) - 1] = np.arange(len(got))
+        assert got.dtype == np.intp and not got.flags.writeable
+        assert np.array_equal(got, want)
+
+    # widths cross numpy's pairwise-sum blocks of 8 and 128 entries, powers of
+    # two and their neighbours, and the row blocks of _TABLE_BLOCK entries
     @given(
         seed=st.integers(0, 2**16),
-        rows=st.integers(1, 4),
-        width=st.integers(1, 300),
+        rows=st.integers(1, 12),
+        width=st.one_of(st.integers(1, 300), st.sampled_from([511, 512, 513, 2000, 8193])),
         scale=st.sampled_from([1.0, 30.0, 700.0, 1e6]),
         holes=st.booleans(),
     )
     @settings(max_examples=200, deadline=None)
     def test_cdfs_match_per_row_oracle(self, seed, rows, width, scale, holes):
         scores = random_scores(seed, rows, width, scale, holes)
-        got = _choice_cdfs(scores)
-        assert np.array_equal(got, np.stack([choice_cdf(row) for row in scores]))
-        assert (got[:, -1] == 1.0).all() and (np.diff(got, axis=1) >= 0).all()
+        cdfs = [choice_cdf(row) for row in scores]
+        got = _choice_tables(scores)
+        assert np.array_equal(got, np.stack([choice_table(cdf) for cdf in cdfs]))
+        assert got.shape == (rows, (1 << (width - 1).bit_length()) - 1)
+        assert all(cdf[-1] == 1.0 and (np.diff(cdf) >= 0).all() for cdf in cdfs)
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_split_layer_cdfs_leave_scores_unchanged(self, monkeypatch, cpus):
@@ -946,9 +963,9 @@ class TestChainTables:
         scores = random_scores(5, 6, 1 << 16, 30.0, True)
         scores[4] = -np.inf
         before = scores.copy()
-        want = np.stack([choice_cdf(row) for row in scores])
+        want = np.stack([choice_table(choice_cdf(row)) for row in scores])
         scores.flags.writeable = False  # local scores are views of the read-only log|w|
-        got = _choice_cdfs(scores)
+        got = _choice_tables(scores)
         assert np.array_equal(scores, before)
         assert not np.shares_memory(got, scores)
         assert np.array_equal(got, want)
@@ -956,12 +973,16 @@ class TestChainTables:
     @given(
         seed=st.integers(0, 2**16),
         height=st.integers(1, 4),
-        width=st.sampled_from([1, 2, 3, 5, 7, 8, 9, 100, 127, 128, 129, 255, 300]),
+        width=st.sampled_from(
+            [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65, 255, 256, 257, 300]
+        ),
         holes=st.booleans(),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     def test_bisection_is_right_sided_search(self, seed, height, width, holes):
-        cdfs = _choice_cdfs(random_scores(seed, height, width, 3.0, holes))
+        # with holes, one row scores -inf throughout and samples uniformly
+        scores = random_scores(seed, height, width, 3.0, holes)
+        cdfs = np.stack([choice_cdf(row) for row in scores])
         rng = np.random.default_rng(seed)
         rows = rng.integers(height, size=64)
         draws = rng.integers(0, 2**53, size=64) * 2.0**-53
@@ -969,8 +990,9 @@ class TestChainTables:
         draws[:32] = np.minimum(cdfs[rows[:32], rng.integers(width, size=32)], 1.0 - 2.0**-53)
         draws[32:34] = 0.0, 1.0 - 2.0**-53
         bits = rng.random((height, width)) < 0.3
-        cols, new = _sampled_steps(cdfs, bits, rows, draws)
+        cols, new = _sampled_steps(_choice_tables(scores), bits, rows, draws)
         want = [np.searchsorted(cdfs[r], d, side="right") for r, d in zip(rows, draws)]
+        assert cols.dtype == np.intp
         assert np.array_equal(cols, want)
         taken = set()
         for r, c, n in zip(rows.tolist(), cols.tolist(), new.tolist()):
@@ -1005,13 +1027,16 @@ class TestStepSorts:
         rng = np.random.default_rng(height * 7 + width)
         scores = rng.standard_normal((height, width))
         scores[rng.random((height, width)) < 0.2] = -np.inf
-        cdfs = _choice_cdfs(scores)
         busy = np.array([0, height - 1])
         rows = np.concatenate((rng.choice(busy, 500), rng.integers(height, size=500)))
         rows = rng.permutation(rows).astype(np.intp)
         draws = rng.integers(0, 2**53, size=rows.size) * 2.0**-53
         bits = rng.random((height, width)) < 0.3
-        cols, new = _sampled_steps(cdfs, bits, rows, draws)
+        cols, new = _sampled_steps(_choice_tables(scores), bits, rows, draws)
+        # the oracle searches the CDFs of the visited rows only
+        cdfs = np.zeros((height, width))
+        for r in np.unique(rows).tolist():
+            cdfs[r] = choice_cdf(scores[r])
         want_cols, want_new = unique_sampled_steps(cdfs, bits, rows, draws)
         assert np.array_equal(cols, want_cols)
         assert np.array_equal(new, want_new)
@@ -1079,7 +1104,7 @@ class TestSharedScores:
 
     # A random net, and a tied one that saturates at rate 0 in both modes:
     # no chain samples the zero weight, and greedy chains stop short of it.
-    # Each (scoring, alpha) evicts the one before, so its CDFs are built
+    # Each (scoring, alpha) evicts the one before, so its tables are built
     # once, by its first stochastic call; at (0.9, 0.99, 0.9) the first call
     # reads the most, so no later one builds a prefix, and at (0.99, 0.9) the
     # second call widens the first call's prefixes.
@@ -1095,7 +1120,7 @@ class TestSharedScores:
                 (np.array([[5.0, 1.0, 5.0]]), np.array([[3.0, 0.0], [9.0, 9.0], [3.0, 2.0]])),
                 ("identity", "identity"),
             )
-        cdf_builds, prefix_builds = [], []  # (scores, k) of each build
+        table_builds, prefix_builds = [], []  # (scores, k) of each build
 
         def count(calls, build):
             def counted(scores, *args):
@@ -1108,21 +1133,21 @@ class TestSharedScores:
             """(layer, args) of the builds from `scores`, `net`'s tables."""
             return [(t, k) for b, *k in builds for t, x in enumerate(scores) if x is b]
 
-        monkeypatch.setattr(pruner, "_choice_cdfs", count(cdf_builds, _choice_cdfs))
+        monkeypatch.setattr(pruner, "_choice_tables", count(table_builds, _choice_tables))
         monkeypatch.setattr(pruner, "_order_prefix", count(prefix_builds, _order_prefix))
         for scoring, alpha in (("local", 1.0), ("global", 1.0), ("global", 0.1)):
             held = [0] * net.depth  # entries a row of each layer's prefix holds
-            cdfs = 0
+            choices = 0
             for call, rate in enumerate(rates):
                 for stochastic in (False, True):
                     spec = PruneSpec(rate, stochastic=stochastic, scoring=scoring,
                                      alpha=alpha, seed=3)
-                    cdf_builds.clear()
+                    table_builds.clear()
                     prefix_builds.clear()
                     got = self.outcome(net, spec)
                     assert got == self.outcome(LayeredNetwork(net.weights, net.activations), spec)
                     scores = _chain_tables(net, spec).scores  # a hit: the tables just read
-                    cdfs += len(layers(cdf_builds, scores))
+                    choices += len(layers(table_builds, scores))
                     built = layers(prefix_builds, scores)
                     for t, (k,) in built:
                         assert k > 2 * held[t]  # built only past the held prefix
@@ -1131,9 +1156,9 @@ class TestSharedScores:
                         assert not built
                     if kind == "random" and rates[0] == 0.99 and call == 1 and not stochastic:
                         assert built
-            assert cdfs == net.depth  # one per layer, by the first stochastic call
+            assert choices == net.depth  # one per layer, by the first stochastic call
             tables = _chain_tables(net, spec)
-            arrays = (*tables.scores, *tables.cdfs, *tables._orders)
+            arrays = (*tables.scores, *tables.choices, *tables._orders)
             assert not any(a.flags.writeable for a in arrays)
             assert [o.shape[1] for o in tables._orders] == held
         if kind == "saturating":
