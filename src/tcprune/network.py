@@ -131,9 +131,8 @@ class LayeredNetwork:
         None for local scores (`pruner._chain_tables`): each layer's scores
         (views of `log_magnitudes` when local, one float64 per connection
         when global), the stochastic choice CDFs' search tables once a
-        stochastic prune has run (rows x (2**levels - 1) float64 a layer,
-        levels = ceil(log2(width)): one per connection less one a row for a
-        width of 2**k, about twice that just past one), and each layer's
+        stochastic prune has run (one float64 per connection, less one a
+        row for a width of 2**k), and each layer's
         longest order prefix so far (one index per entry read, a few per
         row). The value is shared by every thread that reads the entry, so
         it may grow only by publishing complete, read-only arrays."""

@@ -45,7 +45,6 @@ every result is the same bits on any number of CPUs.
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from collections.abc import Callable
@@ -277,36 +276,37 @@ def _gumbel_top_k(
 _TABLE_BLOCK = 1 << 15
 
 
-@functools.cache
-def _bfs_order(levels: int) -> np.ndarray:
-    """The in-order rank of each node of a perfect binary search tree of
-    2**levels - 1 nodes, in BFS order: node k (1-based, children 2k and
-    2k + 1) at depth d = floor(log2 k) has rank (2(k - 2**d) + 1) *
-    2**(levels - 1 - d) - 1. Read-only."""
-    k = np.arange(1, 1 << levels)
-    d = np.frexp(k)[1] - 1  # exact: k < 2**53
-    return _read_only(((2 * (k - (1 << d)) + 1) << (levels - 1 - d)) - 1)
-
-
 def _choice_tables(scores: np.ndarray) -> np.ndarray:
     """Each row's search table for `_sampled_steps`, in a new array;
     `scores` is only read.
 
     A row's table holds its CDF as Generator.choice builds it from the
     row's softmax probabilities (uniform for a row that scores -inf
-    throughout) in Eytzinger order (Khuong and Morin 2017): entry k - 1
-    holds node k of a perfect binary search tree over the CDF, so the
-    first levels of every search share a few cache lines. A tree of
-    `levels` = (width - 1).bit_length() levels holds 2**levels - 1 entries,
-    the first width - 1 of the CDF and then copies of its last, which is
-    exactly 1.0 and so above every draw: the table is (height, 2**levels -
-    1) float64, one entry a row smaller than the CDFs for a width of 2**k
-    and about twice their size just past one. Each row block builds its
-    CDFs in a scratch block of at most _TABLE_BLOCK entries and gathers them
-    into the table by one `np.take`, dividing by the last entry there, so
-    each entry is the same bits as in the CDF."""
+    throughout) in Eytzinger order (Khuong and Morin 2017), so the first
+    levels of every search share a few cache lines: entry k - 1 holds node k
+    (children 2k and 2k + 1) of the complete binary search tree over the
+    CDF's first width - 1 entries. Its `levels` = (width - 1).bit_length()
+    levels are full but the last, which holds its first `leaves` = width -
+    2**(levels - 1) nodes. Where that level misses nodes, entry width - 1
+    holds the CDF's last entry, exactly 1.0, for them to read. So the table
+    is (height, width) float64, or (height, width - 1) for a width of 2**k,
+    whose tree is perfect: never larger than the CDFs.
+
+    Node k at depth d = floor(log2 k) is in-order entry p = (2(k - 2**d) + 1)
+    * 2**(levels - 1 - d) - 1 of the perfect tree of `levels` levels, whose
+    last level's node j is entry 2j; without its nodes j >= leaves, node k
+    is CDF entry min(p, p // 2 + leaves). Each row block builds its CDFs in
+    a scratch block of at most _TABLE_BLOCK entries and gathers them into
+    the table by one `np.take`, dividing by the last entry there, so each
+    entry is the same bits as in the CDF."""
     height, width = scores.shape
-    gather = np.minimum(_bfs_order((width - 1).bit_length()), width - 1)
+    levels = (width - 1).bit_length()
+    k = np.arange(1, width)
+    d = np.frexp(k)[1] - 1  # exact: k < 2**53
+    p = ((2 * (k - (1 << d)) + 1) << (levels - 1 - d)) - 1
+    gather = np.minimum(p, p // 2 + (width - (1 << levels >> 1)))
+    if width & (width - 1):  # the last level misses nodes, which read node width
+        gather = np.append(gather, width - 1)
     out = np.empty((height, gather.size))
     block = max(1, _TABLE_BLOCK // width)
 
@@ -449,11 +449,13 @@ def _sampled_steps(
     Visit c takes the number of entries of its row's CDF that are <= draws[c],
     which is the right-sided search `Generator.choice` does for the same
     draw. It descends its row's `_choice_tables` tree from node k = 1, to
-    2k + 1 when node k's entry is <= the draw and to 2k otherwise, so after
-    `levels` steps k - 2**levels counts the tree's entries <= the draw: the
-    CDF's first width - 1 entries, since its last and the padding are 1.0,
-    above every draw. All visits descend at once, one level a step, in
-    buffers allocated once per call.
+    2k + 1 when node k's entry is <= the draw and to 2k otherwise, a missing
+    last-level node reading the CDF's last entry, 1.0, above every draw. So
+    after `levels` steps r = k - 2**levels counts the entries <= the draw
+    of the perfect tree whose missing nodes hold 1.0, and min(r, r // 2 +
+    leaves) the CDF's, less the missing in-order entries 2j < r, j >= leaves
+    (see `_choice_tables`). All visits descend at once, one level a step,
+    in buffers allocated once per call.
 
     A column sets a new bit when its bit was unset before the block and no
     earlier visit in the block took it. The first visit to each slot is the
@@ -462,21 +464,27 @@ def _sampled_steps(
     numpy sorts by radix up to 16 bits.
     """
     height, width = bits.shape
-    size = tables.shape[1]
-    levels = size.bit_length()  # size == 2**levels - 1
+    levels = (width - 1).bit_length()
+    partial = width & (width - 1)  # the last level misses nodes
     entries = tables.reshape(-1)
-    before_row = rows * size - 1  # node k of a visit's row is entry before_row + k
+    before_row = rows * tables.shape[1] - 1  # node k of a visit's row is entry before_row + k
     cols = np.ones_like(rows)  # node k, then the column
     at = np.empty_like(rows)
     probe = np.empty(rows.size)
     right = np.empty(rows.size, dtype=bool)
-    for _ in range(levels):
-        np.add(before_row, cols, out=at)
+    for level in range(levels):
+        if partial and level == levels - 1:  # a missing node reads entry width - 1
+            np.minimum(cols, width, out=at)
+            at += before_row
+        else:
+            np.add(before_row, cols, out=at)
         np.take(entries, at, out=probe, mode="clip")  # "clip" writes unbuffered
         np.less_equal(probe, draws, out=right)
         cols += cols
         cols += right
-    cols -= 1 << levels
+    cols -= 1 << levels  # the perfect tree's in-order entries <= the draw
+    if partial:  # less the missing nodes among them
+        np.minimum(cols, (cols >> 1) + (width - (1 << levels >> 1)), out=cols)
     at = rows * width + cols
     ids = np.min_scalar_type(max(height, width) - 1)
     order = np.argsort(cols.astype(ids), kind="stable")
@@ -517,7 +525,7 @@ class _ChainTables:
     kept on the network by `_chain_tables` and shared by every chain prune
     there: `scores`, each layer's log edge scores; `choices`, each layer's
     `_choice_tables`, the CDFs in search order, built whole by the first
-    stochastic prune (rows x (2**levels - 1) float64 a layer); and per
+    stochastic prune (no larger than the CDFs); and per
     layer the longest `_order_prefix` built so far, read through `order`.
 
     Every array held is read-only and is published only when complete, by
@@ -587,8 +595,9 @@ def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, Chain
     sweep. Both modes read the network's chain tables (`_chain_tables`),
     shared with every chain prune of it at the same scoring and alpha. A
     stochastic call reads every row's CDF search table (`_choice_tables`,
-    rows x (2**levels - 1) float64 a layer, levels = ceil(log2(width))),
-    built by the first stochastic call. A deterministic call reads, per layer, each row's order prefix:
+    rows x width float64 a layer, or rows x (width - 1) for a width of
+    2**k), built by the first stochastic call. A deterministic call reads,
+    per layer, each row's order prefix:
     empty at first, and rebuilt by `_order_prefix` to twice the entries a
     block reads when the block reads past the held one. Each rebuild more
     than doubles the prefix, so a layer's is built at most 1 + log2(width)
@@ -596,8 +605,8 @@ def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, Chain
     the bench's nets, once, by the first call at rate 0.9. Per block and
     layer, a deterministic step then costs a radix sort of the block's
     rows, and a stochastic step a descent of its visits through their
-    rows' search trees, levels steps of a few array passes each on the
-    calling thread, plus radix sorts of their columns and rows (comparison
+    rows' search trees, ceil(log2(width)) steps of a few array passes each
+    on the calling thread, plus radix sorts of their columns and rows (comparison
     sorts where a layer has more than 65,536 rows or columns);
     the block's starts and draws come from one `random_raw` call (see
     `_chain_draws`). The stochastic random stream is exactly the one of

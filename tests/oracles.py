@@ -336,27 +336,27 @@ def choice_cdf(row_scores: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def bfs_in_order(levels: int) -> list[int]:
-    """The nodes of a perfect binary tree of `levels` levels, numbered 1..
-    2**levels - 1 in BFS order (node k's children are 2k and 2k + 1), listed
-    in in-order by recursion: left subtree, node, right subtree."""
+def bfs_in_order(n: int) -> list[int]:
+    """The nodes of a complete binary tree of n nodes, numbered 1..n in BFS
+    order (node k's children are 2k and 2k + 1, where at most n), listed in
+    in-order by recursion: left subtree, node, right subtree."""
 
-    def visit(k: int, depth: int) -> list[int]:
-        if depth == levels:
+    def visit(k: int) -> list[int]:
+        if k > n:
             return []
-        return visit(2 * k, depth + 1) + [k] + visit(2 * k + 1, depth + 1)
+        return visit(2 * k) + [k] + visit(2 * k + 1)
 
-    return visit(1, 0)
+    return visit(1)
 
 
 def choice_table(cdf: np.ndarray) -> np.ndarray:
-    """A CDF's search table: its first width - 1 entries padded with 1.0
-    to 2**levels - 1, levels = (width - 1).bit_length(), with the in-order
-    i-th entry stored at BFS node bfs_in_order(levels)[i], entry k - 1."""
-    levels = (cdf.size - 1).bit_length()
-    sorted_entries = list(cdf[:-1]) + [1.0] * ((1 << levels) - cdf.size)
-    table = np.empty(len(sorted_entries))
-    table[np.array(bfs_in_order(levels), dtype=np.intp) - 1] = sorted_entries
+    """A CDF's search table: its first n = width - 1 entries with the
+    in-order i-th stored at BFS node bfs_in_order(n)[i], entry k - 1, then,
+    unless width is a power of two, its last entry at entry n."""
+    n = cdf.size - 1
+    table = np.empty(n + bool(cdf.size & n))
+    table[np.array(bfs_in_order(n), dtype=np.intp) - 1] = cdf[:n]
+    table[n:] = cdf[-1]
     return table
 
 

@@ -34,7 +34,6 @@ from tcprune.pruner import (
     PruneSpec,
     _bracket,
     _chain_draws,
-    _bfs_order,
     _chain_tables,
     _choice_tables,
     _cut,
@@ -931,13 +930,18 @@ class TestChainTables:
     """The per-layer search tables and their search against the per-row
     CDF builder, the recursive BFS layout and numpy's right-sided search."""
 
-    @pytest.mark.parametrize("levels", range(13))
-    def test_bfs_order_matches_recursive_in_order(self, levels):
-        got = _bfs_order(levels)
-        want = np.empty(len(got), dtype=np.intp)
-        want[np.array(bfs_in_order(levels), dtype=np.intp) - 1] = np.arange(len(got))
-        assert got.dtype == np.intp and not got.flags.writeable
-        assert np.array_equal(got, want)
+    # trees of n nodes: perfect of 0-12 levels, a node short, a node past
+    @pytest.mark.parametrize(
+        "n", sorted({(1 << levels) - 1 + d for levels in range(13) for d in (-1, 0, 1)} - {-1})
+    )
+    def test_bfs_order_matches_recursive_in_order(self, n):
+        width = n + 1
+        cdf = choice_cdf(np.zeros(width))  # uniform, so strictly increasing
+        table = _choice_tables(np.zeros((1, width)))[0]
+        want = np.empty(n, dtype=np.intp)
+        want[np.array(bfs_in_order(n), dtype=np.intp) - 1] = np.arange(n)
+        assert np.array_equal(np.searchsorted(cdf, table[:n]), want)
+        assert np.array_equal(table[n:], [1.0] if width & n else [])
 
     # widths cross numpy's pairwise-sum blocks of 8 and 128 entries, powers of
     # two and their neighbours, and the row blocks of _TABLE_BLOCK entries
@@ -954,7 +958,7 @@ class TestChainTables:
         cdfs = [choice_cdf(row) for row in scores]
         got = _choice_tables(scores)
         assert np.array_equal(got, np.stack([choice_table(cdf) for cdf in cdfs]))
-        assert got.shape == (rows, (1 << (width - 1).bit_length()) - 1)
+        assert got.shape == (rows, width - (width & (width - 1) == 0))
         assert all(cdf[-1] == 1.0 and (np.diff(cdf) >= 0).all() for cdf in cdfs)
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
