@@ -127,15 +127,9 @@ class LayeredNetwork:
         too. The network keeps one entry, replaced by each call with another
         key, so what it keeps stays bounded.
 
-        Chain pruning keeps its tables here under (scoring, alpha), alpha
-        None for local scores (`pruner._chain_tables`): each layer's scores
-        (views of `log_magnitudes` when local, one float64 per connection
-        when global), the stochastic choice CDFs' search tables once a
-        stochastic prune has run (one float64 per connection, less one a
-        row for a width of 2**k), and each layer's
-        longest order prefix so far (one index per entry read, a few per
-        row). The value is shared by every thread that reads the entry, so
-        it may grow only by publishing complete, read-only arrays."""
+        Chain pruning keeps its tables here (`pruner._ChainTables`). The
+        value is shared by every thread that reads the entry, so it may
+        grow only by publishing complete, read-only arrays."""
         entry = self._memo
         if entry is not None and entry[0] == key:
             return entry[1]

@@ -203,15 +203,11 @@ def stochastic_mp(net: LayeredNetwork, rate: float, seed: int) -> MaskTensor:
         raise DegenerateDistributionError("all weights are zero")
     if not 0 < max_kept < nonzero:
         return _top_k(net, logs, max_kept)
-    bitgen = np.random.PCG64(seed)  # the bit generator of default_rng(seed)
-    start = bitgen.state
 
-    def word(i: int) -> int:
-        bitgen.state = start
-        bitgen.advance(i)
-        return int(bitgen.random_raw())
+    def word(i: int) -> int:  # PCG64(seed) is the bit generator of default_rng(seed)
+        return int(np.random.PCG64(seed).advance(i).random_raw())
 
-    chosen = _gumbel_top_k(logs, bitgen.random_raw(logs.size), max_kept, word)
+    chosen = _gumbel_top_k(logs, np.random.PCG64(seed).random_raw(logs.size), max_kept, word)
     if chosen is None:
         return _top_k(net, logs + np.random.default_rng(seed).gumbel(size=logs.size), max_kept)
     return MaskTensor(layers_of(chosen, net.dims))
@@ -601,10 +597,9 @@ def tc_mp_trace(net: LayeredNetwork, spec: PruneSpec) -> tuple[MaskTensor, Chain
     empty at first, and rebuilt by `_order_prefix` to twice the entries a
     block reads when the block reads past the held one. Each rebuild more
     than doubles the prefix, so a layer's is built at most 1 + log2(width)
-    times per network, scoring and alpha, whatever the number of calls; on
-    the bench's nets, once, by the first call at rate 0.9. Per block and
-    layer, a deterministic step then costs a radix sort of the block's
-    rows, and a stochastic step a descent of its visits through their
+    times per network, scoring and alpha, whatever the number of calls. Per
+    block and layer, a deterministic step then costs a radix sort of the
+    block's rows, and a stochastic step a descent of its visits through their
     rows' search trees, ceil(log2(width)) steps of a few array passes each
     on the calling thread, plus radix sorts of their columns and rows (comparison
     sorts where a layer has more than 65,536 rows or columns);

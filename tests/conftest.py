@@ -43,3 +43,11 @@ def random_mask_tensor(rng, dims, density=0.5):
         rng.random((dims[i], dims[i + 1])) < density for i in range(len(dims) - 1)
     )
     return MaskTensor(masks)
+
+
+def small_dims(rng, max_connections: int) -> tuple[int, ...]:
+    """Widths of 1-3 neurons, depth 1-4, with at most max_connections connections."""
+    while True:
+        dims = tuple(int(d) for d in rng.integers(1, 4, size=rng.integers(2, 6)))
+        if sum(a * b for a, b in zip(dims, dims[1:])) <= max_connections:
+            return dims

@@ -122,6 +122,53 @@ def fancy_index_report(mask: MaskTensor) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# The best consistent mask, every subset checked at once as a bit pattern
+
+
+def subset_mask(dims, subset: int) -> MaskTensor:
+    """The mask that keeps flat connection e (layers raveled in order) where
+    bit e of `subset` is set."""
+    sizes = [a * b for a, b in zip(dims, dims[1:])]
+    flat = ((subset >> np.arange(sum(sizes), dtype=np.int64)) & 1) == 1
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    return MaskTensor(tuple(p.reshape(a, b) for p, a, b in zip(parts, dims, dims[1:])))
+
+
+def consistent_subsets(dims) -> np.ndarray:
+    """ok[s]: whether the mask of bit pattern s (see `subset_mask`) meets the
+    local rule, checked on every s in 0 .. 2**n - 1 at once. The rule: every
+    kept connection has a kept connection into its source, unless it is in
+    layer 1, and a kept connection out of its target, unless it is in the
+    last layer. For nets of up to about 16 connections."""
+    sizes = [a * b for a, b in zip(dims, dims[1:])]
+    starts = np.cumsum([0] + sizes)
+    bit = [np.left_shift(1, start + np.arange(size, dtype=np.int64)).reshape(a, b)
+           for start, size, a, b in zip(starts, sizes, dims, dims[1:])]
+    subsets = np.arange(1 << int(starts[-1]), dtype=np.int64)
+    ok = np.ones(subsets.size, dtype=bool)
+    last = len(bit) - 1
+    for l, layer in enumerate(bit):
+        for (i, j), b in np.ndenumerate(layer):
+            kept = (subsets & b) != 0
+            if l > 0:
+                ok &= ~kept | ((subsets & int(bit[l - 1][:, i].sum())) != 0)
+            if l < last:
+                ok &= ~kept | ((subsets & int(bit[l + 1][j, :].sum())) != 0)
+    return ok
+
+
+def best_consistent_mask(net: LayeredNetwork, k: int) -> MaskTensor:
+    """The mask of at most k connections that meets the local rule and keeps
+    the largest sum of |w|, by trying every subset of the connections."""
+    mags = magnitudes(net)
+    subsets = np.arange(1 << mags.size, dtype=np.int64)
+    bits = (subsets[:, None] >> np.arange(mags.size)) & 1
+    fits = consistent_subsets(net.dims) & (bits.sum(axis=1) <= k)
+    candidates = np.flatnonzero(fits)
+    return subset_mask(net.dims, int(candidates[np.argmax(bits[candidates] @ mags)]))
+
+
+# ---------------------------------------------------------------------------
 # Top-k by a full stable sort
 
 

@@ -8,11 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_network
+from conftest import random_network, small_dims
 from oracles import (
     OracleSaturation,
     argsort_ranked_steps,
     argsort_top_k,
+    best_consistent_mask,
     bfs_in_order,
     choice_cdf,
     choice_table,
@@ -49,7 +50,7 @@ from tcprune.pruner import (
     tc_mp_trace,
 )
 from tcprune.surrogate import build_table, log_score_matrix
-from tcprune.topology import consistency_report
+from tcprune.topology import consistency_report, trim_to_consistent
 
 
 def rate_for_kept(total: int, kept: int) -> float:
@@ -1229,3 +1230,51 @@ class TestDegradationTrend:
             percentages.append(rep.ac_percentage)
         assert all(a >= b for a, b in zip(percentages, percentages[1:]))
         assert percentages[-1] < 50.0  # near-total pruning shreds connectivity
+
+
+def kept_magnitude(net: LayeredNetwork, mask) -> float:
+    return float(magnitudes(net)[np.concatenate([m.ravel() for m in mask.masks])].sum())
+
+
+def assert_consistent_within_optimum(net: LayeredNetwork, mask):
+    """The mask is consistent (or empty) and keeps no more |w| than the best
+    consistent mask of its own kept count."""
+    assert consistency_report(mask).ac_percentage in (100.0, None)
+    best = best_consistent_mask(net, mask.kept_count)
+    assert kept_magnitude(net, mask) <= kept_magnitude(net, best) + 1e-12
+
+
+class TestAgainstBestConsistentMask:
+    def test_oracle_on_a_known_net(self):
+        net = net_1_to_12()  # |w| 1..6 into three hidden neurons, 7..12 out
+        assert best_consistent_mask(net, 1).kept_count == 0  # no one-connection path
+        two = best_consistent_mask(net, 2)  # the heaviest path: 6 + 12
+        assert [np.flatnonzero(m).tolist() for m in two.masks] == [[5], [5]]
+        every = best_consistent_mask(net, total_connections(net))
+        assert all(m.all() for m in every.masks)
+
+    @given(seed=st.integers(0, 100_000))
+    @settings(max_examples=20, deadline=None)
+    def test_chain_masks(self, seed):
+        rng = np.random.default_rng(seed)
+        net = random_network(rng, small_dims(rng, 16))
+        total = total_connections(net)
+        rate = rate_for_kept(total, int(rng.integers(net.depth, total + 1)))
+        for stochastic in (False, True):
+            for scoring in ("local", "global"):
+                spec = PruneSpec(rate=rate, stochastic=stochastic, scoring=scoring,
+                                 alpha=0.5, seed=seed)
+                try:
+                    mask = tc_mp(net, spec)
+                except SaturationError:
+                    continue
+                assert mask.kept_count > 0
+                assert_consistent_within_optimum(net, mask)
+
+    @given(seed=st.integers(0, 100_000))
+    @settings(max_examples=30, deadline=None)
+    def test_trimmed_plain_masks(self, seed):
+        rng = np.random.default_rng(seed)
+        net = random_network(rng, small_dims(rng, 16))
+        rate = float(rng.uniform(0.0, 0.95))
+        assert_consistent_within_optimum(net, trim_to_consistent(standard_mp(net, rate)))

@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_mask_tensor
-from oracles import dfs_connection_flags, dfs_consistent_set, fancy_index_report
+from conftest import random_mask_tensor, small_dims
+from oracles import (
+    consistent_subsets,
+    dfs_connection_flags,
+    dfs_consistent_set,
+    fancy_index_report,
+    subset_mask,
+)
 from tcprune.network import MaskTensor
 from tcprune.topology import consistency_report, report_to_json, trim_to_consistent
 
@@ -130,6 +136,23 @@ class TestConsistencyReport:
         full = mask_from_lists([[1]], [[1]])
         payload = json.loads(report_to_json(consistency_report(full)))
         assert payload == {"kept": 2, "consistent": 2, "ac_percent": 100.0}
+
+
+class TestLocalRule:
+    @given(seed=st.integers(0, 100_000))
+    @settings(max_examples=40, deadline=None)
+    def test_agrees_with_report(self, seed):
+        """A non-empty mask is fully consistent exactly when every kept
+        connection has a kept connection into its source (unless in layer 1)
+        and out of its target (unless in the last layer)."""
+        rng = np.random.default_rng(seed)
+        dims = small_dims(rng, 16)
+        ok = consistent_subsets(dims)
+        # eight masks drawn uniformly, mostly inconsistent, and eight the rule passes
+        subsets = np.concatenate([rng.integers(1, ok.size, size=8),
+                                  rng.choice(np.flatnonzero(ok[1:]) + 1, size=8)])
+        for s in subsets.tolist():
+            assert ok[s] == (consistency_report(subset_mask(dims, s)).ac_percentage == 100.0)
 
 
 class TestTrim:
